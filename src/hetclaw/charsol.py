@@ -23,7 +23,7 @@ from .errors import BracketFailure, DomainError
 from .flow import DEFAULT_DT, integrate_batch, terminal_batch, terminal_state
 from .model import HamiltonianModel
 from .period import invert_half_period, shock_time
-from .shooting import DEFAULT_SHOOT_TOL, delta, delta_batch
+from .shooting import DEFAULT_SHOOT_TOL, delta, delta_batch, free_flight
 
 # Width of the one-sided offset used for shock traces.
 TRACE_EPS = 1e-4
@@ -86,7 +86,7 @@ def eval_solution(model: HamiltonianModel, t: float, x: float,
         mirror = eval_solution(model, t, -x, shoot_tol, dt_max)
         return SolutionSample(t=t, x=x, u=-mirror.u, p0=mirror.p0)
 
-    if x - 2.0 * t >= model.cutoff:
+    if free_flight(model, t, x):
         return SolutionSample(t=t, x=x, u=2.0, p0=2.0)
     try:
         datum = delta(model, t, x, shoot_tol, dt_max)
@@ -134,7 +134,7 @@ def solution_profile(model: HamiltonianModel, t: float, xs,
         for i, xa in enumerate(pos):
             u[i] = eval_solution(model, t, float(xa), shoot_tol, dt_max).u
     else:
-        free = pos - 2.0 * t >= model.cutoff
+        free = free_flight(model, t, pos)
         u[free] = 2.0
         rest = ~free
         if np.any(rest):

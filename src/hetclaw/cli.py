@@ -31,8 +31,7 @@ from .flow import DEFAULT_DT, integrate
 from .fvm import DEFAULT_CFL, Grid1D, detect_shock_formation, evolve, \
     step_datum
 from .model import MODELS
-from .period import invert_half_period, period_table, shock_time, \
-    write_period_csv
+from .period import invert_half_period, period_table, shock_time
 from .shooting import DEFAULT_SHOOT_TOL
 from .svgplot import write_svg
 
@@ -269,18 +268,18 @@ def _run_period(config: RunConfig, out_dir: str) -> list:
         [[0.01], np.linspace(0.02, p_hi, max(n - 1, 2))]))
     units = "p0:momentum,period:time,q_max:position"
 
+    table = period_table(model, p0_values, rel_tol)
+    small = next(row for row in table if row.p0 == 0.01)
+
     csv_path = os.path.join(out_dir, "period.csv")
-    write_period_csv(csv_path, model, p0_values,
-                     header_lines=_header_lines(config, units),
-                     rel_tol=rel_tol)
-    rows = period_table(model, [0.01], rel_tol)
+    _csv_rows(csv_path, config, units, "p0,period,q_max",
+              [(row.p0, row.period, row.q_max) for row in table])
     json_path = os.path.join(out_dir, "period.json")
     _write_json(json_path, config, units, {
         "shock_formation_time": shock_time(model, rel_tol=rel_tol),
-        "half_period_small_amplitude": rows[0].period / 2.0,
+        "half_period_small_amplitude": small.period / 2.0,
         "rows": int(p0_values.size),
     })
-    table = period_table(model, p0_values, rel_tol)
     svg_path = os.path.join(out_dir, "period.svg")
     write_svg(svg_path, [([s.p0 for s in table],
                           [s.period for s in table], "period")],

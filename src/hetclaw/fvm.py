@@ -109,11 +109,24 @@ def godunov_flux(u_left, u_right):
     return np.maximum(0.5 * left * left, 0.5 * right * right)
 
 
+def _stable_dt(u, dx: float, cfl: float) -> float:
+    return cfl * dx / max(float(np.max(np.abs(u))), 1.0)
+
+
 def cfl_dt(model: HamiltonianModel, field: CellField,
            cfl: float = DEFAULT_CFL) -> float:
     """Largest stable step: cfl * dx over the max wave speed (>= 1)."""
-    speed = max(float(np.max(np.abs(field.values))), 1.0)
-    return cfl * field.grid.dx / speed
+    return _stable_dt(field.values, field.grid.dx, cfl)
+
+
+def _update(u, dt: float, dx: float, source):
+    """Forward-Euler update with zero-gradient ghosts; source = g'(x_i)."""
+    ext = np.concatenate([u[:1], u, u[-1:]])
+    flux = godunov_flux(ext[:-1], ext[1:])
+    new = u - (dt / dx) * (flux[1:] - flux[:-1]) - dt * source
+    if not np.all(np.isfinite(new)):
+        raise NonFinite("finite-volume update produced non-finite values")
+    return new
 
 
 def step(model: HamiltonianModel, field: CellField, dt: float,
@@ -125,17 +138,39 @@ def step(model: HamiltonianModel, field: CellField, dt: float,
     """
     u = field.values
     dx = field.grid.dx
-    speed = max(float(np.max(np.abs(u))), 1.0)
-    if dt > cfl * dx / speed * (1.0 + 1e-12):
-        raise CflViolation(
-            f"dt={dt} exceeds cfl*dx/max|u| = {cfl * dx / speed}")
-    ext = np.concatenate([u[:1], u, u[-1:]])
-    flux = godunov_flux(ext[:-1], ext[1:])
-    new = u - (dt / dx) * (flux[1:] - flux[:-1]) \
-        - dt * model.g_prime(field.grid.centers())
-    if not np.all(np.isfinite(new)):
-        raise NonFinite("finite-volume update produced non-finite values")
-    return CellField(field.grid, new)
+    bound = _stable_dt(u, dx, cfl)
+    if dt > bound * (1.0 + 1e-12):
+        raise CflViolation(f"dt={dt} exceeds cfl*dx/max|u| = {bound}")
+    return CellField(field.grid, _update(
+        u, dt, dx, model.g_prime(field.grid.centers())))
+
+
+def _march(model: HamiltonianModel, u0: CellField, t_final: float,
+           cfl: float, marks=()):
+    """Step u0 toward t_final at the CFL bound, yielding after each step.
+
+    Yields (t, dt, values, mark): steps shorten to land exactly on each
+    ascending mark in (0, t_final], and ``mark`` is the one landed on, or
+    None.  The grid's source term is evaluated once per march.
+    """
+    if not np.isfinite(t_final):
+        raise DomainError(f"t_final must be finite, got {t_final}")
+    if not (cfl > 0.0):
+        raise DomainError(f"cfl must be > 0, got {cfl}")
+    dx = u0.grid.dx
+    source = model.g_prime(u0.grid.centers())
+    u = u0.values
+    t = 0.0
+    pending = list(marks)
+    while t < t_final - 1e-14:
+        horizon = pending[0] if pending else t_final
+        dt = min(_stable_dt(u, dx, cfl), horizon - t, t_final - t)
+        u = _update(u, dt, dx, source)
+        t += dt
+        mark = None
+        if pending and t >= pending[0] - 1e-14:
+            mark = pending.pop(0)
+        yield t, dt, u, mark
 
 
 @dataclass(frozen=True)
@@ -154,25 +189,18 @@ def evolve(model: HamiltonianModel, u0: CellField, t_final: float,
         raise DomainError(f"t_final must be >= 0, got {t_final}")
     marks = sorted({float(s) for s in snapshot_times
                     if 0.0 <= s <= t_final})
-    field = u0.copy()
-    t = 0.0
+    values = u0.values.copy()
     snaps = []
-    pending = list(marks)
+    if marks and marks[0] == 0.0:
+        snaps.append((0.0, values.copy()))
+        marks.pop(0)
     count = 0
-    if pending and pending[0] == 0.0:
-        snaps.append((0.0, field.values.copy()))
-        pending.pop(0)
-    while t < t_final - 1e-14:
-        dt = cfl_dt(model, field, cfl)
-        horizon = pending[0] if pending else t_final
-        dt = min(dt, horizon - t, t_final - t)
-        field = step(model, field, dt, cfl)
-        t += dt
+    for _, _, values, mark in _march(model, u0, t_final, cfl, marks):
         count += 1
-        if pending and t >= pending[0] - 1e-14:
-            snaps.append((pending[0], field.values.copy()))
-            pending.pop(0)
-    return EvolveResult(final=field, snapshots=tuple(snaps), steps=count)
+        if mark is not None:
+            snaps.append((mark, values.copy()))
+    return EvolveResult(final=CellField(u0.grid, values),
+                        snapshots=tuple(snaps), steps=count)
 
 
 # ===== Shock detection =====
@@ -197,14 +225,9 @@ def detect_shock_formation(model: HamiltonianModel, u0: CellField,
     if i_left < 0 or i_right >= grid.n:
         raise DomainError("grid must straddle x = 0")
 
-    field = u0.copy()
-    t = 0.0
-    prev_jump = float(field.values[i_left] - field.values[i_right])
-    while t < t_max - 1e-14:
-        dt = min(cfl_dt(model, field, cfl), t_max - t)
-        field = step(model, field, dt, cfl)
-        t += dt
-        jump = float(field.values[i_left] - field.values[i_right])
+    prev_jump = float(u0.values[i_left] - u0.values[i_right])
+    for t, dt, values, _ in _march(model, u0, t_max, cfl):
+        jump = float(values[i_left] - values[i_right])
         if prev_jump <= jump_threshold < jump:
             frac = (jump_threshold - prev_jump) / (jump - prev_jump)
             return t - dt + frac * dt

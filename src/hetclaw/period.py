@@ -136,6 +136,7 @@ def period_by_ode(model: HamiltonianModel, p0: float,
     raise NotFound(f"no upward return to q=0 within t={t_cap} for p0={p0}")
 
 
+@lru_cache(maxsize=64)
 def shock_time(model: HamiltonianModel, nodes=(0.04, 0.02, 0.01),
                rel_tol: float = 1e-8) -> float:
     """Infimum of the half-period, by Richardson extrapolation toward p0=0.
@@ -143,7 +144,8 @@ def shock_time(model: HamiltonianModel, nodes=(0.04, 0.02, 0.01),
     The half-period has an even expansion in p0, so two Richardson levels
     on the halving nodes kill the p0^2 and p0^4 terms.  Tolerances finer
     than about 1e-9 are pointless: the integrand loses that much to
-    cancellation near the turning point.
+    cancellation near the turning point.  Results are cached, since the
+    shooting, point-evaluation and design layers all ask for the same value.
     """
     h = [0.5 * period_quadrature(model, p, rel_tol=rel_tol) for p in nodes]
     r1a = (4.0 * h[1] - h[0]) / 3.0

@@ -19,7 +19,6 @@ shooting residual sign-definite below the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,34 +42,28 @@ _P_MARGIN = 2e-9
 
 # ===== The glued arc =====
 
-@dataclass(frozen=True)
-class ArcParam:
-    """Scalar coordinate on the glued starting arc.
+def arc_decode(s):
+    """Arc parameter s -> datum (q0, p0), for one float or elementwise.
 
     s <= 0 encodes the point (-s, 2) on the half-line piece; s in (0, 2)
     encodes (0, 2 - s) on the momentum piece; s = 0 is the corner (0, 2).
     Larger s means a smaller datum in the orbit-comparison order.
     """
-
-    s: float
-
-    def decode(self) -> tuple[float, float]:
-        if self.s <= 0.0:
-            return (-self.s, 2.0)
-        if self.s < 2.0:
-            return (0.0, 2.0 - self.s)
-        raise DomainError(f"arc parameter must be < 2, got {self.s}")
-
-
-def arc_decode(s):
-    """Vectorized arc decoding: s -> (q0, p0) as arrays or floats."""
+    if not np.all(np.asarray(s) < 2.0):
+        raise DomainError(f"arc parameters must be < 2, got {s}")
     if isinstance(s, np.ndarray):
-        if np.any(s >= 2.0):
-            raise DomainError("arc parameters must be < 2")
-        q0 = np.where(s <= 0.0, -s, 0.0)
-        p0 = np.where(s <= 0.0, 2.0, 2.0 - s)
-        return q0, p0
-    return ArcParam(float(s)).decode()
+        return np.where(s <= 0.0, -s, 0.0), np.where(s <= 0.0, 2.0, 2.0 - s)
+    s = float(s)
+    return (-s, 2.0) if s <= 0.0 else (0.0, 2.0 - s)
+
+
+def free_flight(model: HamiltonianModel, t: float, x):
+    """Whether the orbit reaching x at time t never leaves the flat tail.
+
+    There the datum is exactly (x - 2t, 2) and the solution value is 2.
+    Works elementwise on arrays of positions.
+    """
+    return x - 2.0 * t >= model.cutoff
 
 
 @dataclass(frozen=True)
@@ -91,16 +84,11 @@ class DeltaResult:
 
 # ===== Bracket construction =====
 
-@lru_cache(maxsize=64)
-def _shock_time_cached(model: HamiltonianModel) -> float:
-    return shock_time(model)
-
-
 def _momentum_floor(model: HamiltonianModel, t: float) -> float:
     """Smallest arc momentum whose orbit stays in q > 0 on (0, t)."""
     if model.separatrix_momentum <= 0.0:
         return _P_FLOOR
-    if t <= _shock_time_cached(model):
+    if t <= shock_time(model):
         return _P_FLOOR
     try:
         return invert_half_period(model, t) + _P_MARGIN
@@ -109,15 +97,39 @@ def _momentum_floor(model: HamiltonianModel, t: float) -> float:
         return _P_FLOOR
 
 
-def _free_flight(model: HamiltonianModel, t: float, x: float):
-    """Exact datum when the orbit never leaves the flat right tail."""
-    q0 = x - 2.0 * t
-    if q0 >= model.cutoff:
-        return DeltaResult(q0=q0, p0=2.0, residual=0.0)
-    return None
-
-
 # ===== Shooting =====
+
+def _bisect(march, t, xs, lo, hi, best_f, shoot_tol):
+    """Bisect the arc brackets [lo, hi] of all targets ``xs`` at once.
+
+    ``march(q0, p0)`` maps data arrays to (terminal q, running min of q);
+    ``best_f`` is the residual already known at ``lo`` (inf if none).
+    Returns the (s, residual) arrays of the best iterates and raises
+    PositivityViolation if an accepted orbit dips below q = 0.
+    """
+    best_s = lo.copy()
+    best_minq = np.zeros_like(xs)
+    for _ in range(MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        q_end, min_q = march(*arc_decode(mid))
+        f = q_end - xs
+        better = np.abs(f) < np.abs(best_f)
+        best_s[better] = mid[better]
+        best_f[better] = f[better]
+        best_minq[better] = min_q[better]
+        above = f > 0.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+        if (np.max(hi - lo) <= ARC_TOL
+                or np.max(np.abs(f)) <= 0.1 * shoot_tol):
+            break
+    worst = int(np.argmin(best_minq))
+    if best_minq[worst] < -10.0 * shoot_tol:
+        raise PositivityViolation(
+            f"orbit for t={t}, x={xs[worst]} dips to "
+            f"q={best_minq[worst]} before t")
+    return best_s, best_f
+
 
 def delta(model: HamiltonianModel, t: float, x: float,
           shoot_tol: float = DEFAULT_SHOOT_TOL,
@@ -134,9 +146,8 @@ def delta(model: HamiltonianModel, t: float, x: float,
         raise DomainError(f"delta needs t > 0, got {t}")
     if not (x > 0.0):
         raise DomainError(f"delta needs x > 0, got {x}")
-    free = _free_flight(model, t, x)
-    if free is not None:
-        return free
+    if free_flight(model, t, x):
+        return DeltaResult(q0=x - 2.0 * t, p0=2.0, residual=0.0)
 
     lo = -x
     hi = 2.0 - _momentum_floor(model, t)
@@ -149,27 +160,15 @@ def delta(model: HamiltonianModel, t: float, x: float,
             f"no sign change on the arc bracket for t={t}, x={x}: "
             f"f({lo})={f_lo}, f({hi})={f_hi}")
 
-    best = (lo, f_lo, 0.0)
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        q0, p0 = arc_decode(mid)
-        q_end, _, min_q = terminal_state(model, q0, p0, t, dt_max)
-        f_mid = q_end - x
-        if abs(f_mid) < abs(best[1]):
-            best = (mid, f_mid, min_q)
-        if f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(f_mid) <= 0.1 * shoot_tol or hi - lo <= ARC_TOL:
-            break
+    def march(q0, p0):
+        q_end, _, min_q = terminal_state(model, float(q0[0]), float(p0[0]),
+                                         t, dt_max)
+        return np.array([q_end]), np.array([min_q])
 
-    s_star, residual, min_q = best
-    if min_q < -10.0 * shoot_tol:
-        raise PositivityViolation(
-            f"orbit for t={t}, x={x} dips to q={min_q} before t")
-    q0, p0 = arc_decode(s_star)
-    return DeltaResult(q0=q0, p0=p0, residual=residual)
+    s, res = _bisect(march, t, np.array([x]), np.array([lo]),
+                     np.array([hi]), np.array([f_lo]), shoot_tol)
+    q0, p0 = arc_decode(float(s[0]))
+    return DeltaResult(q0=q0, p0=p0, residual=float(res[0]))
 
 
 def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
@@ -179,7 +178,9 @@ def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
 
     Returns (q0, p0, residual) arrays aligned with ``xs``.  Far-field
     points that never feel the potential are filled with the exact
-    free-flight datum; the rest share one batched bisection.
+    free-flight datum; the rest share one batched bisection.  Unlike
+    :func:`delta` the bracket ends are not marched, so a bracket that
+    fails to straddle shows up as a large residual, not BracketFailure.
     """
     xs = np.asarray(xs, dtype=float)
     if not (t > 0.0):
@@ -191,41 +192,23 @@ def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
     p0_out = np.empty_like(xs)
     res_out = np.zeros_like(xs)
 
-    free = xs - 2.0 * t >= model.cutoff
+    free = free_flight(model, t, xs)
     q0_out[free] = xs[free] - 2.0 * t
     p0_out[free] = 2.0
 
     shoot = ~free
     if np.any(shoot):
         x_s = xs[shoot]
-        lo = -x_s
-        hi = np.full_like(x_s, 2.0 - _momentum_floor(model, t))
-        best_s = lo.copy()
-        best_f = np.full_like(x_s, np.inf)
-        best_minq = np.zeros_like(x_s)
-        for _ in range(MAX_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            q0, p0 = arc_decode(mid)
+
+        def march(q0, p0):
             q_end, _, min_q = terminal_batch(model, q0, p0, t, dt_max)
-            f = q_end - x_s
-            better = np.abs(f) < np.abs(best_f)
-            best_s[better] = mid[better]
-            best_f[better] = f[better]
-            best_minq[better] = min_q[better]
-            above = f > 0.0
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-            if (np.max(hi - lo) <= ARC_TOL
-                    or np.max(np.abs(f)) <= 0.1 * shoot_tol):
-                break
-        if np.any(best_minq < -10.0 * shoot_tol):
-            worst = float(np.min(best_minq))
-            raise PositivityViolation(
-                f"batched orbits at t={t} dip to q={worst} before t")
-        q0_s, p0_s = arc_decode(best_s)
-        q0_out[shoot] = q0_s
-        p0_out[shoot] = p0_s
-        res_out[shoot] = best_f
+            return q_end, min_q
+
+        s, res = _bisect(march, t, x_s, -x_s,
+                         np.full_like(x_s, 2.0 - _momentum_floor(model, t)),
+                         np.full_like(x_s, np.inf), shoot_tol)
+        q0_out[shoot], p0_out[shoot] = arc_decode(s)
+        res_out[shoot] = res
     return q0_out, p0_out, res_out
 
 

@@ -2,8 +2,8 @@
 
 Each test prints ``ACCEPTANCE <n>: PASS/FAIL`` with the measured numbers
 before asserting, so a red criterion always shows its evidence.  Two
-sub-checks are known to be unattainable as stated and fail honestly; the
-decisions ledger carries the analysis and the independently computed
+sub-checks are known to be unattainable as stated and fail honestly;
+docs/DECISIONS.md carries the analysis and the independently computed
 true values.
 """
 from __future__ import annotations
@@ -74,7 +74,7 @@ def test_criterion_2_attraction_to_the_limit_profile(quartic):
     assert worst_fv <= 0.05
     # Both solution routes agree that |u(30, +-1.5)| = 0.0207: outside the
     # well the residue drains like 1/t, so a 5e-3 band at t = 30 is not
-    # attainable there.  Full analysis in the decisions ledger.
+    # attainable there.  Full analysis in docs/DECISIONS.md.
     assert worst_exact <= 5e-3, (
         f"worst deviation {worst_exact:.4f} sits at x = +-1.5 where both "
         f"routes measure 0.0207; the interior points pass with "
@@ -115,7 +115,7 @@ def test_criterion_4_period_map_shape(quartic):
     assert worst_gap <= 1e-5
     # Quadrature and direct integration agree to 1e-5 that the value at
     # 1.414 is 15.9741617 (and 30.43 at 1.4142), so the stated bound of
-    # 20 is not attainable at 1.414.  Analysis in the decisions ledger.
+    # 20 is not attainable at 1.414.  Analysis in docs/DECISIONS.md.
     assert near_edge > 20.0, (
         f"map(1.414) = {near_edge:.7f} by two independent routes; "
         f"the > 20 bound would hold at 1.4142, not at 1.414")

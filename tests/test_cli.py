@@ -4,10 +4,13 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hetclaw
 from hetclaw.cli import RunConfig, build_parser, config_hash, main
 
 
@@ -78,6 +81,29 @@ def test_domain_errors_exit_nonzero_with_json(capsys, tmp_path):
     err = json.loads(out)
     assert err["error"] == "DomainError"
     assert "well" in err["message"]
+
+
+def test_infinite_horizon_orbits_fail_with_json(capsys, tmp_path):
+    code = main(["--experiment", "phase-portrait", "--tmax", "inf",
+                 "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("flags", [["--tmax", "inf"], ["--cfl", "0"]])
+def test_unbounded_simulations_fail_fast_with_json(tmp_path, flags):
+    """Both inputs used to hang the finite-volume march; run in a child
+    process so a regression fails on the timeout instead of hanging."""
+    src = os.path.dirname(os.path.dirname(hetclaw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hetclaw", "--experiment", "simulate",
+         "--n", "100", "--out", str(tmp_path / "o"), *flags],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"] == "DomainError"
 
 
 def test_parser_rejects_unknown_experiments():

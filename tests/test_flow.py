@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hetclaw.errors import EnergyDrift
+from hetclaw.errors import DomainError, EnergyDrift
 from hetclaw.flow import (
     Trajectory,
     crossing_events,
@@ -114,6 +114,21 @@ def test_flow_is_odd(quartic):
 def test_drift_guard_raises_on_coarse_steps(quartic):
     with pytest.raises(EnergyDrift):
         integrate(quartic, 0.0, 1.4, 10.0, dt_max=0.25, energy_tol=1e-12)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_durations_are_domain_errors(quartic, t):
+    with pytest.raises(DomainError):
+        terminal_state(quartic, 0.0, 1.0, t)
+    with pytest.raises(DomainError):
+        integrate(quartic, 0.0, 1.0, t)
+    with pytest.raises(DomainError):
+        terminal_batch(quartic, np.array([0.0]), np.array([1.0]), t)
+
+
+def test_record_times_must_start_at_zero(quartic):
+    with pytest.raises(DomainError):
+        integrate_batch(quartic, np.array([0.0]), np.array([1.0]), [0.5, 1.0])
 
 
 # ===== Events =====
