@@ -19,17 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, DomainError
-from .flow import DEFAULT_DT, integrate_batch, terminal_batch, terminal_state
+from .errors import DomainError
+from .flow import DEFAULT_DT, integrate_batch
 from .model import HamiltonianModel
-from .period import invert_half_period, shock_time
-from .shooting import DEFAULT_SHOOT_TOL, delta, delta_batch, free_flight
+from .period import invert_half_period
+from .shooting import DEFAULT_SHOOT_TOL, delta, delta_batch
+
+# Not called here; perfbench/tracing.py wraps these names on this module.
+from .flow import terminal_batch, terminal_state  # noqa: F401
+from .period import shock_time  # noqa: F401
 
 # Width of the one-sided offset used for shock traces.
 TRACE_EPS = 1e-4
-
-# Below this many points a loop of scalar shots beats the batched march.
-_BATCH_MIN = 24
 
 
 @dataclass(frozen=True)
@@ -69,14 +70,12 @@ def eval_solution(model: HamiltonianModel, t: float, x: float,
                   dt_max: float = DEFAULT_DT) -> SolutionSample:
     """Solution value u(t, x) for t > 0 and x != 0.
 
-    Composes the shooting map with the forward flow; x < 0 is handled by
-    odd reflection.  The returned momentum is evaluated on the launch
-    energy shell at the queried position (see _on_shell), so the energy
-    relation holds to machine precision at every sample.  If the bracket
-    degenerates, the query sits inside the thin sliver next to the
-    origin that the shooting floor cannot resolve, so the one-sided
-    limit is returned: zero while the fan is still open, the returning
-    trace once the standing jump exists.
+    One shot of the shooting map; x < 0 is handled by odd reflection.
+    The returned momentum is evaluated on the launch energy shell at the
+    queried position (see _on_shell), so the energy relation holds to
+    machine precision at every sample.  In the thin sliver next to the
+    origin that the shooting bracket cannot reach, the shot settles on
+    the bracket end and the value is the one-sided limit there.
     """
     if not (t > 0.0):
         raise DomainError(f"eval_solution needs t > 0, got {t}")
@@ -86,17 +85,8 @@ def eval_solution(model: HamiltonianModel, t: float, x: float,
         mirror = eval_solution(model, t, -x, shoot_tol, dt_max)
         return SolutionSample(t=t, x=x, u=-mirror.u, p0=mirror.p0)
 
-    if free_flight(model, t, x):
-        return SolutionSample(t=t, x=x, u=2.0, p0=2.0)
-    try:
-        datum = delta(model, t, x, shoot_tol, dt_max)
-    except BracketFailure:
-        if model.separatrix_momentum > 0.0 and t > shock_time(model):
-            trace = invert_half_period(model, t)
-            return SolutionSample(t=t, x=x, u=-trace, p0=trace)
-        return SolutionSample(t=t, x=x, u=0.0, p0=0.0)
-    p_end = terminal_state(model, datum.q0, datum.p0, t, dt_max)[1]
-    u = _on_shell(model, datum.q0, datum.p0, x, p_end)
+    datum = delta(model, t, x, shoot_tol, dt_max)
+    u = _on_shell(model, datum.q0, datum.p0, x, datum.p_end)
     return SolutionSample(t=t, x=x, u=float(u), p0=datum.p0)
 
 
@@ -120,27 +110,15 @@ def solution_profile(model: HamiltonianModel, t: float, xs,
                      dt_max: float = DEFAULT_DT) -> np.ndarray:
     """Vector of solution values u(t, x) over the positions ``xs``.
 
-    Positions must avoid 0.  Wide requests go through the batched
-    bisection; narrow ones loop over scalar shots, which is faster below
-    a couple dozen points.
+    Positions must avoid 0.  All |x| share one shooting call, and odd
+    reflection fills x < 0.
     """
     xs = np.asarray(xs, dtype=float)
     if np.any(xs == 0.0):
         raise DomainError("profile positions must avoid the shock x = 0")
-    u = np.empty_like(xs)
     pos = np.abs(xs)
-
-    if xs.size < _BATCH_MIN:
-        for i, xa in enumerate(pos):
-            u[i] = eval_solution(model, t, float(xa), shoot_tol, dt_max).u
-    else:
-        free = free_flight(model, t, pos)
-        u[free] = 2.0
-        rest = ~free
-        if np.any(rest):
-            q0, p0, _ = delta_batch(model, t, pos[rest], shoot_tol, dt_max)
-            p_end = terminal_batch(model, q0, p0, t, dt_max)[1]
-            u[rest] = _on_shell(model, q0, p0, pos[rest], p_end)
+    q0, p0, _, p_end = delta_batch(model, t, pos, shoot_tol, dt_max)
+    u = _on_shell(model, q0, p0, pos, p_end)
     return np.where(xs < 0.0, -u, u)
 
 

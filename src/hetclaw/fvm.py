@@ -155,8 +155,8 @@ def _march(model: HamiltonianModel, u0: CellField, t_final: float,
     """
     if not np.isfinite(t_final):
         raise DomainError(f"t_final must be finite, got {t_final}")
-    if not (cfl > 0.0):
-        raise DomainError(f"cfl must be > 0, got {cfl}")
+    if not (0.0 < cfl <= 1.0):
+        raise DomainError(f"cfl must be in (0, 1], got {cfl}")
     dx = u0.grid.dx
     source = model.g_prime(u0.grid.centers())
     u = u0.values

@@ -83,7 +83,7 @@ _BASE_EDGES = _graded_edges()
 
 
 def period_quadrature(model: HamiltonianModel, p0: float,
-                      rel_tol: float = 1e-8, max_refine: int = 64) -> float:
+                      rel_tol: float = 1e-8, max_refine: int = 256) -> float:
     """Period T(p0) by composite Gauss-Legendre on the desingularized form.
 
     A fixed stack of panels graded toward theta = pi/2 handles the

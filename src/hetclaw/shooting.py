@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, DomainError, PositivityViolation
+from .errors import DomainError, PositivityViolation
 from .flow import DEFAULT_DT, terminal_batch, terminal_state
 from .model import HamiltonianModel
 from .period import invert_half_period, shock_time
@@ -74,12 +74,14 @@ class DeltaResult:
     narrow band around the separatrix image (x near the position of the
     orbit launched at the critical momentum) the terminal position is so
     sensitive to the datum that the residual may exceed the requested
-    tolerance; callers that care should inspect it.
+    tolerance; callers that care should inspect it.  ``p_end`` is the
+    terminal momentum of the accepted orbit.
     """
 
     q0: float
     p0: float
     residual: float
+    p_end: float
 
 
 # ===== Bracket construction =====
@@ -99,23 +101,31 @@ def _momentum_floor(model: HamiltonianModel, t: float) -> float:
 
 # ===== Shooting =====
 
-def _bisect(march, t, xs, lo, hi, best_f, shoot_tol):
+# Below this many shots a loop of scalar marches beats the batched march,
+# whose per-step cost is numpy dispatch until a couple dozen orbits.
+_BATCH_MIN = 24
+
+
+def _bisect(march, t, xs, lo, hi, shoot_tol):
     """Bisect the arc brackets [lo, hi] of all targets ``xs`` at once.
 
-    ``march(q0, p0)`` maps data arrays to (terminal q, running min of q);
-    ``best_f`` is the residual already known at ``lo`` (inf if none).
-    Returns the (s, residual) arrays of the best iterates and raises
-    PositivityViolation if an accepted orbit dips below q = 0.
+    ``march(q0, p0)`` maps data arrays to (terminal q, terminal p,
+    running min of q).  Returns the (s, residual, terminal p) arrays of
+    the best iterates and raises PositivityViolation if an accepted orbit
+    dips below q = 0.
     """
     best_s = lo.copy()
+    best_f = np.full_like(xs, np.inf)
+    best_p = np.zeros_like(xs)
     best_minq = np.zeros_like(xs)
     for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        q_end, min_q = march(*arc_decode(mid))
+        q_end, p_end, min_q = march(*arc_decode(mid))
         f = q_end - xs
         better = np.abs(f) < np.abs(best_f)
         best_s[better] = mid[better]
         best_f[better] = f[better]
+        best_p[better] = p_end[better]
         best_minq[better] = min_q[better]
         above = f > 0.0
         lo = np.where(above, mid, lo)
@@ -128,7 +138,7 @@ def _bisect(march, t, xs, lo, hi, best_f, shoot_tol):
         raise PositivityViolation(
             f"orbit for t={t}, x={xs[worst]} dips to "
             f"q={best_minq[worst]} before t")
-    return best_s, best_f
+    return best_s, best_f, best_p
 
 
 def delta(model: HamiltonianModel, t: float, x: float,
@@ -136,80 +146,63 @@ def delta(model: HamiltonianModel, t: float, x: float,
           dt_max: float = DEFAULT_DT) -> DeltaResult:
     """Unique arc datum whose orbit reaches x at time t through q > 0.
 
-    Monotone bisection on the glued arc parameter.  Raises DomainError
-    for t <= 0 or x <= 0, BracketFailure when the initial bracket does
-    not straddle the target (bad tolerances or inputs far outside the
-    validated range), and PositivityViolation if the accepted orbit dips
+    The one-point case of :func:`delta_batch`.  Raises DomainError for
+    t <= 0 or x <= 0 and PositivityViolation if the accepted orbit dips
     below q = 0 on (0, t).
     """
-    if not (t > 0.0):
-        raise DomainError(f"delta needs t > 0, got {t}")
-    if not (x > 0.0):
-        raise DomainError(f"delta needs x > 0, got {x}")
-    if free_flight(model, t, x):
-        return DeltaResult(q0=x - 2.0 * t, p0=2.0, residual=0.0)
-
-    lo = -x
-    hi = 2.0 - _momentum_floor(model, t)
-    q_lo, p_lo = arc_decode(lo)
-    q_hi, p_hi = arc_decode(hi)
-    f_lo = terminal_state(model, q_lo, p_lo, t, dt_max)[0] - x
-    f_hi = terminal_state(model, q_hi, p_hi, t, dt_max)[0] - x
-    if not (f_lo > 0.0 > f_hi):
-        raise BracketFailure(
-            f"no sign change on the arc bracket for t={t}, x={x}: "
-            f"f({lo})={f_lo}, f({hi})={f_hi}")
-
-    def march(q0, p0):
-        q_end, _, min_q = terminal_state(model, float(q0[0]), float(p0[0]),
-                                         t, dt_max)
-        return np.array([q_end]), np.array([min_q])
-
-    s, res = _bisect(march, t, np.array([x]), np.array([lo]),
-                     np.array([hi]), np.array([f_lo]), shoot_tol)
-    q0, p0 = arc_decode(float(s[0]))
-    return DeltaResult(q0=q0, p0=p0, residual=float(res[0]))
+    q0, p0, res, p_end = delta_batch(model, t, [x], shoot_tol, dt_max)
+    return DeltaResult(q0=float(q0[0]), p0=float(p0[0]),
+                       residual=float(res[0]), p_end=float(p_end[0]))
 
 
 def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
                 shoot_tol: float = DEFAULT_SHOOT_TOL,
                 dt_max: float = DEFAULT_DT):
-    """Vectorized delta over many positions at one time.
+    """Shooting data for many positions at one time.
 
-    Returns (q0, p0, residual) arrays aligned with ``xs``.  Far-field
-    points that never feel the potential are filled with the exact
-    free-flight datum; the rest share one batched bisection.  Unlike
-    :func:`delta` the bracket ends are not marched, so a bracket that
-    fails to straddle shows up as a large residual, not BracketFailure.
+    Returns (q0, p0, residual, p_end) arrays aligned with ``xs``, where
+    p_end is the terminal momentum of the accepted orbit.  Far-field
+    points that never feel the potential get the exact free-flight datum
+    (p_end = 2); the rest share one bisection on the bracket
+    [-x, 2 - momentum floor].  Next to x = 0 the floor leaves a thin
+    sliver the bracket cannot straddle; there the bisection settles on
+    the bracket's upper end and the miss shows up in ``residual``.
     """
     xs = np.asarray(xs, dtype=float)
     if not (t > 0.0):
-        raise DomainError(f"delta_batch needs t > 0, got {t}")
-    if np.any(xs <= 0.0):
-        raise DomainError("delta_batch needs x > 0 everywhere")
+        raise DomainError(f"delta needs t > 0, got {t}")
+    if not np.all(xs > 0.0):
+        raise DomainError(f"delta needs x > 0 everywhere, got {xs}")
 
     q0_out = np.empty_like(xs)
     p0_out = np.empty_like(xs)
     res_out = np.zeros_like(xs)
+    p_end_out = np.empty_like(xs)
 
     free = free_flight(model, t, xs)
     q0_out[free] = xs[free] - 2.0 * t
     p0_out[free] = 2.0
+    p_end_out[free] = 2.0
 
     shoot = ~free
     if np.any(shoot):
         x_s = xs[shoot]
+        if x_s.size < _BATCH_MIN:
+            def march(q0, p0):
+                return np.array([terminal_state(model, float(a), float(b),
+                                                t, dt_max)
+                                 for a, b in zip(q0, p0)]).T
+        else:
+            def march(q0, p0):
+                return terminal_batch(model, q0, p0, t, dt_max)
 
-        def march(q0, p0):
-            q_end, _, min_q = terminal_batch(model, q0, p0, t, dt_max)
-            return q_end, min_q
-
-        s, res = _bisect(march, t, x_s, -x_s,
-                         np.full_like(x_s, 2.0 - _momentum_floor(model, t)),
-                         np.full_like(x_s, np.inf), shoot_tol)
+        s, res, p_end = _bisect(
+            march, t, x_s, -x_s,
+            np.full_like(x_s, 2.0 - _momentum_floor(model, t)), shoot_tol)
         q0_out[shoot], p0_out[shoot] = arc_decode(s)
         res_out[shoot] = res
-    return q0_out, p0_out, res_out
+        p_end_out[shoot] = p_end
+    return q0_out, p0_out, res_out, p_end_out
 
 
 # ===== Continuity scan =====
@@ -255,7 +248,7 @@ def delta_continuity_scan(model: HamiltonianModel, t_range, x_range,
     s_grid = np.empty((n_t, n_x))
     p_grid = np.empty((n_t, n_x))
     for i, t in enumerate(t_vals):
-        q0, p0, _ = delta_batch(model, float(t), x_vals, dt_max=dt_max)
+        q0, p0, _, _ = delta_batch(model, float(t), x_vals, dt_max=dt_max)
         s_grid[i] = np.where(q0 > 0.0, -q0, 2.0 - p0)
         p_grid[i] = p0
 

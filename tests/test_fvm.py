@@ -111,10 +111,12 @@ def test_cfl_guard(quartic):
 
 @pytest.mark.parametrize("t_final, cfl", [(np.nan, 0.45), (np.inf, 0.45),
                                           (1.0, 0.0), (1.0, -0.45),
-                                          (1.0, np.nan)])
+                                          (1.0, np.nan), (1.0, 1.5),
+                                          (1.0, np.inf)])
 def test_marches_reject_unbounded_runs(quartic, t_final, cfl):
     """A non-finite horizon or a non-positive CFL number would loop
-    forever (or return after zero steps); both marches refuse them."""
+    forever (or return after zero steps), and a CFL number above 1 blows
+    the scheme up; both marches refuse them."""
     u0 = step_datum(Grid1D(-2.0, 2.0, 100))
     with pytest.raises(DomainError):
         evolve(quartic, u0, t_final, cfl=cfl)

@@ -90,6 +90,16 @@ def test_half_period_inversion_round_trip(quartic):
         assert invert_half_period(quartic, half) == pytest.approx(p0, abs=1e-6)
 
 
+@pytest.mark.parametrize("t", [40.0, 45.0, 60.0])
+def test_late_inversion_brackets_the_root(quartic, t):
+    """Late times push the root to within 3e-7 of the separatrix
+    momentum, where the graded quadrature needs more than 64-fold
+    refinement."""
+    p = invert_half_period(quartic, t)
+    assert 0.5 * period_quadrature(quartic, p) < t
+    assert t <= 0.5 * period_quadrature(quartic, p + 1e-9)
+
+
 def test_inversion_rejects_times_before_the_first_return(quartic):
     with pytest.raises(DomainError):
         invert_half_period(quartic, 1.0)

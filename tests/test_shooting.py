@@ -61,7 +61,7 @@ def test_brute_force_scan_agrees(quartic):
 
 def test_batch_matches_scalar(quartic):
     xs = np.linspace(0.1, 4.0, 12)
-    q0, p0, residual = delta_batch(quartic, 2.0, xs)
+    q0, p0, residual, _ = delta_batch(quartic, 2.0, xs)
     assert np.max(np.abs(residual)) <= 1e-7
     for j, x in enumerate(xs):
         res = delta(quartic, 2.0, float(x))
