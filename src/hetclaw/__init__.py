@@ -15,12 +15,11 @@ from .design import (Jump, Profile, design_report, footprint,
                      profile_from_solution, ray_fan, reconstruct_vertex,
                      round_trip)
 from .entropy import (GriddedSolution, TestFunction, entropy_residual,
-                      entropy_sweep, from_characteristics, from_snapshots,
-                      residual_floor)
+                      entropy_sweep, from_snapshots, residual_floor)
 from .errors import (BracketFailure, DomainError, EnergyDrift, HetclawError,
                      NonFinite, NotFound)
 from .flow import (Trajectory, crossing_events, integrate, integrate_batch,
-                   separatrix_orbits, terminal_batch, terminal_state)
+                   terminal_batch, terminal_state)
 from .fvm import (CellField, Grid1D, detect_shock_formation, evolve,
                   l1_distance, sample_datum, step_datum)
 from .model import MODELS, HamiltonianModel, check_assumptions, \
@@ -60,7 +59,6 @@ __all__ = [
     "eval_solution",
     "evolve",
     "footprint",
-    "from_characteristics",
     "from_snapshots",
     "homogeneous",
     "integrate",
@@ -77,7 +75,6 @@ __all__ = [
     "residual_floor",
     "round_trip",
     "sample_datum",
-    "separatrix_orbits",
     "shock_size",
     "shock_time",
     "shock_trace_momentum",

@@ -122,22 +122,6 @@ def solution_profile(model: HamiltonianModel, t: float, xs,
     return np.where(xs < 0.0, -u, u)
 
 
-def write_profile_csv(path, model: HamiltonianModel, times, xs,
-                      header_lines=(),
-                      shoot_tol: float = DEFAULT_SHOOT_TOL,
-                      dt_max: float = DEFAULT_DT) -> None:
-    """Emit long-format rows t,x,u for each requested time."""
-    xs = np.asarray(xs, dtype=float)
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("t,x,u\n")
-        for t in times:
-            u = solution_profile(model, float(t), xs, shoot_tol, dt_max)
-            for xv, uv in zip(xs, u):
-                fh.write(f"{t!r},{xv!r},{uv!r}\n")
-
-
 # ===== Shock trace =====
 
 def shock_size(model: HamiltonianModel, t: float,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -23,8 +24,7 @@ import numpy as np
 
 from .charsol import asymptotic_profile, solution_grid
 from .design import (footprint, monotone_test, profile_from_solution,
-                     ray_fan, reconstruct_vertex, round_trip,
-                     write_footprint_csv, write_rays_csv)
+                     ray_fan, reconstruct_vertex, round_trip)
 from .entropy import entropy_sweep, from_snapshots, reversed_shock_solution
 from .errors import DomainError, HetclawError
 from .flow import DEFAULT_DT, integrate
@@ -65,10 +65,31 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _read(key: str, raw, kind=float, positive: bool = False):
+    """``kind(raw)``, or a DomainError naming the config key.
+
+    A float must be finite and an int exact (2.7 or true is not a
+    count); ``positive`` also demands a value above 0.
+    """
+    try:
+        value = kind(raw)
+        if kind is int and (isinstance(raw, bool) or float(raw) != value):
+            value = math.nan
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise DomainError(f"config {key!r} must be a finite"
+                          f"{' positive' if positive else ''} "
+                          f"{kind.__name__}, got {raw!r}")
+    return value
+
+
 def _parse_times(raw) -> tuple:
     if isinstance(raw, str):
         raw = [piece for piece in raw.split(",") if piece.strip()]
-    return tuple(float(v) for v in raw)
+    if not isinstance(raw, (list, tuple)):
+        raise DomainError(f"config 'times' must be a list, got {raw!r}")
+    return tuple(_read("times", v) for v in raw)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -87,6 +108,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         with open(args.config) as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise DomainError("config file must hold one JSON object")
         unknown = set(overrides) - set(merged)
         if unknown:
             raise DomainError(
@@ -96,23 +119,32 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if merged["experiment"] is None:
         raise DomainError("no experiment selected; pass --experiment "
                           "or put \"experiment\" in the config file")
-    if merged["experiment"] not in EXPERIMENTS:
+    # list membership: an unhashable value fails here, not with TypeError
+    if merged["experiment"] not in sorted(EXPERIMENTS):
         raise DomainError(f"unknown experiment {merged['experiment']!r}; "
                           f"choose from {sorted(EXPERIMENTS)}")
-    if merged["model"] not in MODELS:
+    if merged["model"] not in sorted(MODELS):
         raise DomainError(f"unknown model {merged['model']!r}; "
                           f"choose from {sorted(MODELS)}")
-    times = merged["times"]
+    if not isinstance(merged["out"], str):
+        raise DomainError(f"config 'out' must be a path string, "
+                          f"got {merged['out']!r}")
+
+    def optional(key, kind=float, positive=False):
+        raw = merged[key]
+        return None if raw is None else _read(key, raw, kind, positive)
+
     return RunConfig(
         experiment=merged["experiment"],
         model=merged["model"],
         out=merged["out"],
-        n=None if merged["n"] is None else int(merged["n"]),
-        cfl=float(merged["cfl"]),
-        t_max=None if merged["tmax"] is None else float(merged["tmax"]),
-        times=None if times is None else _parse_times(times),
-        seed=int(merged["seed"]),
-        tol=None if merged["tol"] is None else float(merged["tol"]),
+        n=optional("n", int, positive=True),
+        cfl=_read("cfl", merged["cfl"]),
+        t_max=optional("tmax"),
+        times=None if merged["times"] is None
+        else _parse_times(merged["times"]),
+        seed=_read("seed", merged["seed"], int),
+        tol=optional("tol", positive=True),
     )
 
 
@@ -145,8 +177,8 @@ def _csv_rows(path, config: RunConfig, units: str, columns: str,
             fh.write(f"# {line}\n")
         fh.write(columns + "\n")
         for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+            fh.write(",".join(repr(float(v)) if isinstance(v, float)
+                              else str(v) for v in row) + "\n")
 
 
 # ===== Experiments =====
@@ -308,8 +340,8 @@ def _run_inverse(config: RunConfig, out_dir: str) -> list:
     fm_units = "x:position,w:velocity,foot:position,p0:momentum"
 
     csv_path = os.path.join(out_dir, "inverse_footprint.csv")
-    write_footprint_csv(csv_path, fm,
-                        header_lines=_header_lines(config, fm_units))
+    _csv_rows(csv_path, config, fm_units, "x,w,foot,p0",
+              zip(fm.xs, fm.ws, fm.feet, fm.p0))
     json_path = os.path.join(out_dir, "inverse.json")
     _write_json(json_path, config, fm_units, {
         "horizon": t,
@@ -342,8 +374,9 @@ def _run_rays(config: RunConfig, out_dir: str) -> list:
     units = "ray:index,t:time,q:position"
 
     csv_path = os.path.join(out_dir, "rays.csv")
-    write_rays_csv(csv_path, report,
-                   header_lines=_header_lines(config, units))
+    _csv_rows(csv_path, config, units, "ray,t,q",
+              ((k, s, q) for k in range(report.momenta.size)
+               for s, q in zip(report.times, report.positions[:, k])))
     json_path = os.path.join(out_dir, "rays.json")
     _write_json(json_path, config, units, report.as_dict())
     curves = [(report.positions[:, k], report.times, f"ray {k}")

@@ -123,8 +123,8 @@ def footprint(model: HamiltonianModel, t: float, w: Profile,
     position, interleaved into the sample order, so the monotonicity
     test sees the extremal backward characteristics.
     """
-    if t <= 0.0:
-        raise DomainError(f"horizon must be positive, got {t}")
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"horizon must be positive and finite, got {t}")
     launches = [(x, v) for x, v in zip(w.xs, w.ws)]
     for j in w.jumps:
         launches.append((j.x, j.w_minus))
@@ -139,16 +139,6 @@ def footprint(model: HamiltonianModel, t: float, w: Profile,
         pairs.append((i, i + 1))
     feet, p0, _ = terminal_batch(model, xs, ws, -t, dt_max)
     return FootprintMap(model, t, xs, ws, feet, p0, tuple(pairs))
-
-
-def write_footprint_csv(path, fm: FootprintMap, header_lines=()) -> None:
-    """Emit rows x,w,foot,p0."""
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("x,w,foot,p0\n")
-        for x, v, f, p in zip(fm.xs, fm.ws, fm.feet, fm.p0):
-            fh.write(f"{x!r},{v!r},{f!r},{p!r}\n")
 
 
 # ===== Reports =====
@@ -340,6 +330,8 @@ def ray_fan(model: HamiltonianModel, t: float, x0: float,
     rays sharing a foot touch at solver-tolerance scale without
     crossing, while genuine fan crossings swing far wider.
     """
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"horizon must be positive and finite, got {t}")
     if n_rays < 2:
         raise DomainError(f"need at least two rays, got {n_rays}")
     lam = np.linspace(0.0, 1.0, n_rays)
@@ -374,14 +366,3 @@ def ray_fan(model: HamiltonianModel, t: float, x0: float,
 
     return RayFanReport(t, momenta, times, positions,
                         tuple(crossings), tuple(exits))
-
-
-def write_rays_csv(path, report: RayFanReport, header_lines=()) -> None:
-    """Emit long-format rows ray,t,q."""
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("ray,t,q\n")
-        for k in range(report.momenta.size):
-            for s, q in zip(report.times, report.positions[:, k]):
-                fh.write(f"{k},{s!r},{q!r}\n")

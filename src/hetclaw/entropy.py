@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charsol import asymptotic_profile, solution_grid
+from .charsol import asymptotic_profile
 from .errors import DomainError, SupportNotCovered
-from .flow import DEFAULT_DT
 from .model import HamiltonianModel
 
 # Calibrated on exact constant and stationary-jump states: their measured
@@ -146,16 +145,6 @@ def from_snapshots(model: HamiltonianModel, centers,
     values = np.stack([v for _, v in snapshots])
     return GriddedSolution(model, times, np.asarray(centers, dtype=float),
                            values)
-
-
-def from_characteristics(model: HamiltonianModel, times, xs,
-                         n_orbits: int = 4096,
-                         dt_max: float = DEFAULT_DT) -> GriddedSolution:
-    """Rasterize the semi-analytic solution onto a grid."""
-    times = np.asarray(times, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    values = solution_grid(model, times, xs, n_orbits, dt_max)
-    return GriddedSolution(model, times, xs, values)
 
 
 def reversed_shock_solution(model: HamiltonianModel, times,

@@ -102,14 +102,6 @@ class Trajectory:
         t, idx = self._locate(t)
         return self._hermite(self.p, self.pdot, t, idx)
 
-    def write_csv(self, path, header: str = "") -> None:
-        with open(path, "w") as fh:
-            if header:
-                fh.write(header.rstrip("\n") + "\n")
-            fh.write("t,q,p,energy\n")
-            for t, q, p, e in zip(self.times, self.q, self.p, self.energy):
-                fh.write(f"{t!r},{q!r},{p!r},{e!r}\n")
-
 
 def integrate(model: HamiltonianModel, q0: float, p0: float, t: float,
               dt_max: float = DEFAULT_DT, energy_tol: float = DEFAULT_ENERGY_TOL,
@@ -256,42 +248,7 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
     return Q, P
 
 
-def flow_q(model: HamiltonianModel, t: float, q0: float, p0: float,
-           dt_max: float = DEFAULT_DT) -> float:
-    """Position component of the flow map."""
-    return terminal_state(model, q0, p0, t, dt_max)[0]
-
-
-def flow_p(model: HamiltonianModel, t: float, q0: float, p0: float,
-           dt_max: float = DEFAULT_DT) -> float:
-    """Momentum component of the flow map."""
-    return terminal_state(model, q0, p0, t, dt_max)[1]
-
-
-# ===== Distinguished orbits and events =====
-
-@dataclass
-class SeparatrixPair:
-    """The two distinguished orbits bounding the datum fan.
-
-    ``lower`` starts on the critical energy level (momentum sqrt(2) for the
-    quartic model) and creeps toward the well edge without crossing it;
-    ``upper`` starts with the datum momentum 2 and escapes.
-    """
-
-    lower: Trajectory
-    upper: Trajectory
-
-
-def separatrix_orbits(model: HamiltonianModel, t_max: float,
-                      dt_max: float = DEFAULT_DT,
-                      record_every: int = 1) -> SeparatrixPair:
-    lower = integrate(model, 0.0, model.separatrix_momentum, t_max,
-                      dt_max=dt_max, record_every=record_every)
-    upper = integrate(model, 0.0, 2.0, t_max, dt_max=dt_max,
-                      record_every=record_every)
-    return SeparatrixPair(lower=lower, upper=upper)
-
+# ===== Events =====
 
 def crossing_events(traj: Trajectory, level: float = 0.0,
                     time_tol: float = 1e-10) -> np.ndarray:

@@ -205,15 +205,3 @@ def period_table(model: HamiltonianModel, p0_values,
         rows.append(PeriodSample(p0, period_quadrature(model, p0, rel_tol),
                                  turning_point(model, p0)))
     return rows
-
-
-def write_period_csv(path, model: HamiltonianModel, p0_values,
-                     header_lines=(), rel_tol: float = 1e-8) -> None:
-    """Emit rows p0,period,q_max for figure reproduction."""
-    rows = period_table(model, p0_values, rel_tol)
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("p0,period,q_max\n")
-        for row in rows:
-            fh.write(f"{row.p0!r},{row.period!r},{row.q_max!r}\n")

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from hetclaw.design import FootprintMap, Profile, footprint, profile_from_solution
-from hetclaw.entropy import GriddedSolution, from_characteristics, from_snapshots
+from hetclaw.charsol import solution_grid
+from hetclaw.entropy import GriddedSolution, from_snapshots
 from hetclaw.fvm import Grid1D, evolve, step_datum
 from hetclaw.model import HamiltonianModel, homogeneous, quartic_well
 
@@ -63,4 +64,5 @@ def charsol_entropy_solution(quartic) -> GriddedSolution:
     noise sits well below the 1e-3 scale the sweep tests assert."""
     times = np.linspace(0.2, 3.0, 225)
     xs = -2.0 + (np.arange(1024) + 0.5) * (4.0 / 1024)
-    return from_characteristics(quartic, times, xs, n_orbits=4096)
+    return GriddedSolution(quartic, times, xs,
+                           solution_grid(quartic, times, xs, n_orbits=4096))

@@ -14,7 +14,7 @@ import pytest
 from hetclaw.charsol import asymptotic_profile, eval_solution, solution_grid, time_monotonicity_scan
 from hetclaw.design import Jump, Profile, footprint, monotone_test, ray_fan, reconstruct_vertex, round_trip
 from hetclaw.entropy import entropy_sweep, reversed_shock_solution
-from hetclaw.flow import flow_q, integrate, terminal_state
+from hetclaw.flow import integrate, terminal_state
 from hetclaw.fvm import CellField, Grid1D, detect_shock_formation, evolve, l1_distance, step_datum
 from hetclaw.period import invert_half_period, period_by_ode, period_quadrature, shock_time
 
@@ -230,17 +230,20 @@ def test_criterion_9_flow_certificates(quartic):
         trip_worst = max(trip_worst, abs(q2 - q0), abs(p2 - p0))
 
     ts = np.arange(1.0, 31.0, 1.0)
-    escape = np.array([flow_q(quartic, float(t), 0.0, 2.0) for t in ts])
+    escape = np.array([terminal_state(quartic, 0.0, 2.0, float(t))[0]
+                       for t in ts])
     escape_ok = bool(np.all(np.diff(escape) > 0.0)) and escape[-1] > SQRT2 * 30.0 - 2.0
 
     order_q0_ok = True
     for t in (0.5, 2.0, 5.0, 10.0):
-        qs = [flow_q(quartic, t, q0, 2.0) for q0 in (0.0, 0.4, 0.8, 1.6)]
+        qs = [terminal_state(quartic, q0, 2.0, t)[0]
+              for q0 in (0.0, 0.4, 0.8, 1.6)]
         order_q0_ok = order_q0_ok and all(b > a for a, b in zip(qs, qs[1:]))
 
     order_p0_ok = True
     for t in (0.2, 0.5, 0.8, 1.0):
-        qs = [flow_q(quartic, t, 0.0, p0) for p0 in (0.4, 0.9, 1.3, 2.0)]
+        qs = [terminal_state(quartic, 0.0, p0, t)[0]
+              for p0 in (0.4, 0.9, 1.3, 2.0)]
         order_p0_ok = order_p0_ok and all(b > a for a, b in zip(qs, qs[1:]))
 
     ok = (drift_worst <= 1e-9 and trip_worst <= 1e-8

@@ -12,7 +12,6 @@ from hetclaw.charsol import (
     solution_grid,
     solution_profile,
     time_monotonicity_scan,
-    write_profile_csv,
 )
 from hetclaw.errors import DomainError
 from hetclaw.shooting import DEFAULT_SHOOT_TOL, delta
@@ -162,18 +161,7 @@ def test_grid_route_includes_time_zero(quartic):
     np.testing.assert_array_equal(grid[0], np.array([-2.0, 2.0]))
 
 
-# ===== Export and domain =====
-
-def test_profile_csv_layout(quartic, tmp_path):
-    path = tmp_path / "profile.csv"
-    write_profile_csv(path, quartic, (0.5,), np.linspace(0.1, 1.0, 5),
-                      header_lines=("units=dimensionless",))
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    body = [ln for ln in lines if not ln.startswith("#")]
-    assert body[0] == "t,x,u"
-    assert len(body) == 6
-
+# ===== Domain =====
 
 def test_rejects_nonpositive_time(quartic):
     with pytest.raises(DomainError):

@@ -1,9 +1,12 @@
 """Command-line driver: determinism, precedence, headers and errors."""
 from __future__ import annotations
 
+import ast
 import filecmp
+import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +15,8 @@ import pytest
 
 import hetclaw
 from hetclaw.cli import RunConfig, build_parser, config_hash, main
+from hetclaw.model import quartic_well
+from hetclaw.period import period_quadrature
 
 
 def run_ok(capsys, *argv):
@@ -26,6 +31,13 @@ def read_csv_body(path):
     head = [ln for ln in lines if ln.startswith("#")]
     body = [ln for ln in lines if not ln.startswith("#")]
     return head, body
+
+
+def assert_numeric_rows(body):
+    """Every field of every data row parses as a number."""
+    for ln in body[1:]:
+        for tok in ln.split(","):
+            float(tok)
 
 
 # ===== Determinism =====
@@ -60,6 +72,49 @@ def test_config_file_overrides_flags(capsys, tmp_path):
     assert payload["experiment"] == "period"
     assert (out / "period.csv").exists()
     assert not (out / "simulate.csv").exists()
+
+
+@pytest.mark.parametrize("override", [
+    {"times": 5}, {"seed": None}, {"n": [3]}, {"cfl": None}, {"out": 5},
+    {"n": 2.7}, {"tmax": float("inf")}, {"times": [0.5, float("nan")]},
+    {"model": ["quartic"]},
+])
+def test_bad_config_values_fail_with_json(capsys, tmp_path, override):
+    """Each value used to raise a raw TypeError, run with a silently
+    substituted row count, or fail deep inside the quadrature."""
+    cfg = tmp_path / "run.json"
+    doc = {"experiment": "period", "n": 4, "out": str(tmp_path / "o")}
+    doc.update(override)
+    cfg.write_text(json.dumps(doc))
+    code = main(["--config", str(cfg)])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert re.search(rf"\b{next(iter(override))}\b", err["message"])
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-3"],
+                                   ["--tol", "0"], ["--tol", "nan"]])
+def test_bad_flag_values_fail_with_json(capsys, tmp_path, flags):
+    code = main(["--experiment", "period", "--out", str(tmp_path / "o"),
+                 *flags])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert re.search(rf"\b{flags[0][2:]}\b", err["message"])
+
+
+def test_valid_config_values_resolve_as_before(capsys, tmp_path):
+    """Integral floats and numeric strings still read as before."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"experiment": "period", "n": 4.0,
+                               "tol": "1e-6", "times": [1, 2.5],
+                               "out": str(tmp_path / "o")}))
+    payload = run_ok(capsys, "--config", str(cfg))
+    expected = RunConfig(experiment="period", n=4, tol=1e-6,
+                         times=(1.0, 2.5), out=str(tmp_path / "o"))
+    assert payload["config"] == config_hash(expected)
 
 
 def test_unknown_config_keys_are_rejected(capsys, tmp_path):
@@ -145,6 +200,8 @@ def test_period_table_small_amplitude_row(capsys, tmp_path):
     first = [float(tok) for tok in body[1].split(",")]
     assert first[0] == 0.01
     assert abs(first[1] / 2.0 - 1.110721) <= 1e-3
+    # repr round-trips, so the row carries the quadrature value exactly
+    assert first[1] == period_quadrature(quartic_well(), 0.01)
     doc = json.loads((out / "period.json").read_text())
     assert abs(doc["half_period_small_amplitude"] - 1.110721) <= 1e-3
     assert doc["shock_formation_time"] == pytest.approx(
@@ -199,6 +256,14 @@ def test_inverse_reports_a_monotone_footprint(capsys, tmp_path):
     assert report["monotone"]
     assert report["round_trip_l1"] < 0.08
     assert doc["jump_tags"]
+    head, body = read_csv_body(out / "inverse_footprint.csv")
+    assert head[0] == "# experiment=inverse"
+    assert head[1] == f"# config={doc['config']}"
+    assert head[2] == f"# units={doc['units']}"
+    assert body[0] == "x,w,foot,p0"
+    # 400 samples plus both one-sided launches of the tagged jump
+    assert len(body) - 1 == 402
+    assert_numeric_rows(body)
 
 
 def test_rays_report_interior_collisions(capsys, tmp_path):
@@ -206,8 +271,25 @@ def test_rays_report_interior_collisions(capsys, tmp_path):
     run_ok(capsys, "--experiment", "rays", "--n", "7", "--out", str(out))
     doc = json.loads((out / "rays.json").read_text())
     assert doc["crossings"] or doc["exits"]
-    _, body = read_csv_body(out / "rays.csv")
+    head, body = read_csv_body(out / "rays.csv")
+    assert head == ["# experiment=rays", f"# config={doc['config']}",
+                    f"# units={doc['units']}"]
     assert body[0] == "ray,t,q"
+    assert len(body) - 1 == 7 * 801
+    assert_numeric_rows(body)
+    assert {ln.split(",")[0] for ln in body[1:]} == {str(k) for k in range(7)}
+
+
+@pytest.mark.parametrize("tmax", ["-1", "0"])
+def test_rays_reject_a_nonpositive_horizon(capsys, tmp_path, tmax):
+    """A non-positive horizon used to write a fan that runs forward or
+    does not move."""
+    code = main(["--experiment", "rays", "--tmax", tmax, "--n", "3",
+                 "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert not (tmp_path / "o" / "rays.csv").exists()
 
 
 def test_homogeneous_rays_fill_without_collisions(capsys, tmp_path):
@@ -218,3 +300,19 @@ def test_homogeneous_rays_fill_without_collisions(capsys, tmp_path):
     assert not doc["crossings"]
     assert not doc["exits"]
     assert doc["fill_ratio"] == pytest.approx(1.0, abs=0.05)
+
+
+# ===== Output ownership =====
+
+def test_only_the_cli_and_svg_writer_open_files():
+    """Library modules compute; file formats live in the CLI (and the SVG
+    writer it calls), so no other module may call open()."""
+    src = os.path.dirname(hetclaw.__file__)
+    openers = set()
+    for path in glob.glob(os.path.join(src, "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "open" for node in ast.walk(tree)):
+            openers.add(os.path.basename(path))
+    assert openers == {"cli.py", "svgplot.py"}

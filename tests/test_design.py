@@ -16,8 +16,6 @@ from hetclaw.design import (
     ray_fan,
     reconstruct_vertex,
     round_trip,
-    write_footprint_csv,
-    write_rays_csv,
 )
 from hetclaw.errors import DomainError, NonMonotoneFeet
 from hetclaw.flow import terminal_batch
@@ -201,21 +199,9 @@ def test_fan_needs_two_rays(quartic):
         ray_fan(quartic, 2.0, 0.0, -1.0, 1.0, 1)
 
 
-# ===== Exports =====
+@pytest.mark.parametrize("t", [0.0, -1.0, np.inf, np.nan])
+def test_fan_needs_a_positive_finite_horizon(quartic, t):
+    """A backward fan over t <= 0 would run forward or not move."""
+    with pytest.raises(DomainError):
+        ray_fan(quartic, t, 0.0, -1.0, 1.0, 3)
 
-def test_footprint_csv_layout(target_footprint, tmp_path):
-    path = tmp_path / "feet.csv"
-    write_footprint_csv(path, target_footprint, header_lines=("units=none",))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# units=none"
-    assert lines[1] == "x,w,foot,p0"
-    assert len(lines) == 2 + target_footprint.xs.size
-
-
-def test_rays_csv_layout(homog, tmp_path):
-    fan = ray_fan(homog, 1.0, 0.0, -1.0, 1.0, 3, n_times=11)
-    path = tmp_path / "rays.csv"
-    write_rays_csv(path, fan)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "ray,t,q"
-    assert len(lines) == 1 + 3 * fan.times.size

@@ -6,13 +6,9 @@ import pytest
 
 from hetclaw.errors import DomainError, EnergyDrift
 from hetclaw.flow import (
-    Trajectory,
     crossing_events,
-    flow_p,
-    flow_q,
     integrate,
     integrate_batch,
-    separatrix_orbits,
     terminal_batch,
     terminal_state,
 )
@@ -45,8 +41,9 @@ def test_periodic_orbit_returns(quartic):
 
 
 def test_momentum_map_at_zero_time(quartic):
-    assert flow_p(quartic, 0.0, 0.4, 1.7) == 1.7
-    assert flow_q(quartic, 0.0, 0.4, 1.7) == 0.4
+    q, p, _ = terminal_state(quartic, 0.4, 1.7, 0.0)
+    assert p == 1.7
+    assert q == 0.4
 
 
 # ===== Separatrix behaviour =====
@@ -54,7 +51,8 @@ def test_momentum_map_at_zero_time(quartic):
 def test_critical_orbit_creeps_toward_the_rim(quartic):
     """The orbit launched with the critical momentum approaches q = 1
     from below and never crosses it."""
-    qs = [flow_q(quartic, t, 0.0, SQRT2) for t in (1.0, 2.0, 5.0, 10.0, 30.0)]
+    qs = [terminal_state(quartic, 0.0, SQRT2, t)[0]
+          for t in (1.0, 2.0, 5.0, 10.0, 30.0)]
     assert all(b > a for a, b in zip(qs, qs[1:]))
     assert all(q < 1.0 for q in qs)
     assert qs[3] == pytest.approx(0.9809270618596965, abs=1e-7)
@@ -63,15 +61,17 @@ def test_critical_orbit_creeps_toward_the_rim(quartic):
 
 def test_escaping_orbit_outruns_the_sound_cone(quartic):
     for t in (1.0, 2.0, 5.0, 10.0):
-        assert flow_q(quartic, t, 0.0, 2.0) >= SQRT2 * t - 1.0
+        assert terminal_state(quartic, 0.0, 2.0, t)[0] >= SQRT2 * t - 1.0
 
 
 def test_separatrix_pair_classes(quartic):
-    pair = separatrix_orbits(quartic, 8.0)
-    assert np.max(pair.lower.q) < 1.0
-    assert np.max(pair.upper.q) > 8.0
-    assert pair.lower.p[0] == pytest.approx(SQRT2)
-    assert pair.upper.p[0] == 2.0
+    """The critical orbit stays trapped; the datum-momentum orbit escapes."""
+    lower = integrate(quartic, 0.0, quartic.separatrix_momentum, 8.0)
+    upper = integrate(quartic, 0.0, 2.0, 8.0)
+    assert np.max(lower.q) < 1.0
+    assert np.max(upper.q) > 8.0
+    assert lower.p[0] == pytest.approx(SQRT2)
+    assert upper.p[0] == 2.0
 
 
 # ===== Orderings used downstream =====
@@ -79,13 +79,17 @@ def test_separatrix_pair_classes(quartic):
 def test_feet_order_is_preserved_forward(quartic):
     """Orbits launched at the top momentum never overtake one another."""
     for t in (0.5, 2.0, 5.0, 10.0):
-        qs = [flow_q(quartic, t, q0, 2.0) for q0 in (0.0, 0.4, 0.8, 1.6)]
+        qs = [terminal_state(quartic, q0, 2.0, t)[0]
+              for q0 in (0.0, 0.4, 0.8, 1.6)]
         assert all(b > a for a, b in zip(qs, qs[1:]))
 
 
 def test_launch_momentum_orders_positions(quartic):
-    assert flow_q(quartic, 1.0, 0.0, 0.5) < flow_q(quartic, 1.0, 0.0, 1.0)
-    assert flow_q(quartic, 0.7, 0.0, 1.0) < flow_q(quartic, 0.7, 0.0, 2.0)
+    def q_at(t, p0):
+        return terminal_state(quartic, 0.0, p0, t)[0]
+
+    assert q_at(1.0, 0.5) < q_at(1.0, 1.0)
+    assert q_at(0.7, 1.0) < q_at(0.7, 2.0)
 
 
 # ===== Invariants =====
@@ -192,13 +196,3 @@ def test_dense_output_matches_direct_integration(quartic):
     q_ref, p_ref, _ = terminal_state(quartic, 0.0, 1.1, t_query)
     assert traj.q_at(t_query) == pytest.approx(q_ref, abs=1e-8)
     assert traj.p_at(t_query) == pytest.approx(p_ref, abs=1e-8)
-
-
-def test_trajectory_csv_layout(quartic, tmp_path):
-    traj = integrate(quartic, 0.0, 1.0, 1.0)
-    path = tmp_path / "orbit.csv"
-    traj.write_csv(path)
-    lines = path.read_text().splitlines()
-    header = [ln for ln in lines if not ln.startswith("#")][0]
-    assert header == "t,q,p,energy"
-    assert len([ln for ln in lines if not ln.startswith("#")]) == traj.times.size + 1

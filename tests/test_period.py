@@ -13,7 +13,6 @@ from hetclaw.period import (
     period_table,
     shock_time,
     turning_point,
-    write_period_csv,
 )
 
 HALF_PI_OVER_SQRT8 = np.pi / (2.0 * np.sqrt(2.0))
@@ -105,25 +104,13 @@ def test_inversion_rejects_times_before_the_first_return(quartic):
         invert_half_period(quartic, 1.0)
 
 
-# ===== Table and export =====
+# ===== Table =====
 
 def test_table_rows_satisfy_energy_identity(quartic):
     rows = period_table(quartic, (0.3, 0.9, 1.3))
     for row in rows:
         assert quartic.g(row.q_max) == pytest.approx(row.p0**2 / 2.0, abs=1e-10)
         assert row.period > 2.0 * HALF_PI_OVER_SQRT8 - 1e-9
-
-
-def test_period_csv_layout(quartic, tmp_path):
-    path = tmp_path / "table.csv"
-    write_period_csv(path, quartic, (0.5, 1.0), header_lines=("units=dimensionless",))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# units=dimensionless"
-    assert lines[1] == "p0,period,q_max"
-    first = [float(tok) for tok in lines[2].split(",")]
-    assert first[0] == 0.5
-    # repr round-trips, so the row carries the quadrature value exactly
-    assert first[1] == period_quadrature(quartic, 0.5)
 
 
 # ===== Domain errors =====

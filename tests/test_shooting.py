@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hetclaw.errors import DomainError
-from hetclaw.flow import flow_q, terminal_batch
+from hetclaw.flow import terminal_batch, terminal_state
 from hetclaw.shooting import delta, delta_batch, delta_continuity_scan
 
 
@@ -36,7 +36,7 @@ def test_momentum_grows_with_target_position(quartic):
 def test_shot_lands_on_target(quartic):
     res = delta(quartic, 2.0, 0.5)
     assert abs(res.residual) <= 1e-8
-    landed = flow_q(quartic, 2.0, res.q0, res.p0)
+    landed = terminal_state(quartic, res.q0, res.p0, 2.0)[0]
     assert abs(landed - 0.5) <= 1e-8
 
 
