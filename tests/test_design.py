@@ -1,10 +1,13 @@
 """Inverse design: footprints, vertex reconstruction and ray fans."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from hetclaw.charsol import asymptotic_profile
+from hetclaw.cli import main
 from hetclaw.design import (
     FootprintMap,
     Jump,
@@ -205,3 +208,35 @@ def test_fan_needs_a_positive_finite_horizon(quartic, t):
     with pytest.raises(DomainError):
         ray_fan(quartic, t, 0.0, -1.0, 1.0, 3)
 
+
+# ===== Exports (written by the CLI) =====
+
+def cli_csv(capsys, out, *argv):
+    """Run one experiment; return its JSON document and its CSV lines."""
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    experiment = argv[argv.index("--experiment") + 1]
+    stem = {"inverse": "inverse_footprint"}.get(experiment, experiment)
+    doc = json.loads((out / f"{experiment}.json").read_text())
+    return doc, (out / f"{stem}.csv").read_text().splitlines()
+
+
+def test_footprint_csv_layout(capsys, tmp_path):
+    doc, lines = cli_csv(capsys, tmp_path, "--experiment", "inverse",
+                         "--n", "400")
+    assert lines[:3] == ["# experiment=inverse", f"# config={doc['config']}",
+                         f"# units={doc['units']}"]
+    assert lines[3] == "x,w,foot,p0"
+    # 400 samples plus both one-sided launches of the tagged jump
+    assert len(doc["jump_tags"]) == 1
+    assert len(lines) == 4 + 402
+
+
+def test_rays_csv_layout(capsys, tmp_path):
+    doc, lines = cli_csv(capsys, tmp_path, "--experiment", "rays",
+                         "--n", "7")
+    assert lines[:3] == ["# experiment=rays", f"# config={doc['config']}",
+                         f"# units={doc['units']}"]
+    assert lines[3] == "ray,t,q"
+    assert len(lines) == 4 + 7 * 801
+    assert {ln.split(",")[0] for ln in lines[4:]} == {str(k) for k in range(7)}

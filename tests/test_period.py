@@ -1,9 +1,12 @@
 """Period map: quadrature accuracy, monotonicity and inversion."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from hetclaw.cli import main
 from hetclaw.errors import DomainError
 from hetclaw.flow import integrate
 from hetclaw.period import (
@@ -104,13 +107,29 @@ def test_inversion_rejects_times_before_the_first_return(quartic):
         invert_half_period(quartic, 1.0)
 
 
-# ===== Table =====
+# ===== Table and export =====
 
 def test_table_rows_satisfy_energy_identity(quartic):
     rows = period_table(quartic, (0.3, 0.9, 1.3))
     for row in rows:
         assert quartic.g(row.q_max) == pytest.approx(row.p0**2 / 2.0, abs=1e-10)
         assert row.period > 2.0 * HALF_PI_OVER_SQRT8 - 1e-9
+
+
+def test_period_csv_layout(quartic, capsys, tmp_path):
+    """The CLI writes the table; its rows carry the quadrature values."""
+    assert main(["--experiment", "period", "--n", "3",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "period.json").read_text())
+    lines = (tmp_path / "period.csv").read_text().splitlines()
+    assert lines[2] == f"# units={doc['units']}"
+    assert lines[3] == "p0,period,q_max"
+    assert len(lines) == 4 + doc["rows"]
+    first = [float(tok) for tok in lines[4].split(",")]
+    assert first[0] == 0.01
+    # repr round-trips, so the row carries the quadrature value exactly
+    assert first[1] == period_quadrature(quartic, 0.01)
 
 
 # ===== Domain errors =====
