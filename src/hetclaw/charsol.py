@@ -23,7 +23,7 @@ from .errors import DomainError
 from .flow import DEFAULT_DT, integrate_batch
 from .model import HamiltonianModel
 from .period import invert_half_period
-from .shooting import DEFAULT_SHOOT_TOL, delta, delta_batch
+from .shooting import DEFAULT_SHOOT_TOL, arc_decode, delta, delta_batch
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .flow import terminal_batch, terminal_state  # noqa: F401
@@ -49,33 +49,14 @@ class SolutionSample:
 
 # ===== Point evaluation =====
 
-def _on_shell(model: HamiltonianModel, q0, p0, x, p_end):
-    """Terminal momentum projected onto the conserved energy shell.
-
-    The bisection lands within some residual of the queried position
-    and the raw terminal momentum inherits that residual through the
-    steep arrival map near the critical momentum (the flat hilltop
-    makes late arrivals exquisitely sensitive to the launch).  The
-    launch energy pins the momentum magnitude at the queried position
-    itself, so only the sign is read off the integrated orbit; the
-    magnitude error then tracks the tiny launch-datum error instead of
-    the amplified landing residual.
-    """
-    energy = 0.5 * p0 * p0 + model.g(q0)
-    gap = 2.0 * (energy - model.g(x))
-    return np.copysign(np.sqrt(np.maximum(gap, 0.0)), p_end)
-
 def eval_solution(model: HamiltonianModel, t: float, x: float,
                   shoot_tol: float = DEFAULT_SHOOT_TOL,
                   dt_max: float = DEFAULT_DT) -> SolutionSample:
     """Solution value u(t, x) for t > 0 and x != 0.
 
     One shot of the shooting map; x < 0 is handled by odd reflection.
-    The returned momentum is evaluated on the launch energy shell at the
-    queried position (see _on_shell), so the energy relation holds to
-    machine precision at every sample.  In the thin sliver next to the
-    origin that the shooting bracket cannot reach, the shot settles on
-    the bracket end and the value is the one-sided limit there.
+    The value is the shot's momentum at x on its launch energy shell, so
+    the energy relation holds to machine precision at every sample.
     """
     if not (t > 0.0):
         raise DomainError(f"eval_solution needs t > 0, got {t}")
@@ -86,8 +67,7 @@ def eval_solution(model: HamiltonianModel, t: float, x: float,
         return SolutionSample(t=t, x=x, u=-mirror.u, p0=mirror.p0)
 
     datum = delta(model, t, x, shoot_tol, dt_max)
-    u = _on_shell(model, datum.q0, datum.p0, x, datum.p_end)
-    return SolutionSample(t=t, x=x, u=float(u), p0=datum.p0)
+    return SolutionSample(t=t, x=x, u=datum.p_end, p0=datum.p0)
 
 
 def asymptotic_profile(model: HamiltonianModel, x):
@@ -116,9 +96,7 @@ def solution_profile(model: HamiltonianModel, t: float, xs,
     xs = np.asarray(xs, dtype=float)
     if np.any(xs == 0.0):
         raise DomainError("profile positions must avoid the shock x = 0")
-    pos = np.abs(xs)
-    q0, p0, _, p_end = delta_batch(model, t, pos, shoot_tol, dt_max)
-    u = _on_shell(model, q0, p0, pos, p_end)
+    u = delta_batch(model, t, np.abs(xs), shoot_tol, dt_max)[3]
     return np.where(xs < 0.0, -u, u)
 
 
@@ -234,8 +212,13 @@ def solution_grid(model: HamiltonianModel, times, xs,
 
     All arc orbits are integrated once with dense recording; at each
     requested time the still-alive orbits (those that have not crossed
-    back through q = 0) form a monotone graph that is interpolated at
-    the positive grid positions, with odd reflection filling x < 0.
+    back through q = 0) are ordered by position, their arc parameters are
+    interpolated linearly at the positive grid positions, and the value
+    is the momentum on the interpolated launch energy's shell at x, with
+    the sign of the neighbouring orbits.  Between two orbits on opposite
+    sides of a turning point the momentum itself is interpolated.  Odd
+    reflection fills x < 0.  No shooting is involved, so the raster is an
+    independent check of the point route.
     Positions must avoid 0; times must be nondecreasing and start at or
     after 0.  Row t = 0 is the step datum itself.
     """
@@ -257,14 +240,26 @@ def solution_grid(model: HamiltonianModel, times, xs,
 
     dead = MN < 0.0
     pos = np.abs(xs)
+    g_pos = model.g(pos)
+    s0 = np.where(q0 > 0.0, -q0, 2.0 - p0)
     U = np.empty((times.size, xs.size))
     for i, t in enumerate(times):
         if t == 0.0:
             U[i] = 2.0
-        else:
-            alive = ~dead[i]
-            order = np.argsort(Q[i, alive])
-            qs = Q[i, alive][order]
-            ps = P[i, alive][order]
-            U[i] = np.interp(pos, qs, ps)
+            continue
+        alive = ~dead[i]
+        order = np.argsort(Q[i, alive])
+        qs = Q[i, alive][order]
+        ps = P[i, alive][order]
+        # the launch point varies smoothly along the alive orbits, so it
+        # is interpolated and its energy read at x; only across a turning
+        # point, where the shell's square root is not smooth, does the
+        # momentum itself interpolate better
+        a, b = arc_decode(np.interp(pos, qs, s0[alive][order]))
+        shell = np.sqrt(np.maximum(2.0 * (0.5 * b * b + model.g(a) - g_pos),
+                                   0.0))
+        p_lin = np.interp(pos, qs, ps)
+        k = np.clip(np.searchsorted(qs, pos), 1, qs.size - 1)
+        turning = ps[k - 1] * ps[k] < 0.0
+        U[i] = np.where(turning, p_lin, np.copysign(shell, p_lin))
     return np.where(xs[None, :] < 0.0, -U, U)

@@ -89,6 +89,8 @@ def _parse_times(raw) -> tuple:
         raw = [piece for piece in raw.split(",") if piece.strip()]
     if not isinstance(raw, (list, tuple)):
         raise DomainError(f"config 'times' must be a list, got {raw!r}")
+    if not raw:
+        raise DomainError("config 'times' must list at least one time")
     return tuple(_read("times", v) for v in raw)
 
 
@@ -186,6 +188,9 @@ def _csv_rows(path, config: RunConfig, units: str, columns: str,
 def _run_phase_portrait(config: RunConfig, out_dir: str) -> list:
     model = MODELS[config.model]()
     t_max = config.t_max if config.t_max is not None else 8.0
+    if not t_max > 0.0:
+        raise DomainError(f"phase portrait needs a positive horizon, "
+                          f"got {t_max}")
     p_sep = model.separatrix_momentum
     launches = [0.4, 0.8, 1.2, 1.39, p_sep, 1.6, 2.0]
     units = "orbit:index,class:label,p0:momentum,t:time,q:position,p:momentum"

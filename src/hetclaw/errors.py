@@ -29,10 +29,6 @@ class BracketFailure(HetclawError):
     """A root bracket could not be established."""
 
 
-class PositivityViolation(HetclawError):
-    """A characteristic that must stay in q > 0 left that region."""
-
-
 class CflViolation(HetclawError):
     """A finite-volume step was requested with too large a time step."""
 

@@ -2,8 +2,8 @@
 
 The integrator is a fixed-step classical RK4 with the last step shortened
 to land exactly on the requested time.  Determinism matters more here than
-adaptive cleverness: the shooting and inverse-design layers bisect on top
-of this flow and need bit-reproducible residuals.  Energy conservation is
+adaptive cleverness: the forward raster, the footprints and the ray fans
+build on this flow and need bit-reproducible outputs.  Energy conservation is
 monitored as the accuracy gauge; a drift above ``energy_tol`` raises
 :class:`~hetclaw.errors.EnergyDrift` instead of silently returning junk.
 
@@ -158,7 +158,7 @@ def terminal_state(model: HamiltonianModel, q0: float, p0: float, t: float,
     """Endpoint of the flow without storing the path.
 
     Returns (q(t), p(t), min_q) where min_q is the smallest sampled q along
-    the way; the shooting layer uses it to monitor positivity.
+    the way.
     """
     gp = model.g_prime
     q, p = float(q0), float(p0)
@@ -166,18 +166,8 @@ def terminal_state(model: HamiltonianModel, q0: float, p0: float, t: float,
     if t != 0.0:
         n = _step_count(t, dt_max)
         h = t / n
-        # rk4_step inlined: a call per step costs ~10% here, and scalar
-        # marches dominate point queries.
         for _ in range(n):
-            k1p = -gp(q)
-            k2q = p + 0.5 * h * k1p
-            k2p = -gp(q + 0.5 * h * p)
-            k3q = p + 0.5 * h * k2p
-            k3p = -gp(q + 0.5 * h * k2q)
-            k4q = p + h * k3p
-            k4p = -gp(q + h * k3q)
-            q = q + h * (p + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0
-            p = p + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+            q, p = rk4_step(gp, q, p, h)
             if q < min_q:
                 min_q = q
     if not (math.isfinite(q) and math.isfinite(p)):

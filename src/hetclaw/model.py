@@ -45,6 +45,17 @@ def _quartic_g_second(x):
     return 8.0 * y * y * y - 48.0 * x * x * y * y if y > 0.0 else 0.0
 
 
+def _quartic_chord(d, d_top):
+    # With y = 1 - x^2 = d (2 - d) at depth d = 1 - x below the cutoff,
+    # g(1 - d_top) - g(1 - d) = y^4 - y_top^4 factors as
+    # (d - d_top) (2 - d - d_top) (y + y_top) (y^2 + y_top^2), so the
+    # chord slope keeps full relative precision as the two points merge
+    # and next to the cutoff, where g itself rounds to 1.
+    y = d * (2.0 - d)
+    yt = d_top * (2.0 - d_top)
+    return (2.0 - d - d_top) * (y + yt) * (y * y + yt * yt)
+
+
 def _zero(x):
     if isinstance(x, np.ndarray):
         return np.zeros_like(x, dtype=float)
@@ -55,7 +66,7 @@ def _zero(x):
 class HamiltonianModel:
     """Potential triple (g, g', g'') plus the flatness radius.
 
-    All three callables accept floats or numpy arrays.  ``flat_value`` is
+    All callables accept floats or numpy arrays.  ``flat_value`` is
     the constant value of g outside [-cutoff, cutoff]; characteristics with
     momentum p and position x out there move in straight lines.
     """
@@ -66,6 +77,7 @@ class HamiltonianModel:
     g_second: Callable = field(compare=False)
     cutoff: float = 1.0
     flat_value: float = 1.0
+    g_chord: Callable | None = field(default=None, compare=False)
 
     def h(self, x, p):
         """Flux value H(x, p) = p**2/2 + g(x)."""
@@ -78,6 +90,24 @@ class HamiltonianModel:
     def dh_dx(self, x, p):
         """Spatial slope of the flux, equal to g'(x)."""
         return self.g_prime(x)
+
+    def chord_slope(self, d, d_top):
+        """Slope of g between the points at depths d >= d_top >= 0 below
+        the cutoff: (g(cutoff - d_top) - g(cutoff - d)) / (d - d_top), or
+        g' where the two coincide.
+
+        A model may supply ``g_chord`` that keeps full precision as the
+        points merge and next to the cutoff; the default is the plain
+        difference quotient.
+        """
+        if self.g_chord is not None:
+            return self.g_chord(d, d_top)
+        c = self.cutoff
+        width = d - d_top
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(width > 0.0,
+                            (self.g(c - d_top) - self.g(c - d)) / width,
+                            self.g_prime(c - d))
 
     @property
     def separatrix_momentum(self) -> float:
@@ -95,6 +125,7 @@ def quartic_well() -> HamiltonianModel:
         g_second=_quartic_g_second,
         cutoff=1.0,
         flat_value=1.0,
+        g_chord=_quartic_chord,
     )
 
 

@@ -7,13 +7,28 @@ For t > 0 and x > 0 there is exactly one point on the arc
 whose orbit reaches x at time t while staying in q > 0 on (0, t).  The arc
 is glued into one scalar parameter s (s <= 0 is the half-line piece, s in
 (0, 2) the momentum piece), ordered so that larger s means a smaller
-datum.  Along that order the terminal position flowQ(t, arc(s)) decreases
-strictly, so a single bisection on s serves both pieces.
+datum.
 
-The positivity constraint is not checked after the fact: when a shock
-exists at time t, the momentum piece of the bracket is cut at the first
-momentum whose orbit has not yet returned to q = 0, which keeps the
-shooting residual sign-definite below the root.
+Energy is conserved along orbits, so the shot needs no march: an orbit of
+energy E runs from a to b in the time
+
+    tau(E; a -> b) = int_a^b dq / sqrt(2 (E - g(q))),
+
+and every iterate of the root-find costs one such quadrature.  Outside
+free flight each query falls on one of three branches, each with one
+arrival-time residual R that increases in one parameter:
+
+* half-line, launch point q0 with E = 2 + g(q0), when the corner orbit
+  from (0, 2) has not reached x by time t: R = t - tau(E; q0 -> x);
+* escaping, speed v past the cutoff with E = flat + v**2/2, when x lies
+  past the cutoff or the separatrix orbit reaches x no earlier than t:
+  R = t - tau(E; 0 -> x);
+* oscillating, turning point q_turn in (x, cutoff) with E = g(q_turn),
+  measured by its depth below the cutoff: the orbit passes x at tau_out
+  on its way out and at tau_ret on its way back, and
+  R = min(t - tau_out, tau_ret - t).  Orbits that are back at q = 0 by
+  time t have tau_ret < t, so positivity needs no separate check and the
+  branch reaches all the way to x = 0.
 """
 
 from __future__ import annotations
@@ -22,22 +37,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PositivityViolation
-from .flow import DEFAULT_DT, terminal_batch, terminal_state
+from .errors import DomainError, NotFound
+from .flow import DEFAULT_DT
 from .model import HamiltonianModel
-from .period import invert_half_period, shock_time
+from .period import _BASE_EDGES
+
+# Not called here; perfbench/tracing.py wraps these names on this module.
+from .flow import terminal_batch, terminal_state  # noqa: F401
+from .period import invert_half_period, shock_time  # noqa: F401
 
 DEFAULT_SHOOT_TOL = 1e-9
 
-# Arc-parameter resolution target and iteration cap for the bisection.
-ARC_TOL = 1e-12
-MAX_BISECTIONS = 60
+# Safety cap on root-find iterations.  The bisection guard at least halves
+# every bracket each second step, so converging shots stop far earlier.
+_MAX_ITERATIONS = 200
 
-# Smallest momentum kept on the arc when no shock restricts the bracket,
-# and the safety margin added above the first returning momentum when one
-# does (the half-period inversion itself is accurate to 1e-9).
-_P_FLOOR = 1e-9
-_P_MARGIN = 2e-9
+# A shot that misses shoot_tol and also its arrival time by more than
+# this share of t is not rounding in the quadrature but a shot double
+# precision cannot represent.
+_LOST = 1e-6
+
+# Positions per quadrature block: each temporary stays near 160 kB, in cache.
+_BLOCK = 8
+
+
+# Gauss-Legendre nodes per graded panel.  Each panel spans one octave of
+# the distance to the graded end, where the integrands are smooth: 16
+# nodes reproduce the 40-node rule of period.py to 1e-13 relative, on
+# orbits down to 1e-3 from the separatrix, at 40% of the cost.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _arrival_rule(depth: int = 60):
+    # Gauss-Legendre on [0, 1] in panels that halve toward 0, in the
+    # distance r from the arrival end.  Near the separatrix the integrand
+    # peaks there on the scale eps**(1/4), and each panel resolves one
+    # octave of that peak, as period.py's stack does toward pi/2.
+    edges = np.concatenate(([0.0], 0.5 ** np.arange(depth, -1, -1)))
+    half = 0.5 * np.diff(edges)
+    nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+    return nodes.ravel(), (half[:, None] * _GL_WEIGHTS).ravel()
+
+
+_R_NODES, _R_WEIGHTS = _arrival_rule()
 
 
 # ===== The glued arc =====
@@ -70,12 +112,10 @@ def free_flight(model: HamiltonianModel, t: float, x):
 class DeltaResult:
     """Converged shooting datum for one (t, x) query.
 
-    ``residual`` is flowQ(t, q0, p0) - x at the accepted parameter.  In a
-    narrow band around the separatrix image (x near the position of the
-    orbit launched at the critical momentum) the terminal position is so
-    sensitive to the datum that the residual may exceed the requested
-    tolerance; callers that care should inspect it.  ``p_end`` is the
-    terminal momentum of the accepted orbit.
+    ``residual`` is the arrival-time miss of the accepted orbit times its
+    speed at x, a length with the sign of flowQ(t, q0, p0) - x; callers
+    that care should compare it with their tolerance.  ``p_end`` is the
+    momentum of the accepted orbit at x, on its energy shell.
     """
 
     q0: float
@@ -84,124 +124,250 @@ class DeltaResult:
     p_end: float
 
 
-# ===== Bracket construction =====
+# ===== Arrival-time quadratures =====
 
-def _momentum_floor(model: HamiltonianModel, t: float) -> float:
-    """Smallest arc momentum whose orbit stays in q > 0 on (0, t)."""
-    if model.separatrix_momentum <= 0.0:
-        return _P_FLOOR
-    if t <= shock_time(model):
-        return _P_FLOOR
-    try:
-        return invert_half_period(model, t) + _P_MARGIN
-    except DomainError:
-        # t is inside the inversion's blind spot just above the infimum
-        return _P_FLOOR
+def _below_flat(model: HamiltonianModel, d):
+    """flat - g at depth d >= 0 below the cutoff, exact next to it."""
+    return d * model.chord_slope(d, 0.0)
+
+
+def _flight_time(model: HamiltonianModel, v, a, b):
+    """tau(E; a -> b) for arrays with 0 <= a <= b and E = flat + v**2/2.
+
+    ``v`` >= 0 is the speed past the cutoff.  The part inside the cutoff
+    is integrated on panels graded toward its upper end; the flat part is
+    crossed at speed v.
+    """
+    c = model.cutoff
+    hi = np.minimum(b, c)
+    width = hi - np.minimum(a, c)
+    inner = np.empty_like(v)
+    for k in range(0, v.size, _BLOCK):
+        blk = slice(k, k + _BLOCK)
+        d = (c - hi[blk, None]) + width[blk, None] * _R_NODES
+        speed = np.sqrt(v[blk, None] ** 2 + 2.0 * _below_flat(model, d))
+        inner[blk] = width[blk] * (1.0 / speed @ _R_WEIGHTS)
+    tail = np.maximum(b, c) - np.maximum(a, c)
+    return inner + np.where(tail > 0.0, tail / v, 0.0)
+
+
+def _passage_times(model: HamiltonianModel, depth, x):
+    """(tau_out, tau_ret): when the orbit turning at depth ``depth`` below
+    the cutoff passes x on its way out and on its way back.
+
+    With q = q_turn sin(theta), tau_out integrates over [0, theta_x] and
+    the quarter period over [0, pi/2]; tau_ret is half the period minus
+    tau_out.  Both come from one pass over period.py's panels graded
+    toward pi/2, split at theta_x.  In the half-angle psi from pi/2,
+    q_turn - q = 2 q_turn sin(psi)^2 and cos(theta) = 2 sin(psi) cos(psi),
+    so the integrand dq / sqrt(2 (g(q_turn) - g(q))) is
+    cos(psi) sqrt(q_turn / chord slope) and stays smooth through the
+    turning point.
+    """
+    q_turn = model.cutoff - depth
+    theta_x = np.arctan2(x, np.sqrt(np.maximum(model.cutoff - x - depth, 0.0)
+                                    * (q_turn + x)))
+    t_out = np.empty_like(depth)
+    quarter = np.empty_like(depth)
+    for k in range(0, depth.size, _BLOCK):
+        blk = slice(k, k + _BLOCK)
+        split = theta_x[blk, None]
+        edges = np.sort(np.concatenate(
+            [np.broadcast_to(_BASE_EDGES, (split.size, _BASE_EDGES.size)),
+             split], axis=1), axis=1)
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        half = 0.5 * (hi - lo)
+        theta = (lo + half)[..., None] + half[..., None] * _GL_NODES
+        hpsi = 0.5 * (0.5 * np.pi - theta)
+        qt = q_turn[blk, None, None]
+        sin_h = np.sin(hpsi)
+        slope = model.chord_slope(depth[blk, None, None]
+                                  + 2.0 * qt * sin_h * sin_h,
+                                  depth[blk, None, None])
+        vals = np.cos(hpsi) * np.sqrt(qt / slope)
+        panels = half * (vals @ _GL_WEIGHTS)
+        quarter[blk] = panels.sum(axis=1)
+        t_out[blk] = np.where(hi <= split, panels, 0.0).sum(axis=1)
+    return t_out, 2.0 * quarter - t_out
+
+
+# ===== Root-find =====
+
+def _illinois(residual, lo, hi, f_lo, f_hi, force, shoot_tol):
+    """Roots of increasing residuals on the brackets [lo, hi], all at once.
+
+    ``residual(z, idx)`` returns the arrival-time miss R and the signed
+    momentum p at the target for the entries ``idx`` at parameters z;
+    f_lo <= 0 <= f_hi are the residuals at the bracket ends (infinite
+    where they are unbounded).  Illinois regula falsi with a bisection
+    guard: a step that does not halve the bracket is followed by a
+    bisection, as is any step from an infinite end.  An entry stops once
+    its phase-space miss |R| * |(p, force)|, with force = g'(x), drops to
+    0.1 shoot_tol (so the momentum is converged at turning points too) or
+    its bracket is a few ulps wide.  Returns (z, R, p, miss) at each
+    entry's best iterate.
+    """
+    n = lo.size
+    best_z = 0.5 * (lo + hi)
+    best_f = np.full(n, np.inf)
+    best_p = np.zeros(n)
+    best_miss = np.full(n, np.inf)
+    moved = np.zeros(n, dtype=np.int8)      # +1: hi moved last, -1: lo
+    bisect = np.zeros(n, dtype=bool)
+    idx = np.arange(n)
+    for _ in range(_MAX_ITERATIONS):
+        if idx.size == 0:
+            break
+        a, b, fa, fb = lo[idx], hi[idx], f_lo[idx], f_hi[idx]
+        z = a - fa * ((b - a) / (fb - fa))
+        z = np.where(bisect[idx] | ~((z >= a) & (z <= b)), 0.5 * (a + b), z)
+        f, p = residual(z, idx)
+        miss = np.abs(f) * np.hypot(p, force[idx])
+        better = miss < best_miss[idx]
+        i = idx[better]
+        best_z[i], best_f[i], best_p[i] = z[better], f[better], p[better]
+        best_miss[i] = miss[better]
+
+        up = f > 0.0
+        # Illinois: an end kept twice in a row has its residual halved
+        fa = np.where(up & (moved[idx] == 1), 0.5 * fa, fa)
+        fb = np.where(~up & (moved[idx] == -1), 0.5 * fb, fb)
+        lo[idx] = np.where(up, a, z)
+        hi[idx] = np.where(up, z, b)
+        f_lo[idx] = np.where(up, fa, f)
+        f_hi[idx] = np.where(up, f, fb)
+        moved[idx] = np.where(up, 1, -1)
+        width = hi[idx] - lo[idx]
+        bisect[idx] = width > 0.5 * (b - a)
+        done = ((miss <= 0.1 * shoot_tol) | (f == 0.0)
+                | (width <= 4.0 * np.finfo(float).eps
+                   * np.maximum(np.abs(lo[idx]), np.abs(hi[idx]))))
+        idx = idx[~done]
+    return best_z, best_f, best_p, best_miss
 
 
 # ===== Shooting =====
-
-# Below this many shots a loop of scalar marches beats the batched march,
-# whose per-step cost is numpy dispatch until a couple dozen orbits.
-_BATCH_MIN = 24
-
-
-def _bisect(march, t, xs, lo, hi, shoot_tol):
-    """Bisect the arc brackets [lo, hi] of all targets ``xs`` at once.
-
-    ``march(q0, p0)`` maps data arrays to (terminal q, terminal p,
-    running min of q).  Returns the (s, residual, terminal p) arrays of
-    the best iterates and raises PositivityViolation if an accepted orbit
-    dips below q = 0.
-    """
-    best_s = lo.copy()
-    best_f = np.full_like(xs, np.inf)
-    best_p = np.zeros_like(xs)
-    best_minq = np.zeros_like(xs)
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        q_end, p_end, min_q = march(*arc_decode(mid))
-        f = q_end - xs
-        better = np.abs(f) < np.abs(best_f)
-        best_s[better] = mid[better]
-        best_f[better] = f[better]
-        best_p[better] = p_end[better]
-        best_minq[better] = min_q[better]
-        above = f > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-        if (np.max(hi - lo) <= ARC_TOL
-                or np.max(np.abs(f)) <= 0.1 * shoot_tol):
-            break
-    worst = int(np.argmin(best_minq))
-    if best_minq[worst] < -10.0 * shoot_tol:
-        raise PositivityViolation(
-            f"orbit for t={t}, x={xs[worst]} dips to "
-            f"q={best_minq[worst]} before t")
-    return best_s, best_f, best_p
-
 
 def delta(model: HamiltonianModel, t: float, x: float,
           shoot_tol: float = DEFAULT_SHOOT_TOL,
           dt_max: float = DEFAULT_DT) -> DeltaResult:
     """Unique arc datum whose orbit reaches x at time t through q > 0.
 
-    The one-point case of :func:`delta_batch`.  Raises DomainError for
-    t <= 0 or x <= 0 and PositivityViolation if the accepted orbit dips
-    below q = 0 on (0, t).
+    The one-point case of :func:`delta_batch`.
     """
     q0, p0, res, p_end = delta_batch(model, t, [x], shoot_tol, dt_max)
     return DeltaResult(q0=float(q0[0]), p0=float(p0[0]),
                        residual=float(res[0]), p_end=float(p_end[0]))
 
 
+# Infinite and undefined intermediates (a bracket end at the separatrix,
+# an underflowing potential gap) are part of the algorithm: the root-find
+# bisects away from them, and a shot that misses its arrival time by more
+# than rounding raises NotFound below.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
                 shoot_tol: float = DEFAULT_SHOOT_TOL,
                 dt_max: float = DEFAULT_DT):
     """Shooting data for many positions at one time.
 
     Returns (q0, p0, residual, p_end) arrays aligned with ``xs``, where
-    p_end is the terminal momentum of the accepted orbit.  Far-field
-    points that never feel the potential get the exact free-flight datum
-    (p_end = 2); the rest share one bisection on the bracket
-    [-x, 2 - momentum floor].  Next to x = 0 the floor leaves a thin
-    sliver the bracket cannot straddle; there the bisection settles on
-    the bracket's upper end and the miss shows up in ``residual``.
+    p_end is the momentum of the accepted orbit at x.  Far-field points
+    that never feel the potential get the exact free-flight datum
+    (p_end = 2); the rest share one root-find per branch (see the module
+    docstring), every iterate one arrival-time quadrature.  ``dt_max`` is
+    accepted for symmetry with the marching routes; nothing is marched.
+    Raises DomainError unless t is finite and positive and every x is
+    positive, and NotFound where double precision cannot represent the
+    shot (on the quartic well, inside the well past t of about 1e100).
     """
     xs = np.asarray(xs, dtype=float)
-    if not (t > 0.0):
-        raise DomainError(f"delta needs t > 0, got {t}")
+    if not (0.0 < t < np.inf):
+        raise DomainError(f"delta needs a finite t > 0, got {t}")
     if not np.all(xs > 0.0):
         raise DomainError(f"delta needs x > 0 everywhere, got {xs}")
 
-    q0_out = np.empty_like(xs)
-    p0_out = np.empty_like(xs)
+    q0_out = xs - 2.0 * t
+    p0_out = np.full_like(xs, 2.0)
     res_out = np.zeros_like(xs)
-    p_end_out = np.empty_like(xs)
+    p_end_out = np.full_like(xs, 2.0)
 
-    free = free_flight(model, t, xs)
-    q0_out[free] = xs[free] - 2.0 * t
-    p0_out[free] = 2.0
-    p_end_out[free] = 2.0
+    shoot = np.flatnonzero(~free_flight(model, t, xs))
+    x = xs[shoot]
+    c, flat = model.cutoff, model.flat_value
+    zero = np.zeros_like(x)
+    v_corner = np.full_like(x, np.sqrt(2.0 * (2.0 - flat)))
+    tau_corner = _flight_time(model, v_corner, zero, x)
+    tau_sep = np.full_like(x, np.inf)
+    inside = (tau_corner <= t) & (x < c)
+    tau_sep[inside] = _flight_time(model, zero[inside], zero[inside],
+                                   x[inside])
+    half = tau_corner > t
+    osc = tau_sep < t
+    esc = ~half & ~osc
 
-    shoot = ~free
-    if np.any(shoot):
-        x_s = xs[shoot]
-        if x_s.size < _BATCH_MIN:
-            def march(q0, p0):
-                return np.array([terminal_state(model, float(a), float(b),
-                                                t, dt_max)
-                                 for a, b in zip(q0, p0)]).T
-        else:
-            def march(q0, p0):
-                return terminal_batch(model, q0, p0, t, dt_max)
+    def speed(v, xk):
+        depth = np.maximum(c - xk, 0.0)
+        return np.hypot(v, np.sqrt(2.0 * _below_flat(model, depth)))
 
-        s, res, p_end = _bisect(
-            march, t, x_s, -x_s,
-            np.full_like(x_s, 2.0 - _momentum_floor(model, t)), shoot_tol)
-        q0_out[shoot], p0_out[shoot] = arc_decode(s)
-        res_out[shoot] = res
-        p_end_out[shoot] = p_end
+    lost = np.zeros_like(xs, dtype=bool)
+
+    def solve(mask, residual, lo, hi, f_lo, f_hi):
+        force = model.g_prime(x[mask])
+        z, f, p, miss = _illinois(residual, lo, hi, f_lo, f_hi, force,
+                                  shoot_tol)
+        res_out[shoot[mask]] = f * np.abs(p)
+        p_end_out[shoot[mask]] = p
+        lost[shoot[mask]] = ~((miss <= shoot_tol) | (np.abs(f) <= _LOST * t))
+        return z
+
+    if np.any(half):
+        xh = x[half]
+
+        def launch_time(q0, k):
+            v = np.sqrt(2.0 * (2.0 - flat + model.g(q0)))
+            return t - _flight_time(model, v, q0, xh[k]), speed(v, xh[k])
+
+        q0_out[shoot[half]] = solve(
+            half, launch_time, np.zeros_like(xh), np.minimum(xh, c),
+            t - tau_corner[half], t - np.maximum(xh - c, 0.0) / 2.0)
+
+    if np.any(esc):
+        xe = x[esc]
+
+        def escape_time(v, k):
+            return (t - _flight_time(model, v, np.zeros_like(v), xe[k]),
+                    speed(v, xe[k]))
+
+        # past the cutoff tau > (x - c) / v, so v = (x - c) / t is early
+        v_lo = np.maximum(xe - c, 0.0) / t
+        f_lo = t - tau_sep[esc]
+        far = np.flatnonzero(xe > c)
+        f_lo[far] = escape_time(v_lo[far], far)[0]
+        v = solve(esc, escape_time, v_lo, v_corner[esc], f_lo,
+                  t - tau_corner[esc])
+        q0_out[shoot[esc]] = 0.0
+        p0_out[shoot[esc]] = np.sqrt(2.0 * flat + v * v)
+
+    if np.any(osc):
+        xo = x[osc]
+
+        # the unknown is minus the turning point's depth below the cutoff,
+        # which keeps its relative precision as orbits near the separatrix
+        def passage_miss(z, k):
+            d_x = c - xo[k]
+            t_out, t_ret = _passage_times(model, -z, xo[k])
+            momentum = np.sqrt(2.0 * (d_x + z) * model.chord_slope(d_x, -z))
+            return (np.minimum(t - t_out, t_ret - t),
+                    np.copysign(momentum, (t_ret - t) - (t - t_out)))
+
+        z_x = xo - c
+        z = solve(osc, passage_miss, z_x.copy(), np.zeros_like(xo),
+                  passage_miss(z_x, np.arange(xo.size))[0], t - tau_sep[osc])
+        q0_out[shoot[osc]] = 0.0
+        p0_out[shoot[osc]] = np.sqrt(2.0 * (flat - _below_flat(model, -z)))
+    if np.any(lost):
+        raise NotFound(f"no shot reaches x={xs[lost][0]} at t={t}: the "
+                       f"arrival time is missed by more than {_LOST:g} t")
     return q0_out, p0_out, res_out, p_end_out
 
 

@@ -72,15 +72,31 @@ def test_long_time_values_inside_the_well(quartic):
 
 def test_outside_the_well_decay_is_slow(quartic):
     """Beyond the cutoff the profile drains like 1/t, which is why the
-    tail still carries a visible residue at t = 30.  Past t = 40 the
-    shooting floor needs the half-period inversion of orbits within 3e-7
-    of the separatrix."""
+    tail still carries a visible residue at t = 30."""
     tail = [eval_solution(quartic, t, 1.5).u
             for t in (5.0, 10.0, 30.0, 60.0)]
     assert tail[0] == pytest.approx(0.174347036644, abs=1e-6)
     assert tail[1] == pytest.approx(0.0738510014555, abs=1e-6)
     assert tail[2] == pytest.approx(0.0207470805146, abs=1e-6)
     assert tail[0] > tail[1] > tail[2] > tail[3] > 0.0
+
+
+def test_late_values_are_finite(quartic):
+    """Shots at late times launch within 1e-5 of the separatrix momentum;
+    the half-period inversion the shooting bracket once needed failed to
+    converge there from t = 80 on."""
+    assert eval_solution(quartic, 80.0, 0.5).u == pytest.approx(
+        -0.7954951045, abs=1e-9)
+    assert eval_solution(quartic, 200.0, 1.5).u == pytest.approx(
+        0.0027121751, abs=1e-9)
+
+
+def test_interior_deviation_decays_like_t_to_the_minus_four(quartic):
+    """The returning orbit's energy gap below the separatrix shrinks like
+    t^-4, because 1 - g(x) ~ 16 (1 - |x|)^4 at the rim of the well."""
+    dev = [abs(eval_solution(quartic, t, 0.5).u - closed_form_profile(0.5))
+           for t in (20.0, 40.0)]
+    assert 3.5 <= np.log2(dev[0] / dev[1]) <= 4.5
 
 
 def test_pointwise_attraction_is_monotone(quartic):
@@ -120,9 +136,9 @@ def test_one_sided_trace_matches_point_samples(quartic):
     trace = shock_trace_momentum(quartic, 2.0)
     near = eval_solution(quartic, 2.0, 1e-8)
     assert near.u == pytest.approx(-trace, abs=1e-6)
-    # the shooting bracket cannot reach this close to the origin: the
-    # miss is reported in the residual, not raised
-    assert delta(quartic, 2.0, 1e-8).residual > DEFAULT_SHOOT_TOL
+    # the returning orbit is found this close to the origin too: no
+    # momentum floor leaves a sliver the shot cannot reach
+    assert abs(delta(quartic, 2.0, 1e-8).residual) <= DEFAULT_SHOOT_TOL
     # before the shock the one-sided limit is 0
     assert abs(eval_solution(quartic, 0.5, 1e-12).u) < 5e-9
 
@@ -130,7 +146,7 @@ def test_one_sided_trace_matches_point_samples(quartic):
 # ===== Batch routes =====
 
 def test_profile_route_matches_point_route(quartic):
-    # 30 points take the batched marcher, 5 the loop of scalar marches
+    # wide and narrow profiles share one lockstep root-find per branch
     for n in (30, 5):
         xs = np.linspace(0.05, 3.0, n)
         us = solution_profile(quartic, 2.0, xs)
@@ -147,6 +163,38 @@ def test_grid_route_matches_point_route(quartic):
         for j, x in enumerate(xs):
             assert grid[i, j] == pytest.approx(
                 eval_solution(quartic, t, float(x)).u, abs=2e-4)
+
+
+@pytest.mark.parametrize("t, xs, tol", [
+    (2.3, np.linspace(0.05, 0.3, 11), 2e-4),
+    (2.4, np.linspace(0.05, 0.3, 11), 2e-4),
+    (2.475, np.linspace(0.05, 0.3, 11), 2e-4),
+    (30.0, np.array([0.08, 0.5, 0.9]), 1e-4),
+])
+def test_grid_route_stays_on_the_energy_shell(quartic, t, xs, tol):
+    """Interpolating the momentum between orbits missed the point route
+    by up to 3e-4 at these early times next to the origin and by 4e-2 at
+    t = 30, where the alive orbits crowd toward the separatrix; the
+    raster interpolates the launch point and reads its energy at x."""
+    grid = solution_grid(quartic, (t,), xs, n_orbits=4096)[0]
+    for x, u in zip(xs, grid):
+        assert u == pytest.approx(eval_solution(quartic, t, float(x)).u,
+                                  abs=tol)
+
+
+def test_homogeneous_routes_give_the_rarefaction_fan(homog):
+    """With g = 0 the solution is the fan u = x / t inside |x| < 2t and
+    the datum outside; the shooting route solves it in closed form and
+    the raster interpolates it exactly."""
+    xs = np.concatenate([-np.linspace(0.05, 3.0, 12)[::-1],
+                         np.linspace(0.05, 3.0, 12)])
+    times = (0.5, 1.0)
+    fan = np.array([np.clip(xs / t, -2.0, 2.0) for t in times])
+    grid = solution_grid(homog, times, xs, n_orbits=1024)
+    np.testing.assert_allclose(grid, fan, rtol=0.0, atol=1e-12)
+    for t, row in zip(times, fan):
+        np.testing.assert_allclose(solution_profile(homog, t, xs), row,
+                                   rtol=0.0, atol=1e-12)
 
 
 def test_grid_route_is_odd(quartic):

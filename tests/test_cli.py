@@ -161,6 +161,33 @@ def test_unbounded_simulations_fail_fast_with_json(tmp_path, flags):
     assert json.loads(proc.stdout)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("tmax", ["-1", "0"])
+def test_phase_portrait_rejects_a_nonpositive_horizon(capsys, tmp_path,
+                                                      tmax):
+    """A negative horizon used to write orbits integrated backward as if
+    they were the forward portrait."""
+    code = main(["--experiment", "phase-portrait", "--tmax", tmax,
+                 "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert not (tmp_path / "o" / "phase_portrait.csv").exists()
+
+
+@pytest.mark.parametrize("experiment", ["exact", "asymptotics"])
+def test_empty_time_lists_fail_before_writing(capsys, tmp_path, experiment):
+    """``--times ,`` used to leave a header-only exact.csv behind with a
+    bare ValueError, and to crash asymptotics with an IndexError."""
+    out = tmp_path / "o"
+    code = main(["--experiment", experiment, "--times", ",", "--n", "16",
+                 "--out", str(out)])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert "times" in err["message"]
+    assert not out.exists()
+
+
 def test_parser_rejects_unknown_experiments():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--experiment", "nonsense"])
@@ -242,6 +269,19 @@ def test_exact_rows_cover_requested_times(capsys, tmp_path):
     times = {float(ln.split(",")[0]) for ln in body[1:]}
     assert times == {0.5, 1.5}
     assert len(body) - 1 == 2 * 16
+
+
+def test_asymptotics_exact_route_reaches_the_limit(capsys, tmp_path):
+    """The exact column used to carry the raster's interpolation error
+    (4.3e-2 at t = 30) rather than the solution's distance to the limit
+    profile."""
+    out = tmp_path / "asym"
+    run_ok(capsys, "--experiment", "asymptotics", "--n", "400",
+           "--times", "30", "--out", str(out))
+    doc = json.loads((out / "asymptotics.json").read_text())
+    last = doc["deviations_core_window"][-1]
+    assert last["t"] == 30.0
+    assert last["exact_vs_asymptote"] < 1e-4
 
 
 def test_inverse_reports_a_monotone_footprint(capsys, tmp_path):

@@ -4,9 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hetclaw.errors import DomainError
+from hetclaw.errors import DomainError, NotFound
 from hetclaw.flow import terminal_batch, terminal_state
-from hetclaw.shooting import delta, delta_batch, delta_continuity_scan
+from hetclaw.shooting import (DEFAULT_SHOOT_TOL, delta, delta_batch,
+                              delta_continuity_scan)
 
 
 # ===== Small-time limit =====
@@ -42,7 +43,7 @@ def test_shot_lands_on_target(quartic):
 
 def test_brute_force_scan_agrees(quartic):
     """A dense sweep of every admissible datum finds the same shot,
-    confirming the bisection picks the unique minimiser."""
+    confirming the root-find picks the unique minimiser."""
     t, x = 2.0, 0.5
     n = 10_000
     half = n // 2
@@ -84,7 +85,26 @@ def test_degenerate_rectangle_is_empty(quartic):
 
 # ===== Domain errors =====
 
-@pytest.mark.parametrize("t,x", [(0.0, 0.5), (-1.0, 0.5), (2.0, 0.0), (2.0, -0.4)])
+@pytest.mark.parametrize("t,x", [(0.0, 0.5), (-1.0, 0.5), (2.0, 0.0), (2.0, -0.4),
+                                 (np.inf, 0.5)])
 def test_rejects_degenerate_queries(quartic, t, x):
     with pytest.raises(DomainError):
         delta(quartic, t, x)
+
+
+# ===== Late times =====
+
+@pytest.mark.parametrize("t", [1e4, 1e8])
+def test_late_shots_keep_converging(quartic, t):
+    """The turning point is measured by its depth below the cutoff, so
+    orbits this close to the separatrix keep their relative precision."""
+    res = delta(quartic, t, 0.5)
+    assert abs(res.residual) <= DEFAULT_SHOOT_TOL
+    assert res.p_end == pytest.approx(-0.7954951288348661, abs=1e-12)
+
+
+def test_unrepresentable_shots_raise(quartic):
+    """Past t ~ 1e100 the turning point's depth below the cutoff leaves
+    double precision; the shot raises instead of returning a value."""
+    with pytest.raises(NotFound):
+        delta(quartic, 1e200, 0.5)
