@@ -299,13 +299,12 @@ def _run_period(config: RunConfig, out_dir: str) -> list:
         raise DomainError("period table needs a trapping well; "
                           f"model {config.model!r} has none")
     n = config.n if config.n is not None else 60
-    rel_tol = config.tol if config.tol is not None else 1e-8
     p_hi = model.separatrix_momentum - 1e-3
     p0_values = np.unique(np.concatenate(
         [[0.01], np.linspace(0.02, p_hi, max(n - 1, 2))]))
     units = "p0:momentum,period:time,q_max:position"
 
-    table = period_table(model, p0_values, rel_tol)
+    table = period_table(model, p0_values)
     small = next(row for row in table if row.p0 == 0.01)
 
     csv_path = os.path.join(out_dir, "period.csv")
@@ -313,7 +312,7 @@ def _run_period(config: RunConfig, out_dir: str) -> list:
               [(row.p0, row.period, row.q_max) for row in table])
     json_path = os.path.join(out_dir, "period.json")
     _write_json(json_path, config, units, {
-        "shock_formation_time": shock_time(model, rel_tol=rel_tol),
+        "shock_formation_time": shock_time(model),
         "half_period_small_amplitude": small.period / 2.0,
         "rows": int(p0_values.size),
     })
@@ -497,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized sweeps")
     parser.add_argument("--tol", type=float,
-                        help="primary tolerance of the experiment")
+                        help="shooting tolerance of inverse, exit and "
+                        "crossing tolerance of rays")
     parser.add_argument("--config",
                         help="JSON file whose entries override flags")
     return parser

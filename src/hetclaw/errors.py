@@ -17,10 +17,6 @@ class NonFinite(HetclawError):
     """A computed state stopped being finite."""
 
 
-class QuadratureFailure(HetclawError):
-    """A quadrature did not converge to the requested tolerance."""
-
-
 class NotFound(HetclawError):
     """An event or root was not located within the search horizon."""
 

@@ -6,12 +6,16 @@ period is
 
     T(p0) = 4 * int_0^{q_turn} dq / sqrt(p0**2 - 2 g(q)).
 
-The integrand has an inverse-square-root singularity at the turning point;
-substituting q = q_turn * sin(theta) removes it, after which composite
-Gauss-Legendre converges fast.  An ODE route (integrate and detect the
-first upward return to q = 0) serves as an independent cross-check, and a
-Richardson extrapolation of half-periods toward p0 = 0 recovers the
-infimum, which is the shock-formation time of the step-datum solution.
+Orbits are labelled by the depth of q_turn below the cutoff, which keeps
+its relative precision as they near the separatrix.  Substituting
+q = q_turn * sin(theta) and measuring the half-angle from pi/2 makes the
+integrand smooth through the turning point (see ``_passage_times``);
+Gauss-Legendre on panels graded toward pi/2 then integrates it to
+rounding.  The same arrival-time quadrature times the shots of the
+shooting map.  An ODE route (integrate and detect the first upward return
+to q = 0) serves as an independent cross-check, and a Richardson
+extrapolation of half-periods toward p0 = 0 recovers the infimum, which
+is the shock-formation time of the step-datum solution.
 """
 
 from __future__ import annotations
@@ -22,50 +26,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NotFound, QuadratureFailure
+from .errors import DomainError, NotFound
 from .flow import DEFAULT_DT, crossing_events, integrate
 from .model import HamiltonianModel
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(40)
-
-
-def turning_point(model: HamiltonianModel, p0: float, tol: float = 1e-12) -> float:
-    """Positive solution q_turn of g(q) = p0**2/2, found by bisection.
-
-    Defined for 0 < p0 < sqrt(2*flat_value); the potential is assumed
-    strictly increasing on (0, cutoff), which holds for the quartic well.
-    """
-    p_sep = model.separatrix_momentum
-    if not (0.0 < p0 < p_sep):
-        raise DomainError(f"turning point needs p0 in (0, {p_sep:.6g}), "
-                          f"got {p0}")
-    target = 0.5 * p0 * p0
-    lo, hi = 0.0, model.cutoff
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if model.g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _period_integrand(model, q_turn, g_turn, gp_turn, theta):
-    # The argument is written as a difference of potential values so that
-    # it vanishes at the turning point by construction.  Using
-    # p0**2 - 2 g(q) instead would inherit the bisection offset of q_turn
-    # and shift the singularity off the endpoint, which wrecks refinement.
-    # Within rounding distance of the turning point the difference is pure
-    # noise, so there the integrand is replaced by its exact limit under
-    # the local quadratic model, cos(psi) * sqrt(q_turn / g'(q_turn)) with
-    # psi the half-angle distance from pi/2.
-    q = q_turn * np.sin(theta)
-    arg = 2.0 * (g_turn - model.g(q))
-    noise = 64.0 * np.finfo(float).eps * max(g_turn, 1e-300)
-    hpsi = 0.5 * (0.5 * math.pi - theta)
-    plateau = np.cos(hpsi) * math.sqrt(q_turn / gp_turn)
-    ramp = q_turn * np.cos(theta) / np.sqrt(np.maximum(arg, noise))
-    return np.where(arg > noise, ramp, plateau)
+# Gauss-Legendre nodes per graded panel.  Each panel spans one octave of
+# the distance to the graded end, where the integrands are smooth: 16
+# nodes reach rounding on orbits down to 1e-3 from the separatrix.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _graded_edges(depth: int = 60) -> np.ndarray:
@@ -81,39 +49,174 @@ def _graded_edges(depth: int = 60) -> np.ndarray:
 
 _BASE_EDGES = _graded_edges()
 
+# Positions per quadrature block: each temporary stays near 160 kB, in cache.
+_BLOCK = 8
 
-def period_quadrature(model: HamiltonianModel, p0: float,
-                      rel_tol: float = 1e-8, max_refine: int = 256) -> float:
-    """Period T(p0) by composite Gauss-Legendre on the desingularized form.
+# Safety cap on root-find iterations.  The bisection guard at least halves
+# every bracket each second step, so converging solves stop far earlier.
+_MAX_ITERATIONS = 200
 
-    A fixed stack of panels graded toward theta = pi/2 handles the
-    near-separatrix ramp; every panel is then split into 1, 2, 4, ...
-    uniform pieces until two successive levels agree to ``rel_tol``
-    relatively.  Non-convergence raises QuadratureFailure.
+
+# ===== Arrival-time quadrature =====
+
+def _below_flat(model: HamiltonianModel, d):
+    """flat - g at depth d >= 0 below the cutoff, exact next to it."""
+    return d * model.chord_slope(d, 0.0)
+
+
+def _passage_times(model: HamiltonianModel, depth, x):
+    """(tau_out, tau_ret): when the orbit turning at depth ``depth`` below
+    the cutoff passes x on its way out and on its way back.
+
+    With q = q_turn sin(theta), tau_out integrates over [0, theta_x] and
+    the quarter period over [0, pi/2]; tau_ret is half the period minus
+    tau_out.  Both come from one pass over the panels graded toward pi/2,
+    split at theta_x.  In the half-angle psi from pi/2,
+    q_turn - q = 2 q_turn sin(psi)^2 and cos(theta) = 2 sin(psi) cos(psi),
+    so the integrand dq / sqrt(2 (g(q_turn) - g(q))) is
+    cos(psi) sqrt(q_turn / chord slope) and stays smooth through the
+    turning point.
     """
-    q_turn = turning_point(model, p0)
-    g_turn = model.g(q_turn)
-    gp_turn = model.g_prime(q_turn)
-    widths = np.diff(_BASE_EDGES)
-    prev = None
-    pieces = 1
-    while pieces <= max_refine:
-        seg = np.arange(pieces + 1) / pieces
-        sub = _BASE_EDGES[:-1, None] + widths[:, None] * seg[None, :]
-        lows = sub[:, :-1].ravel()
-        highs = sub[:, 1:].ravel()
-        mids = 0.5 * (lows + highs)
-        halfs = 0.5 * (highs - lows)
-        theta = mids[:, None] + halfs[:, None] * _GL_NODES[None, :]
-        vals = _period_integrand(model, q_turn, g_turn, gp_turn, theta)
-        total = float(np.sum(halfs * (vals @ _GL_WEIGHTS)))
-        if prev is not None and abs(total - prev) <= rel_tol * abs(total):
-            return 4.0 * total
-        prev = total
-        pieces *= 2
-    raise QuadratureFailure(
-        f"period quadrature for p0={p0} did not reach rel_tol={rel_tol} "
-        f"within {max_refine}-fold panel refinement")
+    q_turn = model.cutoff - depth
+    theta_x = np.arctan2(x, np.sqrt(np.maximum(model.cutoff - x - depth, 0.0)
+                                    * (q_turn + x)))
+    t_out = np.empty_like(depth)
+    quarter = np.empty_like(depth)
+    for k in range(0, depth.size, _BLOCK):
+        blk = slice(k, k + _BLOCK)
+        split = theta_x[blk, None]
+        edges = np.sort(np.concatenate(
+            [np.broadcast_to(_BASE_EDGES, (split.size, _BASE_EDGES.size)),
+             split], axis=1), axis=1)
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        half = 0.5 * (hi - lo)
+        theta = (lo + half)[..., None] + half[..., None] * _GL_NODES
+        hpsi = 0.5 * (0.5 * np.pi - theta)
+        qt = q_turn[blk, None, None]
+        sin_h = np.sin(hpsi)
+        slope = model.chord_slope(depth[blk, None, None]
+                                  + 2.0 * qt * sin_h * sin_h,
+                                  depth[blk, None, None])
+        vals = np.cos(hpsi) * np.sqrt(qt / slope)
+        panels = half * (vals @ _GL_WEIGHTS)
+        quarter[blk] = panels.sum(axis=1)
+        t_out[blk] = np.where(hi <= split, panels, 0.0).sum(axis=1)
+    return t_out, 2.0 * quarter - t_out
+
+
+def _half_period(model: HamiltonianModel, depth: float) -> float:
+    """T/2 of the orbit turning at ``depth`` below the cutoff: the time it
+    takes to come back to x = 0."""
+    return float(_passage_times(model, np.array([depth]), np.zeros(1))[1][0])
+
+
+# ===== Root-find =====
+
+def _illinois(residual, lo, hi, f_lo, f_hi, force, shoot_tol):
+    """Roots of increasing residuals on the brackets [lo, hi], all at once.
+
+    ``residual(z, idx)`` returns the arrival-time miss R and the signed
+    momentum p at the target for the entries ``idx`` at parameters z;
+    f_lo <= 0 <= f_hi are the residuals at the bracket ends (infinite
+    where they are unbounded).  Illinois regula falsi with a bisection
+    guard: a step that does not halve the bracket is followed by a
+    bisection, as is any step from an infinite end.  An entry stops once
+    its phase-space miss |R| * |(p, force)|, with force = g'(x), drops to
+    0.1 shoot_tol (so the momentum is converged at turning points too) or
+    its bracket is a few ulps wide.  Returns (z, R, p, miss) at each
+    entry's best iterate.
+    """
+    n = lo.size
+    best_z = 0.5 * (lo + hi)
+    best_f = np.full(n, np.inf)
+    best_p = np.zeros(n)
+    best_miss = np.full(n, np.inf)
+    moved = np.zeros(n, dtype=np.int8)      # +1: hi moved last, -1: lo
+    bisect = np.zeros(n, dtype=bool)
+    idx = np.arange(n)
+    for _ in range(_MAX_ITERATIONS):
+        if idx.size == 0:
+            break
+        a, b, fa, fb = lo[idx], hi[idx], f_lo[idx], f_hi[idx]
+        z = a - fa * ((b - a) / (fb - fa))
+        z = np.where(bisect[idx] | np.isinf(fb - fa)
+                     | ~((z >= a) & (z <= b)), 0.5 * (a + b), z)
+        f, p = residual(z, idx)
+        miss = np.abs(f) * np.hypot(p, force[idx])
+        better = miss < best_miss[idx]
+        i = idx[better]
+        best_z[i], best_f[i], best_p[i] = z[better], f[better], p[better]
+        best_miss[i] = miss[better]
+
+        up = f > 0.0
+        # Illinois: an end kept twice in a row has its residual halved
+        fa = np.where(up & (moved[idx] == 1), 0.5 * fa, fa)
+        fb = np.where(~up & (moved[idx] == -1), 0.5 * fb, fb)
+        lo[idx] = np.where(up, a, z)
+        hi[idx] = np.where(up, z, b)
+        f_lo[idx] = np.where(up, fa, f)
+        f_hi[idx] = np.where(up, f, fb)
+        moved[idx] = np.where(up, 1, -1)
+        width = hi[idx] - lo[idx]
+        bisect[idx] = width > 0.5 * (b - a)
+        done = ((miss <= 0.1 * shoot_tol) | (f == 0.0)
+                | (width <= 4.0 * np.finfo(float).eps
+                   * np.maximum(np.abs(lo[idx]), np.abs(hi[idx]))))
+        idx = idx[~done]
+    return best_z, best_f, best_p, best_miss
+
+
+def _solve(residual, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Root of one increasing residual of z alone, to the last ulp it
+    can resolve."""
+    z = _illinois(lambda z, k: (residual(z), np.ones_like(z)),
+                  np.array([lo]), np.array([hi]), np.array([f_lo]),
+                  np.array([f_hi]), np.zeros(1), 0.0)[0]
+    return float(z[0])
+
+
+# ===== Period map =====
+
+def _depth(model: HamiltonianModel, p0: float) -> float:
+    """Depth d below the cutoff of the turning point of the orbit launched
+    from (0, p0): the root of _below_flat(d) = flat - p0**2/2."""
+    p_sep = model.separatrix_momentum
+    if not (0.0 < p0 < p_sep):
+        raise DomainError(f"period needs p0 in (0, {p_sep:.6g}), got {p0}")
+    target = model.flat_value - 0.5 * p0 * p0
+    depth = _solve(lambda d: _below_flat(model, d) - target, 0.0,
+                   model.cutoff, -target, 0.5 * p0 * p0)
+    # The depth carries an absolute rounding of eps * cutoff, and the
+    # integrand's chord slopes inherit it relative to q_turn: a turning
+    # point closer to the origin than sqrt(eps) * cutoff leaves the
+    # period with less than half its digits.
+    if model.cutoff - depth < math.sqrt(np.finfo(float).eps) * model.cutoff:
+        raise DomainError(f"p0={p0} is too small to resolve its turning "
+                          f"point below the cutoff")
+    return depth
+
+
+def turning_point(model: HamiltonianModel, p0: float) -> float:
+    """Positive solution q_turn of g(q) = p0**2/2.
+
+    Defined for 0 < p0 < sqrt(2*flat_value); the potential is assumed
+    strictly increasing on (0, cutoff), which holds for the quartic well.
+    q_turn comes from its depth below the cutoff, so it carries the
+    rounding of flat - p0**2/2 divided by g'(q_turn): exact to rounding
+    near the separatrix, with fewer digits at small amplitudes.
+    """
+    return model.cutoff - _depth(model, p0)
+
+
+def period_quadrature(model: HamiltonianModel, p0: float) -> float:
+    """Period T(p0): twice the return time to x = 0 of the orbit launched
+    from (0, p0), by the graded Gauss-Legendre quadrature.
+
+    Raises DomainError outside (0, sqrt(2*flat_value)) and where the
+    amplitude is too small to resolve (p0 below about 4e-8 on the
+    quartic well).
+    """
+    return 2.0 * _half_period(model, _depth(model, p0))
 
 
 def period_by_ode(model: HamiltonianModel, p0: float,
@@ -137,52 +240,38 @@ def period_by_ode(model: HamiltonianModel, p0: float,
 
 
 @lru_cache(maxsize=64)
-def shock_time(model: HamiltonianModel, nodes=(0.04, 0.02, 0.01),
-               rel_tol: float = 1e-8) -> float:
+def shock_time(model: HamiltonianModel) -> float:
     """Infimum of the half-period, by Richardson extrapolation toward p0=0.
 
     The half-period has an even expansion in p0, so two Richardson levels
-    on the halving nodes kill the p0^2 and p0^4 terms.  Tolerances finer
-    than about 1e-9 are pointless: the integrand loses that much to
-    cancellation near the turning point.  Results are cached, since the
-    shooting, point-evaluation and design layers all ask for the same value.
+    on the halving nodes 0.04, 0.02, 0.01 kill the p0^2 and p0^4 terms.
+    Results are cached, since the shooting, point-evaluation and design
+    layers all ask for the same value.
     """
-    h = [0.5 * period_quadrature(model, p, rel_tol=rel_tol) for p in nodes]
+    h = [0.5 * period_quadrature(model, p) for p in (0.04, 0.02, 0.01)]
     r1a = (4.0 * h[1] - h[0]) / 3.0
     r1b = (4.0 * h[2] - h[1]) / 3.0
     return (16.0 * r1b - r1a) / 15.0
 
 
 @lru_cache(maxsize=4096)
-def _invert_half_period_cached(model: HamiltonianModel, t: float,
-                               p_tol: float) -> float:
-    p_sep = model.separatrix_momentum
-    lo = 1e-6 * p_sep
-    hi = p_sep * (1.0 - 1e-15)
-    if 0.5 * period_quadrature(model, lo) >= t:
-        raise DomainError(f"t={t} is at or below the half-period infimum")
-    # No guard on the high side: g' vanishes at the cutoff for flat-tail
-    # potentials, so the period diverges at the separatrix and every
-    # t above the infimum is attained.
-    while hi - lo > p_tol:
-        mid = 0.5 * (lo + hi)
-        if 0.5 * period_quadrature(model, mid) < t:
-            lo = mid
-        else:
-            hi = mid
-    # the lower end is returned so callers get a momentum whose orbit has
-    # already returned to q=0 by time t (never one that is still out)
-    return lo
-
-
-def invert_half_period(model: HamiltonianModel, t: float,
-                       p_tol: float = 1e-9) -> float:
+def invert_half_period(model: HamiltonianModel, t: float) -> float:
     """Momentum p0 whose orbit first returns to q = 0 at time t.
 
-    Solves T(p0)/2 = t by bisection on the quadrature.  The returned value
-    sits on the small side of the root by at most ``p_tol``.
+    Solves T/2 = t by Illinois regula falsi on minus the turning point's
+    depth, which keeps its relative precision as the root nears the
+    separatrix.  The bracket runs from the rest point, whose half-period
+    is the infimum ``shock_time``, to the separatrix, where it diverges;
+    every finite t above the infimum is attained.  Neither end is
+    evaluated: the first step bisects away from the infinite one.
     """
-    return _invert_half_period_cached(model, float(t), float(p_tol))
+    t_shock = shock_time(model)
+    if not (t_shock < t < math.inf):
+        raise DomainError(f"t={t} is not a finite time above the "
+                          f"half-period infimum {t_shock:.6g}")
+    z = _solve(lambda z: _passage_times(model, -z, np.zeros_like(z))[1] - t,
+               -model.cutoff, 0.0, t_shock - t, math.inf)
+    return math.sqrt(2.0 * (model.flat_value - _below_flat(model, -z)))
 
 
 # ===== Tabulation =====
@@ -196,12 +285,11 @@ class PeriodSample:
     q_max: float
 
 
-def period_table(model: HamiltonianModel, p0_values,
-                 rel_tol: float = 1e-8) -> list[PeriodSample]:
+def period_table(model: HamiltonianModel, p0_values) -> list[PeriodSample]:
     """Evaluate the period map on a momentum grid."""
     rows = []
     for p0 in p0_values:
         p0 = float(p0)
-        rows.append(PeriodSample(p0, period_quadrature(model, p0, rel_tol),
+        rows.append(PeriodSample(p0, period_quadrature(model, p0),
                                  turning_point(model, p0)))
     return rows

@@ -40,7 +40,8 @@ import numpy as np
 from .errors import DomainError, NotFound
 from .flow import DEFAULT_DT
 from .model import HamiltonianModel
-from .period import _BASE_EDGES
+from .period import (_BLOCK, _GL_NODES, _GL_WEIGHTS, _below_flat, _illinois,
+                     _passage_times)
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .flow import terminal_batch, terminal_state  # noqa: F401
@@ -48,31 +49,18 @@ from .period import invert_half_period, shock_time  # noqa: F401
 
 DEFAULT_SHOOT_TOL = 1e-9
 
-# Safety cap on root-find iterations.  The bisection guard at least halves
-# every bracket each second step, so converging shots stop far earlier.
-_MAX_ITERATIONS = 200
-
 # A shot that misses shoot_tol and also its arrival time by more than
 # this share of t is not rounding in the quadrature but a shot double
 # precision cannot represent.
 _LOST = 1e-6
-
-# Positions per quadrature block: each temporary stays near 160 kB, in cache.
-_BLOCK = 8
-
-
-# Gauss-Legendre nodes per graded panel.  Each panel spans one octave of
-# the distance to the graded end, where the integrands are smooth: 16
-# nodes reproduce the 40-node rule of period.py to 1e-13 relative, on
-# orbits down to 1e-3 from the separatrix, at 40% of the cost.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _arrival_rule(depth: int = 60):
     # Gauss-Legendre on [0, 1] in panels that halve toward 0, in the
     # distance r from the arrival end.  Near the separatrix the integrand
     # peaks there on the scale eps**(1/4), and each panel resolves one
-    # octave of that peak, as period.py's stack does toward pi/2.
+    # octave of that peak, as the period panels do toward pi/2; the
+    # 16-node rule is the one the passage times use.
     edges = np.concatenate(([0.0], 0.5 ** np.arange(depth, -1, -1)))
     half = 0.5 * np.diff(edges)
     nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
@@ -124,12 +112,7 @@ class DeltaResult:
     p_end: float
 
 
-# ===== Arrival-time quadratures =====
-
-def _below_flat(model: HamiltonianModel, d):
-    """flat - g at depth d >= 0 below the cutoff, exact next to it."""
-    return d * model.chord_slope(d, 0.0)
-
+# ===== Arrival-time quadrature =====
 
 def _flight_time(model: HamiltonianModel, v, a, b):
     """tau(E; a -> b) for arrays with 0 <= a <= b and E = flat + v**2/2.
@@ -149,101 +132,6 @@ def _flight_time(model: HamiltonianModel, v, a, b):
         inner[blk] = width[blk] * (1.0 / speed @ _R_WEIGHTS)
     tail = np.maximum(b, c) - np.maximum(a, c)
     return inner + np.where(tail > 0.0, tail / v, 0.0)
-
-
-def _passage_times(model: HamiltonianModel, depth, x):
-    """(tau_out, tau_ret): when the orbit turning at depth ``depth`` below
-    the cutoff passes x on its way out and on its way back.
-
-    With q = q_turn sin(theta), tau_out integrates over [0, theta_x] and
-    the quarter period over [0, pi/2]; tau_ret is half the period minus
-    tau_out.  Both come from one pass over period.py's panels graded
-    toward pi/2, split at theta_x.  In the half-angle psi from pi/2,
-    q_turn - q = 2 q_turn sin(psi)^2 and cos(theta) = 2 sin(psi) cos(psi),
-    so the integrand dq / sqrt(2 (g(q_turn) - g(q))) is
-    cos(psi) sqrt(q_turn / chord slope) and stays smooth through the
-    turning point.
-    """
-    q_turn = model.cutoff - depth
-    theta_x = np.arctan2(x, np.sqrt(np.maximum(model.cutoff - x - depth, 0.0)
-                                    * (q_turn + x)))
-    t_out = np.empty_like(depth)
-    quarter = np.empty_like(depth)
-    for k in range(0, depth.size, _BLOCK):
-        blk = slice(k, k + _BLOCK)
-        split = theta_x[blk, None]
-        edges = np.sort(np.concatenate(
-            [np.broadcast_to(_BASE_EDGES, (split.size, _BASE_EDGES.size)),
-             split], axis=1), axis=1)
-        lo, hi = edges[:, :-1], edges[:, 1:]
-        half = 0.5 * (hi - lo)
-        theta = (lo + half)[..., None] + half[..., None] * _GL_NODES
-        hpsi = 0.5 * (0.5 * np.pi - theta)
-        qt = q_turn[blk, None, None]
-        sin_h = np.sin(hpsi)
-        slope = model.chord_slope(depth[blk, None, None]
-                                  + 2.0 * qt * sin_h * sin_h,
-                                  depth[blk, None, None])
-        vals = np.cos(hpsi) * np.sqrt(qt / slope)
-        panels = half * (vals @ _GL_WEIGHTS)
-        quarter[blk] = panels.sum(axis=1)
-        t_out[blk] = np.where(hi <= split, panels, 0.0).sum(axis=1)
-    return t_out, 2.0 * quarter - t_out
-
-
-# ===== Root-find =====
-
-def _illinois(residual, lo, hi, f_lo, f_hi, force, shoot_tol):
-    """Roots of increasing residuals on the brackets [lo, hi], all at once.
-
-    ``residual(z, idx)`` returns the arrival-time miss R and the signed
-    momentum p at the target for the entries ``idx`` at parameters z;
-    f_lo <= 0 <= f_hi are the residuals at the bracket ends (infinite
-    where they are unbounded).  Illinois regula falsi with a bisection
-    guard: a step that does not halve the bracket is followed by a
-    bisection, as is any step from an infinite end.  An entry stops once
-    its phase-space miss |R| * |(p, force)|, with force = g'(x), drops to
-    0.1 shoot_tol (so the momentum is converged at turning points too) or
-    its bracket is a few ulps wide.  Returns (z, R, p, miss) at each
-    entry's best iterate.
-    """
-    n = lo.size
-    best_z = 0.5 * (lo + hi)
-    best_f = np.full(n, np.inf)
-    best_p = np.zeros(n)
-    best_miss = np.full(n, np.inf)
-    moved = np.zeros(n, dtype=np.int8)      # +1: hi moved last, -1: lo
-    bisect = np.zeros(n, dtype=bool)
-    idx = np.arange(n)
-    for _ in range(_MAX_ITERATIONS):
-        if idx.size == 0:
-            break
-        a, b, fa, fb = lo[idx], hi[idx], f_lo[idx], f_hi[idx]
-        z = a - fa * ((b - a) / (fb - fa))
-        z = np.where(bisect[idx] | ~((z >= a) & (z <= b)), 0.5 * (a + b), z)
-        f, p = residual(z, idx)
-        miss = np.abs(f) * np.hypot(p, force[idx])
-        better = miss < best_miss[idx]
-        i = idx[better]
-        best_z[i], best_f[i], best_p[i] = z[better], f[better], p[better]
-        best_miss[i] = miss[better]
-
-        up = f > 0.0
-        # Illinois: an end kept twice in a row has its residual halved
-        fa = np.where(up & (moved[idx] == 1), 0.5 * fa, fa)
-        fb = np.where(~up & (moved[idx] == -1), 0.5 * fb, fb)
-        lo[idx] = np.where(up, a, z)
-        hi[idx] = np.where(up, z, b)
-        f_lo[idx] = np.where(up, fa, f)
-        f_hi[idx] = np.where(up, f, fb)
-        moved[idx] = np.where(up, 1, -1)
-        width = hi[idx] - lo[idx]
-        bisect[idx] = width > 0.5 * (b - a)
-        done = ((miss <= 0.1 * shoot_tol) | (f == 0.0)
-                | (width <= 4.0 * np.finfo(float).eps
-                   * np.maximum(np.abs(lo[idx]), np.abs(hi[idx]))))
-        idx = idx[~done]
-    return best_z, best_f, best_p, best_miss
 
 
 # ===== Shooting =====

@@ -13,6 +13,7 @@ from hetclaw.charsol import (
     solution_profile,
     time_monotonicity_scan,
 )
+from hetclaw.design import Jump, profile_from_solution
 from hetclaw.errors import DomainError
 from hetclaw.shooting import DEFAULT_SHOOT_TOL, delta
 
@@ -141,6 +142,20 @@ def test_one_sided_trace_matches_point_samples(quartic):
     assert abs(delta(quartic, 2.0, 1e-8).residual) <= DEFAULT_SHOOT_TOL
     # before the shock the one-sided limit is 0
     assert abs(eval_solution(quartic, 0.5, 1e-12).u) < 5e-9
+
+
+@pytest.mark.parametrize("t", [80.0, 200.0])
+def test_late_shock_traces_are_finite(quartic, t):
+    """The trace orbits return to the origin within 2e-8 of the
+    separatrix momentum; the half-period inversion still lands on them,
+    and the profile's jump tag carries the same traces."""
+    trace = shock_trace_momentum(quartic, t)
+    assert 1.4142 < trace < SQRT2
+    assert eval_solution(quartic, t, 1e-8).u == pytest.approx(-trace,
+                                                             abs=1e-10)
+    profile = profile_from_solution(quartic, t, np.linspace(-2.0, 2.0, 40))
+    assert np.all(np.isfinite(profile.ws))
+    assert profile.jumps == (Jump(0.0, trace, -trace),)
 
 
 # ===== Batch routes =====

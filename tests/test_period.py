@@ -2,14 +2,19 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetclaw.cli import main
-from hetclaw.errors import DomainError
+from hetclaw.errors import DomainError, HetclawError
 from hetclaw.flow import integrate
+from hetclaw.model import quartic_well
 from hetclaw.period import (
+    _half_period,
     invert_half_period,
     period_by_ode,
     period_quadrature,
@@ -35,7 +40,15 @@ REFERENCE_PERIODS = {
 
 def test_reference_periods(quartic):
     for p0, expected in REFERENCE_PERIODS.items():
-        assert period_quadrature(quartic, p0) == pytest.approx(expected, rel=2e-8)
+        assert period_quadrature(quartic, p0) == pytest.approx(expected, rel=1e-12)
+
+
+def test_period_at_depth_matches_mpmath(quartic):
+    """The orbit turning 0.01 below the cutoff, against a 60-digit mpmath
+    evaluation of the period integral.  The depth is given directly: a
+    launch momentum would carry its own rounding into the period."""
+    assert 2.0 * _half_period(quartic, 0.01) == pytest.approx(
+        96.45123918556972, rel=1e-12)
 
 
 def test_turning_point_value(quartic):
@@ -54,7 +67,7 @@ def test_small_amplitude_limit_is_harmonic(quartic):
 
 
 def test_shock_time_extrapolates_the_limit(quartic):
-    assert shock_time(quartic) == pytest.approx(HALF_PI_OVER_SQRT8, abs=1e-9)
+    assert shock_time(quartic) == pytest.approx(HALF_PI_OVER_SQRT8, abs=1e-11)
 
 
 def test_period_grows_strictly(quartic):
@@ -92,19 +105,44 @@ def test_half_period_inversion_round_trip(quartic):
         assert invert_half_period(quartic, half) == pytest.approx(p0, abs=1e-6)
 
 
-@pytest.mark.parametrize("t", [40.0, 45.0, 60.0])
+@pytest.mark.parametrize("t", [40.0, 45.0, 60.0, 80.0])
 def test_late_inversion_brackets_the_root(quartic, t):
     """Late times push the root to within 3e-7 of the separatrix
-    momentum, where the graded quadrature needs more than 64-fold
-    refinement."""
+    momentum; the inversion lands on it to well inside 1e-9."""
     p = invert_half_period(quartic, t)
-    assert 0.5 * period_quadrature(quartic, p) < t
+    assert 0.5 * period_quadrature(quartic, p - 1e-9) < t
     assert t <= 0.5 * period_quadrature(quartic, p + 1e-9)
 
 
 def test_inversion_rejects_times_before_the_first_return(quartic):
     with pytest.raises(DomainError):
         invert_half_period(quartic, 1.0)
+
+
+# ===== Properties =====
+
+# Every call returns a finite value or raises a HetclawError, within the
+# 1 s deadline.
+
+@settings(deadline=1000)
+@given(st.floats(0.0, math.sqrt(2.0), exclude_min=True, exclude_max=True))
+def test_period_is_finite_or_refused(p0):
+    try:
+        period = period_quadrature(quartic_well(), p0)
+    except HetclawError:
+        return
+    assert 0.0 < period < math.inf
+
+
+@settings(deadline=1000)
+@given(st.floats(math.log(shock_time(quartic_well())), math.log(1e4),
+                 exclude_min=True).map(math.exp))
+def test_inversion_is_finite_or_refused(t):
+    try:
+        p = invert_half_period(quartic_well(), t)
+    except HetclawError:
+        return
+    assert 0.0 <= p <= math.sqrt(2.0)
 
 
 # ===== Table and export =====
