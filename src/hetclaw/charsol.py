@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .flow import DEFAULT_DT, integrate_batch
+from .flow import integrate_batch
 from .model import HamiltonianModel
 from .period import invert_half_period
 from .shooting import DEFAULT_SHOOT_TOL, arc_decode, delta, delta_batch
@@ -49,9 +49,8 @@ class SolutionSample:
 
 # ===== Point evaluation =====
 
-def eval_solution(model: HamiltonianModel, t: float, x: float,
-                  shoot_tol: float = DEFAULT_SHOOT_TOL,
-                  dt_max: float = DEFAULT_DT) -> SolutionSample:
+def eval_solution(model: HamiltonianModel, t: float,
+                  x: float) -> SolutionSample:
     """Solution value u(t, x) for t > 0 and x != 0.
 
     One shot of the shooting map; x < 0 is handled by odd reflection.
@@ -63,10 +62,10 @@ def eval_solution(model: HamiltonianModel, t: float, x: float,
     if x == 0.0:
         raise DomainError("eval_solution is undefined on the shock x = 0")
     if x < 0.0:
-        mirror = eval_solution(model, t, -x, shoot_tol, dt_max)
+        mirror = eval_solution(model, t, -x)
         return SolutionSample(t=t, x=x, u=-mirror.u, p0=mirror.p0)
 
-    datum = delta(model, t, x, shoot_tol, dt_max)
+    datum = delta(model, t, x)
     return SolutionSample(t=t, x=x, u=datum.p_end, p0=datum.p0)
 
 
@@ -86,8 +85,7 @@ def asymptotic_profile(model: HamiltonianModel, x):
 # ===== Profiles =====
 
 def solution_profile(model: HamiltonianModel, t: float, xs,
-                     shoot_tol: float = DEFAULT_SHOOT_TOL,
-                     dt_max: float = DEFAULT_DT) -> np.ndarray:
+                     shoot_tol: float = DEFAULT_SHOOT_TOL) -> np.ndarray:
     """Vector of solution values u(t, x) over the positions ``xs``.
 
     Positions must avoid 0.  All |x| share one shooting call, and odd
@@ -96,23 +94,22 @@ def solution_profile(model: HamiltonianModel, t: float, xs,
     xs = np.asarray(xs, dtype=float)
     if np.any(xs == 0.0):
         raise DomainError("profile positions must avoid the shock x = 0")
-    u = delta_batch(model, t, np.abs(xs), shoot_tol, dt_max)[3]
+    u = delta_batch(model, t, np.abs(xs), shoot_tol)[3]
     return np.where(xs < 0.0, -u, u)
 
 
 # ===== Shock trace =====
 
-def shock_size(model: HamiltonianModel, t: float,
-               eps: float = TRACE_EPS,
-               dt_max: float = DEFAULT_DT) -> float:
+def shock_size(model: HamiltonianModel, t: float) -> float:
     """Jump u(t, 0-) - u(t, 0+) from one-sided offset evaluations.
 
     Each one-sided trace is the linear Richardson value 2 u(eps) -
-    u(2 eps), which cancels the first-order offset error.  Before the
-    shock forms both traces agree to O(eps^2) and the size is ~0.
+    u(2 eps) with eps = TRACE_EPS, which cancels the first-order offset
+    error.  Before the shock forms both traces agree to O(eps^2) and the
+    size is ~0.
     """
-    u_eps = eval_solution(model, t, eps, dt_max=dt_max).u
-    u_2eps = eval_solution(model, t, 2.0 * eps, dt_max=dt_max).u
+    u_eps = eval_solution(model, t, TRACE_EPS).u
+    u_2eps = eval_solution(model, t, 2.0 * TRACE_EPS).u
     u_plus = 2.0 * u_eps - u_2eps
     # odd extension gives the left trace as the negated right one
     return -2.0 * u_plus
@@ -148,15 +145,14 @@ class MonotonicityReport:
 
 
 def time_monotonicity_scan(model: HamiltonianModel, x: float, t_grid,
-                           tol: float = 1e-6,
-                           dt_max: float = DEFAULT_DT) -> MonotonicityReport:
+                           tol: float = 1e-6) -> MonotonicityReport:
     """Check that u(t, x) never increases along ``t_grid`` at fixed x.
 
     Also checks the strict upper bound sqrt(2 (flat - g(x))) at every
     sample.  Violations are reported, not raised.
     """
     t_vals = np.asarray(sorted(float(t) for t in t_grid))
-    u_vals = np.array([eval_solution(model, t, x, dt_max=dt_max).u
+    u_vals = np.array([eval_solution(model, t, x).u
                        for t in t_vals])
     bound = float(np.sqrt(2.0 * (model.flat_value - model.g(x))))
     violations = []
@@ -206,8 +202,7 @@ def _arc_batch(model: HamiltonianModel, x_max: float, n_orbits: int):
 
 
 def solution_grid(model: HamiltonianModel, times, xs,
-                  n_orbits: int = 4096,
-                  dt_max: float = DEFAULT_DT) -> np.ndarray:
+                  n_orbits: int = 4096) -> np.ndarray:
     """Rasterize u onto times x positions by one forward orbit march.
 
     All arc orbits are integrated once with dense recording; at each
@@ -233,8 +228,7 @@ def solution_grid(model: HamiltonianModel, times, xs,
         [[0.0], times])
     x_max = float(np.max(np.abs(xs)))
     q0, p0 = _arc_batch(model, x_max, n_orbits)
-    Q, P, MN = integrate_batch(model, q0, p0, record, dt_max,
-                               track_min=True)
+    Q, P, MN = integrate_batch(model, q0, p0, record, track_min=True)
     if record.size != times.size:
         Q, P, MN = Q[1:], P[1:], MN[1:]
 

@@ -18,16 +18,15 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .charsol import asymptotic_profile, solution_grid
-from .design import (footprint, monotone_test, profile_from_solution,
-                     ray_fan, reconstruct_vertex, round_trip)
+from .design import design_report, footprint, profile_from_solution, ray_fan
 from .entropy import entropy_sweep, from_snapshots, reversed_shock_solution
 from .errors import DomainError, HetclawError
-from .flow import DEFAULT_DT, integrate
+from .flow import integrate
 from .fvm import DEFAULT_CFL, Grid1D, detect_shock_formation, evolve, \
     step_datum
 from .model import MODELS
@@ -335,12 +334,7 @@ def _run_inverse(config: RunConfig, out_dir: str) -> list:
     w = profile_from_solution(model, t, xs, shoot_tol)
 
     fm = footprint(model, t, w)
-    report = monotone_test(fm)
-    if report.monotone:
-        rec = reconstruct_vertex(fm)
-        err = round_trip(model, t, w, (-half, half), cfl=config.cfl,
-                         reconstructed=rec)
-        report = replace(report, reconstructed=rec, round_trip_l1=err)
+    report = design_report(fm, w, (-half, half), config.cfl)
     fm_units = "x:position,w:velocity,foot:position,p0:momentum"
 
     csv_path = os.path.join(out_dir, "inverse_footprint.csv")

@@ -19,14 +19,14 @@ import numpy as np
 
 from .charsol import solution_profile
 from .errors import DomainError, NonMonotoneFeet
-from .flow import DEFAULT_DT, integrate_batch, terminal_batch
+from .flow import integrate_batch, terminal_batch
 from .fvm import DEFAULT_CFL, CellField, Grid1D, evolve
 from .model import HamiltonianModel
 from .period import invert_half_period, shock_time
 from .shooting import DEFAULT_SHOOT_TOL
 
-DEFAULT_MONOTONE_TOL = 1e-6
-DEFAULT_COLLAPSE_TOL = 1e-4
+MONOTONE_TOL = 1e-6
+COLLAPSE_TOL = 1e-4
 
 
 # ===== Profiles =====
@@ -79,8 +79,7 @@ class Profile:
 
 
 def profile_from_solution(model: HamiltonianModel, t: float, xs,
-                          shoot_tol: float = DEFAULT_SHOOT_TOL,
-                          dt_max: float = DEFAULT_DT) -> Profile:
+                          shoot_tol: float = DEFAULT_SHOOT_TOL) -> Profile:
     """Time slice of the semi-analytic solution as a taggable profile.
 
     Positions must avoid 0; once the standing jump at the origin has
@@ -88,7 +87,7 @@ def profile_from_solution(model: HamiltonianModel, t: float, xs,
     inversion rather than with offset samples.
     """
     xs = np.asarray(xs, dtype=float)
-    ws = solution_profile(model, t, xs, shoot_tol, dt_max)
+    ws = solution_profile(model, t, xs, shoot_tol)
     jumps = ()
     if model.cutoff > 0.0 and t > shock_time(model):
         trace = invert_half_period(model, t)
@@ -115,8 +114,8 @@ class FootprintMap:
     jump_pairs: tuple = ()
 
 
-def footprint(model: HamiltonianModel, t: float, w: Profile,
-              dt_max: float = DEFAULT_DT) -> FootprintMap:
+def footprint(model: HamiltonianModel, t: float,
+              w: Profile) -> FootprintMap:
     """Carry every sample of w backward over [0, t].
 
     Tagged discontinuities launch both one-sided values from the same
@@ -137,7 +136,7 @@ def footprint(model: HamiltonianModel, t: float, w: Profile,
     for j in w.jumps:
         i = int(np.searchsorted(xs, j.x))
         pairs.append((i, i + 1))
-    feet, p0, _ = terminal_batch(model, xs, ws, -t, dt_max)
+    feet, p0, _ = terminal_batch(model, xs, ws, -t)
     return FootprintMap(model, t, xs, ws, feet, p0, tuple(pairs))
 
 
@@ -165,17 +164,16 @@ class DesignReport:
         }
 
 
-def monotone_test(fm: FootprintMap,
-                  tol: float = DEFAULT_MONOTONE_TOL) -> DesignReport:
-    """Check the feet are nondecreasing within tol.
+def monotone_test(fm: FootprintMap) -> DesignReport:
+    """Check the feet are nondecreasing within ``MONOTONE_TOL``.
 
-    The default tolerance absorbs the backward integrator's error, which
-    is orders of magnitude below it.  Also reports, per tagged jump, the
+    The tolerance absorbs the backward integrator's error, which is
+    orders of magnitude below it.  Also reports, per tagged jump, the
     gap between the one-sided extremal feet: near zero means the target
     pins its datum there, a positive gap means a genuine cone of data.
     """
     d = np.diff(fm.feet)
-    bad = np.nonzero(d < -tol)[0]
+    bad = np.nonzero(d < -MONOTONE_TOL)[0]
     violations = tuple((int(i), float(d[i])) for i in bad)
     gaps = tuple((float(fm.xs[im]), float(fm.feet[ip] - fm.feet[im]))
                  for im, ip in fm.jump_pairs)
@@ -183,32 +181,30 @@ def monotone_test(fm: FootprintMap,
                         gap_collapse=gaps)
 
 
-def reconstruct_vertex(fm: FootprintMap,
-                       collapse_tol: float = DEFAULT_COLLAPSE_TOL,
-                       tol: float = DEFAULT_MONOTONE_TOL) -> Profile:
+def reconstruct_vertex(fm: FootprintMap) -> Profile:
     """Candidate initial datum: the momentum graph over the feet.
 
-    Feet clustering within ``collapse_tol`` while the momentum sweeps a
+    Feet clustering within ``COLLAPSE_TOL`` while the momentum sweeps a
     range are collapsed into a tagged jump (the fan or shock signature);
     elsewhere the graph is kept pointwise and resampled by monotone
     interpolation at evaluation time.
     """
-    rep = monotone_test(fm, tol)
+    rep = monotone_test(fm)
     if not rep.monotone:
         raise NonMonotoneFeet(f"{len(rep.violations)} decreasing feet "
                               f"(worst {min(d for _, d in rep.violations):.3g})")
     feet = np.maximum.accumulate(fm.feet)
     p0 = fm.p0
 
-    # maximal runs of feet closer than collapse_tol
+    # maximal runs of feet closer than COLLAPSE_TOL
     keep_x, keep_w, jumps = [], [], []
     i = 0
     n = feet.size
     while i < n:
         j = i
-        while j + 1 < n and feet[j + 1] - feet[j] <= collapse_tol:
+        while j + 1 < n and feet[j + 1] - feet[j] <= COLLAPSE_TOL:
             j += 1
-        if j > i and abs(p0[j] - p0[i]) > 10.0 * collapse_tol:
+        if j > i and abs(p0[j] - p0[i]) > 10.0 * COLLAPSE_TOL:
             jumps.append(Jump(float(np.mean(feet[i:j + 1])),
                               float(p0[i]), float(p0[j])))
         else:
@@ -230,19 +226,17 @@ def reconstruct_vertex(fm: FootprintMap,
 
 
 def round_trip(model: HamiltonianModel, t: float, w: Profile,
-               window: tuple = (-3.0, 3.0), n: int = 4000,
-               cfl: float = DEFAULT_CFL, dt_max: float = DEFAULT_DT,
-               reconstructed: Profile | None = None,
-               pad: float = 1.0) -> float:
-    """L1 distance on the window between evolve(reconstruction, t) and w.
+               window: tuple = (-3.0, 3.0), cfl: float = DEFAULT_CFL, *,
+               reconstructed: Profile) -> float:
+    """L1 distance on the window between evolve(reconstructed, t) and w.
 
-    The finite-volume domain is the window widened by the fastest wave,
-    so no boundary effect reaches the comparison region.
+    The finite-volume domain, 4000 cells, is the window widened by the
+    fastest wave and one more unit, so no boundary effect reaches the
+    comparison region.
     """
-    if reconstructed is None:
-        reconstructed = reconstruct_vertex(footprint(model, t, w, dt_max))
     speed = max(2.0, float(np.max(np.abs(reconstructed.ws))))
-    grid = Grid1D(window[0] - speed * t - pad, window[1] + speed * t + pad, n)
+    grid = Grid1D(window[0] - speed * t - 1.0, window[1] + speed * t + 1.0,
+                  4000)
     centers = grid.centers()
     u0 = CellField(grid, reconstructed.sample(centers))
     result = evolve(model, u0, t, cfl=cfl)
@@ -251,17 +245,16 @@ def round_trip(model: HamiltonianModel, t: float, w: Profile,
     return float(np.sum(diff) * grid.dx)
 
 
-def design_report(model: HamiltonianModel, t: float, w: Profile,
-                  window: tuple = (-3.0, 3.0), n: int = 4000,
-                  cfl: float = DEFAULT_CFL,
-                  dt_max: float = DEFAULT_DT) -> DesignReport:
-    """Full pipeline: footprint, monotone test, vertex, round trip."""
-    fm = footprint(model, t, w, dt_max)
+def design_report(fm: FootprintMap, w: Profile,
+                  window: tuple = (-3.0, 3.0),
+                  cfl: float = DEFAULT_CFL) -> DesignReport:
+    """Pipeline past the footprint ``fm`` of ``w``: monotone test, vertex,
+    round trip on the footprint's model and horizon."""
     rep = monotone_test(fm)
     if not rep.monotone:
         return rep
     rec = reconstruct_vertex(fm)
-    err = round_trip(model, t, w, window, n, cfl, dt_max, reconstructed=rec)
+    err = round_trip(fm.model, fm.horizon, w, window, cfl, reconstructed=rec)
     return replace(rep, reconstructed=rec, round_trip_l1=err)
 
 
@@ -319,7 +312,6 @@ class RayFanReport:
 
 def ray_fan(model: HamiltonianModel, t: float, x0: float,
             p_left: float, p_right: float, n_rays: int,
-            n_times: int = 801, dt_max: float = DEFAULT_DT,
             exit_tol: float = 1e-6, cross_tol: float = 1e-6) -> RayFanReport:
     """Launch n_rays backward orbits from (t, x0), momenta interpolated.
 
@@ -336,9 +328,9 @@ def ray_fan(model: HamiltonianModel, t: float, x0: float,
         raise DomainError(f"need at least two rays, got {n_rays}")
     lam = np.linspace(0.0, 1.0, n_rays)
     momenta = (1.0 - lam) * p_left + lam * p_right
-    record = np.linspace(0.0, -t, n_times)
+    record = np.linspace(0.0, -t, 801)
     q, _ = integrate_batch(model, np.full(n_rays, float(x0)), momenta,
-                           record, dt_max)
+                           record)
     positions = q[::-1]
     times = t + record[::-1]
 

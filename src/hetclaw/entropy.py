@@ -34,6 +34,9 @@ from .model import HamiltonianModel
 # 2.5x margin while an expansive jump overshoots by orders of magnitude.
 FLOOR_C = 0.25
 
+# Range of the constants k that a sweep tests.
+K_RANGE = (-3.0, 3.0)
+
 
 # ===== Test functions =====
 
@@ -208,11 +211,10 @@ def entropy_residual(solution: GriddedSolution, phi: TestFunction,
     return total
 
 
-def residual_floor(solution: GriddedSolution, phi: TestFunction,
-                   floor_c: float = FLOOR_C) -> float:
+def residual_floor(solution: GriddedSolution, phi: TestFunction) -> float:
     """Most-negative residual attributable to quadrature error alone."""
     dt_gap, dx_gap = solution.spacing
-    return -floor_c * (dt_gap + dx_gap) * phi.c1_norm() * phi.diameter()
+    return -FLOOR_C * (dt_gap + dx_gap) * phi.c1_norm() * phi.diameter()
 
 
 # ===== Sweeps =====
@@ -252,11 +254,10 @@ class EntropyReport:
 
 
 def entropy_sweep(solution: GriddedSolution, n_tests: int,
-                  seed: int = 0, k_range: tuple = (-3.0, 3.0),
-                  floor_c: float = FLOOR_C) -> EntropyReport:
+                  seed: int = 0) -> EntropyReport:
     """Randomized (phi, k) sweep with a recorded seed.
 
-    Half the k values walk a fixed grid over ``k_range``, half are drawn
+    Half the k values walk a fixed grid over ``K_RANGE``, half are drawn
     uniformly; test-function centers and radii are drawn so the support
     always sits inside the sampled rectangle (touching t = 0 is allowed
     when the grid starts there, activating the initial term).
@@ -267,7 +268,7 @@ def entropy_sweep(solution: GriddedSolution, n_tests: int,
     times, xs = solution.times, solution.xs
     span_t = times[-1] - times[0]
     span_x = xs[-1] - xs[0]
-    k_grid = np.linspace(k_range[0], k_range[1], max(n_tests // 2, 1))
+    k_grid = np.linspace(K_RANGE[0], K_RANGE[1], max(n_tests // 2, 1))
 
     phis, ks, residuals, floors, flags = [], [], [], [], []
     for i in range(n_tests):
@@ -277,10 +278,10 @@ def entropy_sweep(solution: GriddedSolution, n_tests: int,
         t0 = rng.uniform(lo_t, times[-1] - rt)
         x0 = rng.uniform(xs[0] + rx, xs[-1] - rx)
         k = float(k_grid[i // 2 % k_grid.size]) if i % 2 == 0 else \
-            float(rng.uniform(*k_range))
+            float(rng.uniform(*K_RANGE))
         phi = TestFunction(t0, x0, rt, rx)
         r = entropy_residual(solution, phi, k)
-        f = residual_floor(solution, phi, floor_c)
+        f = residual_floor(solution, phi)
         if r < f:
             flags.append(i)
         phis.append(phi)

@@ -240,14 +240,14 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
 
 # ===== Events =====
 
-def crossing_events(traj: Trajectory, level: float = 0.0,
-                    time_tol: float = 1e-10) -> np.ndarray:
+def crossing_events(traj: Trajectory, level: float = 0.0) -> np.ndarray:
     """Times where the orbit's position crosses the given level.
 
     Sign changes between stored samples are refined by bisection on the
-    cubic Hermite interpolant down to ``time_tol``.  Samples landing
+    cubic Hermite interpolant down to 1e-10 in time.  Samples landing
     exactly on the level are reported as crossings too.
     """
+    time_tol = 1e-10
     f = traj.q - level
     times = []
     for k in range(len(f) - 1):

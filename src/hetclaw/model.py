@@ -166,16 +166,16 @@ class AssumptionReport:
                 and self.momentum_slope_increasing)
 
 
-def check_assumptions(model: HamiltonianModel, xs=None, fd_step: float = 1e-5,
-                      fd_tol: float = 1e-6) -> AssumptionReport:
+def check_assumptions(model: HamiltonianModel, xs=None) -> AssumptionReport:
     """Sample-test flatness, derivative consistency and momentum convexity.
 
     Args:
         model: model to check.
         xs: sample positions; defaults to 1001 points on [-2-cutoff, 2+cutoff].
-        fd_step: central finite-difference step.
-        fd_tol: allowed mismatch between hard-coded and FD derivatives.
     """
+    # central finite-difference step, and the allowed mismatch between
+    # hard-coded and differenced derivatives
+    fd_step, fd_tol = 1e-5, 1e-6
     if xs is None:
         half = 2.0 + model.cutoff
         xs = np.linspace(-half, half, 1001)

@@ -35,19 +35,14 @@ from .model import HamiltonianModel
 # nodes reach rounding on orbits down to 1e-3 from the separatrix.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
+# Panel edges on [0, 1] that halve toward 0: [0, 2^-60, ..., 1/2, 1].
+# Orbits close to the separatrix linger near their turning point, which
+# shows up as a power-law ramp of the integrand at the graded end; each
+# panel resolves one octave of that ramp, so a fixed stack down to ~2^-60
+# covers everything double precision can distinguish.
+_OCTAVES = np.concatenate(([0.0], 0.5 ** np.arange(60, -1, -1)))
 
-def _graded_edges(depth: int = 60) -> np.ndarray:
-    # Panels accumulate dyadically toward pi/2.  Orbits close to the
-    # separatrix linger near their turning point, which shows up as a
-    # power-law ramp of the integrand at the right endpoint; halving
-    # panels resolve one octave of that ramp each, so a fixed stack down
-    # to ~2^-60 covers everything double precision can distinguish.
-    b = 0.5 * math.pi
-    tail = b - b * 0.5 ** np.arange(1, depth + 1)
-    return np.concatenate(([0.0], tail, [b]))
-
-
-_BASE_EDGES = _graded_edges()
+_BASE_EDGES = 0.5 * math.pi - 0.5 * math.pi * _OCTAVES[::-1]
 
 # Positions per quadrature block: each temporary stays near 160 kB, in cache.
 _BLOCK = 8
@@ -201,11 +196,18 @@ def turning_point(model: HamiltonianModel, p0: float) -> float:
 
     Defined for 0 < p0 < sqrt(2*flat_value); the potential is assumed
     strictly increasing on (0, cutoff), which holds for the quartic well.
-    q_turn comes from its depth below the cutoff, so it carries the
-    rounding of flat - p0**2/2 divided by g'(q_turn): exact to rounding
-    near the separatrix, with fewer digits at small amplitudes.
+    Near the separatrix q_turn is read off its depth below the cutoff,
+    which keeps its precision there.  Read that way, a turning point in
+    the lower half of the well would carry the rounding of
+    flat - p0**2/2 divided by g'(q_turn), so there g(q) = p0**2/2 is
+    solved in q instead: both routes are exact to rounding.
     """
-    return model.cutoff - _depth(model, p0)
+    q_turn = model.cutoff - _depth(model, p0)
+    if q_turn < 0.5 * model.cutoff:
+        level = 0.5 * p0 * p0
+        q_turn = _solve(lambda q: model.g(q) - level, 0.0, model.cutoff,
+                        -level, model.flat_value - level)
+    return q_turn
 
 
 def period_quadrature(model: HamiltonianModel, p0: float) -> float:
@@ -219,24 +221,23 @@ def period_quadrature(model: HamiltonianModel, p0: float) -> float:
     return 2.0 * _half_period(model, _depth(model, p0))
 
 
-def period_by_ode(model: HamiltonianModel, p0: float,
-                  dt_max: float = DEFAULT_DT, t_cap: float = 64.0) -> float:
+def period_by_ode(model: HamiltonianModel, p0: float) -> float:
     """Period from the integrated orbit: first upward return to q = 0.
 
     Independent of the quadrature route; used as its cross-check.  The
-    search horizon doubles until the return is found or ``t_cap`` is hit.
+    search horizon doubles from 8 to at most 64 until the return is found.
     """
     p_sep = model.separatrix_momentum
     if not (0.0 < p0 < p_sep):
         raise DomainError(f"period needs p0 in (0, {p_sep:.6g}), got {p0}")
     horizon = 8.0
-    while horizon <= t_cap:
-        traj = integrate(model, 0.0, p0, horizon, dt_max=dt_max)
+    while horizon <= 64.0:
+        traj = integrate(model, 0.0, p0, horizon)
         for t in crossing_events(traj, level=0.0):
-            if t > dt_max and traj.p_at(t) > 0.0:
+            if t > DEFAULT_DT and traj.p_at(t) > 0.0:
                 return float(t)
         horizon *= 2.0
-    raise NotFound(f"no upward return to q=0 within t={t_cap} for p0={p0}")
+    raise NotFound(f"no upward return to q=0 within t=64.0 for p0={p0}")
 
 
 @lru_cache(maxsize=64)

@@ -38,10 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotFound
-from .flow import DEFAULT_DT
 from .model import HamiltonianModel
-from .period import (_BLOCK, _GL_NODES, _GL_WEIGHTS, _below_flat, _illinois,
-                     _passage_times)
+from .period import (_BLOCK, _GL_NODES, _GL_WEIGHTS, _OCTAVES, _below_flat,
+                     _illinois, _passage_times)
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .flow import terminal_batch, terminal_state  # noqa: F401
@@ -55,19 +54,14 @@ DEFAULT_SHOOT_TOL = 1e-9
 _LOST = 1e-6
 
 
-def _arrival_rule(depth: int = 60):
-    # Gauss-Legendre on [0, 1] in panels that halve toward 0, in the
-    # distance r from the arrival end.  Near the separatrix the integrand
-    # peaks there on the scale eps**(1/4), and each panel resolves one
-    # octave of that peak, as the period panels do toward pi/2; the
-    # 16-node rule is the one the passage times use.
-    edges = np.concatenate(([0.0], 0.5 ** np.arange(depth, -1, -1)))
-    half = 0.5 * np.diff(edges)
-    nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
-    return nodes.ravel(), (half[:, None] * _GL_WEIGHTS).ravel()
-
-
-_R_NODES, _R_WEIGHTS = _arrival_rule()
+# Gauss-Legendre on [0, 1] in the octave panels, in the distance r from
+# the arrival end.  Near the separatrix the integrand peaks there on the
+# scale eps**(1/4), and each panel resolves one octave of that peak, as
+# the period panels do toward pi/2.
+_R_HALF = 0.5 * np.diff(_OCTAVES)
+_R_NODES = ((_OCTAVES[:-1] + _R_HALF)[:, None]
+            + _R_HALF[:, None] * _GL_NODES).ravel()
+_R_WEIGHTS = (_R_HALF[:, None] * _GL_WEIGHTS).ravel()
 
 
 # ===== The glued arc =====
@@ -137,13 +131,12 @@ def _flight_time(model: HamiltonianModel, v, a, b):
 # ===== Shooting =====
 
 def delta(model: HamiltonianModel, t: float, x: float,
-          shoot_tol: float = DEFAULT_SHOOT_TOL,
-          dt_max: float = DEFAULT_DT) -> DeltaResult:
+          shoot_tol: float = DEFAULT_SHOOT_TOL) -> DeltaResult:
     """Unique arc datum whose orbit reaches x at time t through q > 0.
 
     The one-point case of :func:`delta_batch`.
     """
-    q0, p0, res, p_end = delta_batch(model, t, [x], shoot_tol, dt_max)
+    q0, p0, res, p_end = delta_batch(model, t, [x], shoot_tol)
     return DeltaResult(q0=float(q0[0]), p0=float(p0[0]),
                        residual=float(res[0]), p_end=float(p_end[0]))
 
@@ -154,18 +147,16 @@ def delta(model: HamiltonianModel, t: float, x: float,
 # than rounding raises NotFound below.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
-                shoot_tol: float = DEFAULT_SHOOT_TOL,
-                dt_max: float = DEFAULT_DT):
+                shoot_tol: float = DEFAULT_SHOOT_TOL):
     """Shooting data for many positions at one time.
 
     Returns (q0, p0, residual, p_end) arrays aligned with ``xs``, where
     p_end is the momentum of the accepted orbit at x.  Far-field points
     that never feel the potential get the exact free-flight datum
     (p_end = 2); the rest share one root-find per branch (see the module
-    docstring), every iterate one arrival-time quadrature.  ``dt_max`` is
-    accepted for symmetry with the marching routes; nothing is marched.
-    Raises DomainError unless t is finite and positive and every x is
-    positive, and NotFound where double precision cannot represent the
+    docstring), every iterate one arrival-time quadrature; nothing is
+    marched.  Raises DomainError unless t is finite and positive and every
+    x is positive, and NotFound where double precision cannot represent the
     shot (on the quartic well, inside the well past t of about 1e100).
     """
     xs = np.asarray(xs, dtype=float)
@@ -285,7 +276,7 @@ class ContinuityReport:
 
 
 def delta_continuity_scan(model: HamiltonianModel, t_range, x_range,
-                          n: int, dt_max: float = 4e-3) -> ContinuityReport:
+                          n: int) -> ContinuityReport:
     """Scan delta over a (t, x) rectangle and flag continuity breaks.
 
     A neighbor-to-neighbor jump of the arc parameter larger than 10x the
@@ -302,7 +293,7 @@ def delta_continuity_scan(model: HamiltonianModel, t_range, x_range,
     s_grid = np.empty((n_t, n_x))
     p_grid = np.empty((n_t, n_x))
     for i, t in enumerate(t_vals):
-        q0, p0, _, _ = delta_batch(model, float(t), x_vals, dt_max=dt_max)
+        q0, p0, _, _ = delta_batch(model, float(t), x_vals)
         s_grid[i] = np.where(q0 > 0.0, -q0, 2.0 - p0)
         p_grid[i] = p0
 

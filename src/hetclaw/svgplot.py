@@ -23,13 +23,14 @@ def _finite_minmax(arrays):
     return lo, hi
 
 
-def write_svg(path, curves, title: str = "", width: int = 720,
-              height: int = 460, header_comment: str = "") -> None:
+def write_svg(path, curves, title: str = "",
+              header_comment: str = "") -> None:
     """Write polyline curves to an SVG file.
 
     Each curve is (xs, ys) or (xs, ys, label); labels stack in the top
     right corner in their stroke color.
     """
+    width, height = 720, 460
     curves = [(np.asarray(c[0], dtype=float), np.asarray(c[1], dtype=float),
                c[2] if len(c) > 2 else "") for c in curves]
     if not curves:

@@ -3,11 +3,15 @@
 ``perfbench/tracing.py`` swaps named attributes of hetclaw modules for
 wrappers during a traced round.  Some of those names are imported but not
 called by the module that holds them, so a cleanup that drops them would
-only break the traced benchmark; this test catches that in the main suite.
+only break the traced benchmark; these tests catch that in the main
+suite, along with a dropped argument that a wrapper reads off a call.
+The last test keeps the library free of imports nothing uses.
 """
 from __future__ import annotations
 
+import ast
 import importlib.util
+import inspect
 import os
 
 import pytest
@@ -32,3 +36,53 @@ tracing = _load_tracing()
     ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_traced_name_is_bound(module, attr):
     assert hasattr(module, attr)
+
+
+# Arguments each describer kind reads off the patched call.
+DESCRIBED = {
+    "scalar_march": {"t", "dt_max"},
+    "batch_march": {"q0", "t", "dt_max"},
+    "batch_record": {"q0", "record_times", "dt_max"},
+    "solve": {"shoot_tol"},
+    "solve_batch": {"shoot_tol"},
+    "evolve": {"u0"},
+}
+
+
+@pytest.mark.parametrize(
+    "module, attr, kind",
+    [(m, a, k) for m, a, _, k, _ in tracing.PATCHES if k in DESCRIBED],
+    ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_traced_signature_has_the_described_arguments(module, attr, kind):
+    params = inspect.signature(getattr(module, attr)).parameters
+    assert DESCRIBED[kind] <= set(params)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src",
+                   "hetclaw")
+
+
+@pytest.mark.parametrize("fname", sorted(f for f in os.listdir(SRC)
+                                         if f.endswith(".py")))
+def test_no_dead_imports(fname):
+    """Every imported name is used, exported in ``__all__``, or a name the
+    tracer swaps on that module."""
+    with open(os.path.join(SRC, fname)) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            exported = set(ast.literal_eval(node.value))
+    module = f"hetclaw.{fname[:-3]}"
+    traced = {a for m, a, *_ in tracing.PATCHES if m.__name__ == module}
+    dead = imported - used - exported - traced
+    assert not dead, f"{fname} imports {sorted(dead)} and never uses them"

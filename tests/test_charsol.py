@@ -100,6 +100,44 @@ def test_interior_deviation_decays_like_t_to_the_minus_four(quartic):
     assert 3.5 <= np.log2(dev[0] / dev[1]) <= 4.5
 
 
+def _gauss_legendre(edges, nodes=20):
+    """Nodes and weights of the composite Gauss-Legendre rule on edges."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * np.diff(edges)
+    return (((edges[:-1] + half)[:, None] + half[:, None] * x).ravel(),
+            (half[:, None] * w).ravel())
+
+
+@pytest.mark.parametrize("x", [0.25, 0.5, 0.9])
+def test_interior_deviation_follows_the_late_time_law(quartic, x):
+    """u - U ~ 16 A^4 / (|U| t^4) with A = (2/sqrt(32)) int_0^1 ds /
+    sqrt(1 - s^4): near the cutoff flat - g ~ 16 (1 - x)^4, so the orbit
+    turning at depth d returns after A/d.  With s = 1 - v^2 the integrand
+    is 2 / sqrt((2 - v^2)(1 + (1 - v^2)^2)), smooth on [0, 1]."""
+    v, w = _gauss_legendre(np.array([0.0, 1.0]), 40)
+    a = 2.0 / np.sqrt(32.0) * np.sum(
+        w * 2.0 / np.sqrt((2.0 - v * v) * (1.0 + (1.0 - v * v) ** 2)))
+    assert a == pytest.approx(0.46351867, abs=1e-8)
+    t = 1000.0
+    u, limit = eval_solution(quartic, t, x).u, asymptotic_profile(quartic, x)
+    ratio = (u - limit) * abs(limit) * t**4 / (16.0 * a**4)
+    assert ratio == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("t", [30.0, 60.0, 120.0])
+def test_exterior_value_obeys_the_exit_time_law(quartic, t):
+    """Past the cutoff, u(t, x) is the speed of the orbit that leaves the
+    well at tau_exit(u) = int_0^1 dq / sqrt(u^2 + 2 (1 - g)) and then
+    coasts, so u (t - tau_exit(u)) = |x| - 1.  In the depth d = 1 - q,
+    1 - g = (d (2 - d))^4; panels halving toward d = 0 resolve the
+    narrow peak of the integrand at the cutoff."""
+    d, w = _gauss_legendre(np.concatenate(([0.0],
+                                           0.5 ** np.arange(40, -1, -1))))
+    u = eval_solution(quartic, t, 1.5).u
+    tau_exit = np.sum(w / np.sqrt(u * u + 2.0 * (d * (2.0 - d)) ** 4))
+    assert u * (t - tau_exit) == pytest.approx(0.5, abs=1e-10)
+
+
 def test_pointwise_attraction_is_monotone(quartic):
     devs = [abs(eval_solution(quartic, t, 0.5).u - closed_form_profile(0.5))
             for t in (5.0, 10.0, 20.0, 30.0)]

@@ -161,8 +161,8 @@ def test_round_trip_of_the_stationary_profile(quartic):
     assert round_trip(quartic, 1.0, w, reconstructed=rec) < 0.05
 
 
-def test_full_report_pipeline(quartic, target_profile):
-    report = design_report(quartic, 2.0, target_profile)
+def test_full_report_pipeline(target_footprint, target_profile):
+    report = design_report(target_footprint, target_profile)
     assert report.monotone
     assert report.round_trip_l1 < 0.08
     payload = report.as_dict()

@@ -57,6 +57,17 @@ def test_turning_point_value(quartic):
     assert quartic.g(q_plus) == pytest.approx(0.7**2 / 2.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("p0", [1e-7, 1e-6, 1e-4, 0.01, 0.5, 1.41,
+                                math.sqrt(2.0) - 1e-9])
+def test_turning_point_is_exact_to_rounding(quartic, p0):
+    """Against the closed form of 1 - (1 - q**2)**4 = p0**2/2, from small
+    amplitudes, where the depth below the cutoff loses relative
+    precision, up to the separatrix."""
+    exact = math.sqrt(-math.expm1(math.log1p(-0.5 * p0 * p0) / 4.0))
+    assert turning_point(quartic, p0) == pytest.approx(exact, rel=1e-14,
+                                                       abs=0.0)
+
+
 def test_small_amplitude_limit_is_harmonic(quartic):
     """Near the bottom the well looks like curvature 8, so the period
     approaches 2 pi / sqrt(8)."""
