@@ -1,11 +1,12 @@
 """Characteristic (Hamiltonian) flow of q' = p, p' = -g'(q).
 
-The integrator is a fixed-step classical RK4 with the last step shortened
-to land exactly on the requested time.  Determinism matters more here than
-adaptive cleverness: the forward raster, the footprints and the ray fans
-build on this flow and need bit-reproducible outputs.  Energy conservation is
-monitored as the accuracy gauge; a drift above ``energy_tol`` raises
-:class:`~hetclaw.errors.EnergyDrift` instead of silently returning junk.
+Every orbit is marched by one fixed-step classical RK4 loop, ``_march``,
+in equal steps that divide each span exactly.  Determinism matters more
+here than adaptive cleverness: the forward raster, the footprints and the
+ray fans build on this flow and need bit-reproducible outputs.  One
+certificate, ``_certify``, gauges accuracy by energy conservation; a drift
+above ``energy_tol`` raises :class:`~hetclaw.errors.EnergyDrift` instead
+of silently returning junk.
 
 Dense output is cubic Hermite on the stored samples, which is enough for
 event (level-crossing) refinement to ~1e-10 in time at the default step.
@@ -45,10 +46,55 @@ def rk4_step(g_prime, q, p, h):
             p + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0)
 
 
-def _step_count(duration: float, dt_max: float) -> int:
+def _split(duration: float, dt_max: float):
+    """Cut a signed duration into n equal steps h of at most dt_max; a zero
+    duration takes no step.  Every march cuts its time here."""
+    if not 0.0 < dt_max < math.inf:
+        raise DomainError(f"dt_max must be finite and positive, got {dt_max}")
     if not math.isfinite(duration):
         raise DomainError(f"march duration must be finite, got {duration}")
-    return max(int(math.ceil(abs(duration) / dt_max - 1e-12)), 1)
+    if duration == 0.0:
+        return 0, 0.0
+    n = max(int(math.ceil(abs(duration) / dt_max - 1e-12)), 1)
+    return n, duration / n
+
+
+def _march(model: HamiltonianModel, q, p, spans, dt_max: float,
+           lowest=None):
+    """Yield (q, p) at the end of each span of one fixed-step RK4 march.
+
+    A span is a signed duration, cut by :func:`_split`, or an explicit
+    (n, h) pair of n steps of size h.  (q, p) are floats or arrays alike.
+    With ``lowest`` (an array shaped like q) the running minimum of q is
+    folded into it after every step.
+    """
+    gp = model.g_prime
+    for span in spans:
+        n, h = span if isinstance(span, tuple) else _split(span, dt_max)
+        for _ in range(n):
+            q, p = rk4_step(gp, q, p, h)
+            if lowest is not None:
+                np.minimum(lowest, q, out=lowest)
+        yield q, p
+
+
+def _certify(model: HamiltonianModel, q0, p0, q, p, energy_tol: float):
+    """Raise unless the states (q, p) are finite and keep the launch
+    energy to ``energy_tol``; return their energies and the launch's.
+
+    A non-finite state stays non-finite under the update q + dq, so the
+    end state of a march certifies every state before it.
+    """
+    if not energy_tol > 0.0:
+        raise DomainError(f"energy_tol must be positive, got {energy_tol}")
+    if not (np.isfinite(q).all() and np.isfinite(p).all()):
+        raise NonFinite("orbit left the finite range")
+    e0 = 0.5 * p0 * p0 + model.g(q0)
+    energy = 0.5 * p * p + model.g(q)
+    drift = float(np.max(np.abs(energy - e0), initial=0.0))
+    if drift > energy_tol:
+        raise EnergyDrift(f"energy drift {drift:.3e} > {energy_tol:.1e}")
+    return energy, e0
 
 
 # ===== Trajectories =====
@@ -75,13 +121,13 @@ class Trajectory:
         """Largest deviation of the sampled energy from its initial value."""
         return float(np.max(np.abs(self.energy - self.energy0)))
 
-    def _locate(self, t):
+    def _dense(self, y, ydot, t):
         t = np.asarray(t, dtype=float)
+        if self.times.size == 1:
+            # a zero-duration orbit is its one sample at every time
+            return np.full_like(t, y[0])[()]
         idx = np.clip(np.searchsorted(self.times, t, side="right") - 1,
                       0, len(self.times) - 2)
-        return t, idx
-
-    def _hermite(self, y, ydot, t, idx):
         t0 = self.times[idx]
         h = self.times[idx + 1] - t0
         s = (t - t0) / h
@@ -95,12 +141,10 @@ class Trajectory:
                 + h01 * y[idx + 1] + h11 * h * ydot[idx + 1])
 
     def q_at(self, t):
-        t, idx = self._locate(t)
-        return self._hermite(self.q, self.qdot, t, idx)
+        return self._dense(self.q, self.qdot, t)
 
     def p_at(self, t):
-        t, idx = self._locate(t)
-        return self._hermite(self.p, self.pdot, t, idx)
+        return self._dense(self.p, self.pdot, t)
 
 
 def integrate(model: HamiltonianModel, q0: float, p0: float, t: float,
@@ -113,76 +157,44 @@ def integrate(model: HamiltonianModel, q0: float, p0: float, t: float,
         q0, p0: initial state at time 0.
         t: terminal time; negative integrates backward.
         dt_max: step-size bound (the actual step divides t exactly).
-        energy_tol: allowed energy drift before EnergyDrift is raised.
+        energy_tol: allowed energy drift at any sample before EnergyDrift
+            is raised.
         record_every: keep every k-th sample (endpoints always kept).
     """
-    gp = model.g_prime
-    q, p = float(q0), float(p0)
-    ts = [0.0]
-    qs = [q]
-    ps = [p]
-    if t != 0.0:
-        n = _step_count(t, dt_max)
-        h = t / n
-        for k in range(1, n + 1):
-            q, p = rk4_step(gp, q, p, h)
-            if k % record_every == 0 or k == n:
-                ts.append(k * h)
-                qs.append(q)
-                ps.append(p)
-    times = np.array(ts)
-    qa = np.array(qs)
-    pa = np.array(ps)
-    if not (np.isfinite(qa).all() and np.isfinite(pa).all()):
-        raise NonFinite(f"orbit from ({q0}, {p0}) left the finite range "
-                        f"before t={t}")
+    if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
+        raise DomainError(
+            f"record_every must be an integer >= 1, got {record_every}")
+    q0, p0 = float(q0), float(p0)
+    n, h = _split(t, dt_max)
+    ends = [*range(record_every, n, record_every), n] if n else []
+    spans = [(b - a, h) for a, b in zip([0, *ends], ends)]
+    states = [(q0, p0), *_march(model, q0, p0, spans, dt_max)]
+    qa, pa = map(np.array, zip(*states))
+    times = np.array([0.0, *(k * h for k in ends)])
+    energy, energy0 = _certify(model, q0, p0, qa, pa, energy_tol)
     if t < 0.0:
-        times = times[::-1].copy()
-        qa = qa[::-1].copy()
-        pa = pa[::-1].copy()
-    energy = 0.5 * pa * pa + model.g(qa)
-    energy0 = 0.5 * p0 * p0 + float(model.g(float(q0)))
-    traj = Trajectory(times=times, q=qa, p=pa,
-                      qdot=pa, pdot=-gp(qa),
-                      energy=energy, energy0=energy0)
-    if traj.drift > energy_tol:
-        raise EnergyDrift(
-            f"energy drift {traj.drift:.3e} > {energy_tol:.1e} for orbit "
-            f"({q0}, {p0}) over t={t} at dt_max={dt_max}")
-    return traj
+        times, qa, pa, energy = (a[::-1].copy()
+                                 for a in (times, qa, pa, energy))
+    return Trajectory(times=times, q=qa, p=pa, qdot=pa,
+                      pdot=-model.g_prime(qa), energy=energy,
+                      energy0=energy0)
 
 
 def terminal_state(model: HamiltonianModel, q0: float, p0: float, t: float,
                    dt_max: float = DEFAULT_DT,
                    energy_tol: float = DEFAULT_ENERGY_TOL):
-    """Endpoint of the flow without storing the path.
-
-    Returns (q(t), p(t), min_q) where min_q is the smallest sampled q along
-    the way.
-    """
-    gp = model.g_prime
-    q, p = float(q0), float(p0)
-    min_q = q
-    if t != 0.0:
-        n = _step_count(t, dt_max)
-        h = t / n
-        for _ in range(n):
-            q, p = rk4_step(gp, q, p, h)
-            if q < min_q:
-                min_q = q
-    if not (math.isfinite(q) and math.isfinite(p)):
-        raise NonFinite(f"orbit from ({q0}, {p0}) left the finite range")
-    e0 = 0.5 * p0 * p0 + model.g(float(q0))
-    e1 = 0.5 * p * p + model.g(q)
-    if abs(e1 - e0) > energy_tol:
-        raise EnergyDrift(f"energy drift {abs(e1 - e0):.3e} > {energy_tol:.1e}")
-    return q, p, min_q
+    """Endpoint (q(t), p(t)) of the flow without storing the path."""
+    q0, p0 = float(q0), float(p0)
+    [(q, p)] = _march(model, q0, p0, [t], dt_max)
+    _certify(model, q0, p0, q, p, energy_tol)
+    return q, p
 
 
 def terminal_batch(model: HamiltonianModel, q0, p0, t: float,
                    dt_max: float = DEFAULT_DT,
                    energy_tol: float = DEFAULT_ENERGY_TOL):
-    """Vectorized :func:`terminal_state` for many initial states, shared t."""
+    """Vectorized :func:`terminal_state` for many initial states, shared t;
+    a third array holds each orbit's running minimum of q."""
     Q, P, MN = integrate_batch(model, q0, p0, [0.0, t], dt_max, energy_tol,
                                track_min=True)
     return Q[-1], P[-1], MN[-1]
@@ -201,38 +213,22 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
     below a level between two record times cannot go unnoticed.
     """
     rt = np.asarray(record_times, dtype=float)
-    if rt[0] != 0.0:
+    if not rt.size or rt[0] != 0.0:
         raise DomainError("record_times must start at 0")
-    gp = model.g_prime
     q = np.array(q0, dtype=float, copy=True)
     p = np.array(p0, dtype=float, copy=True)
-    mn = q.copy()
     Q = np.empty((len(rt), q.size))
     P = np.empty_like(Q)
     MN = np.empty_like(Q) if track_min else None
-    Q[0] = q
-    P[0] = p
-    if track_min:
-        MN[0] = mn
-    for k in range(1, len(rt)):
-        d = rt[k] - rt[k - 1]
-        n = _step_count(d, dt_max)
-        h = d / n
-        for _ in range(n):
-            q, p = rk4_step(gp, q, p, h)
-            if track_min:
-                np.minimum(mn, q, out=mn)
+    lowest = q.copy() if track_min else None
+    # the leading zero duration yields the launch states as row 0
+    spans = [0.0, *np.diff(rt)]
+    for k, (q, p) in enumerate(_march(model, q, p, spans, dt_max, lowest)):
         Q[k] = q
         P[k] = p
         if track_min:
-            MN[k] = mn
-    if not (np.isfinite(Q).all() and np.isfinite(P).all()):
-        raise NonFinite("batch orbit left the finite range")
-    e0 = 0.5 * np.asarray(p0) ** 2 + model.g(np.asarray(q0, dtype=float))
-    e1 = 0.5 * p * p + model.g(q)
-    worst = float(np.max(np.abs(e1 - e0))) if q.size else 0.0
-    if worst > energy_tol:
-        raise EnergyDrift(f"batch energy drift {worst:.3e} > {energy_tol:.1e}")
+            MN[k] = lowest
+    _certify(model, Q[0], P[0], q, p, energy_tol)
     if track_min:
         return Q, P, MN
     return Q, P

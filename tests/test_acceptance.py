@@ -225,8 +225,8 @@ def test_criterion_9_flow_certificates(quartic):
 
     trip_worst = 0.0
     for q0, p0 in ((0.0, 1.2), (0.5, 0.8)):
-        q1, p1, _ = terminal_state(quartic, q0, p0, 30.0)
-        q2, p2, _ = terminal_state(quartic, q1, p1, -30.0)
+        q1, p1 = terminal_state(quartic, q0, p0, 30.0)
+        q2, p2 = terminal_state(quartic, q1, p1, -30.0)
         trip_worst = max(trip_worst, abs(q2 - q0), abs(p2 - p0))
 
     ts = np.arange(1.0, 31.0, 1.0)

@@ -1,10 +1,18 @@
 """Characteristic flow: integration accuracy, events and symmetries."""
 from __future__ import annotations
 
+import ast
+import math
+import os
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hetclaw.errors import DomainError, EnergyDrift
+from hetclaw.errors import DomainError, EnergyDrift, HetclawError
+from hetclaw.model import quartic_well
 from hetclaw.flow import (
     crossing_events,
     integrate,
@@ -21,13 +29,13 @@ SQRT2 = np.sqrt(2.0)
 
 def test_free_flight_outside_the_well(quartic):
     """Beyond the cutoff the force vanishes, so motion is a straight line."""
-    q, p, _ = terminal_state(quartic, 1.5, 2.0, 1.0)
+    q, p = terminal_state(quartic, 1.5, 2.0, 1.0)
     assert q == pytest.approx(3.5, abs=1e-12)
     assert p == pytest.approx(2.0, abs=1e-14)
 
 
 def test_rest_state_stays_at_rest(quartic):
-    q, p, _ = terminal_state(quartic, 0.0, 0.0, 7.0)
+    q, p = terminal_state(quartic, 0.0, 0.0, 7.0)
     assert q == 0.0
     assert p == 0.0
 
@@ -35,13 +43,13 @@ def test_rest_state_stays_at_rest(quartic):
 def test_periodic_orbit_returns(quartic):
     """One full period brings a trapped orbit back to its datum."""
     period = period_quadrature(quartic, 1.0)
-    q, p, _ = terminal_state(quartic, 0.0, 1.0, period)
+    q, p = terminal_state(quartic, 0.0, 1.0, period)
     assert abs(q) < 1e-6
     assert p == pytest.approx(1.0, abs=1e-6)
 
 
 def test_momentum_map_at_zero_time(quartic):
-    q, p, _ = terminal_state(quartic, 0.4, 1.7, 0.0)
+    q, p = terminal_state(quartic, 0.4, 1.7, 0.0)
     assert p == 1.7
     assert q == 0.4
 
@@ -101,16 +109,16 @@ def test_energy_is_conserved_to_tolerance(quartic):
 
 
 def test_backward_integration_reverses(quartic):
-    q1, p1, _ = terminal_state(quartic, 0.0, 1.2, 10.0)
-    q0, p0, _ = terminal_state(quartic, q1, p1, -10.0)
+    q1, p1 = terminal_state(quartic, 0.0, 1.2, 10.0)
+    q0, p0 = terminal_state(quartic, q1, p1, -10.0)
     assert abs(q0) <= 1e-8
     assert abs(p0 - 1.2) <= 1e-8
 
 
 def test_flow_is_odd(quartic):
     for t in (0.8, 4.0):
-        q, p, _ = terminal_state(quartic, 0.3, 0.7, t)
-        qm, pm, _ = terminal_state(quartic, -0.3, -0.7, t)
+        q, p = terminal_state(quartic, 0.3, 0.7, t)
+        qm, pm = terminal_state(quartic, -0.3, -0.7, t)
         assert qm == pytest.approx(-q, abs=1e-14)
         assert pm == pytest.approx(-p, abs=1e-14)
 
@@ -133,6 +141,85 @@ def test_non_finite_durations_are_domain_errors(quartic, t):
 def test_record_times_must_start_at_zero(quartic):
     with pytest.raises(DomainError):
         integrate_batch(quartic, np.array([0.0]), np.array([1.0]), [0.5, 1.0])
+    with pytest.raises(DomainError):
+        integrate_batch(quartic, np.array([0.0]), np.array([1.0]), [])
+
+
+# Each public marcher on one trapped orbit to t = 1.
+MARCHERS = {
+    "integrate": lambda m, **kw: integrate(m, 0.0, 1.4, 1.0, **kw),
+    "terminal_state": lambda m, **kw: terminal_state(m, 0.0, 1.4, 1.0, **kw),
+    "terminal_batch": lambda m, **kw: terminal_batch(
+        m, np.array([0.0]), np.array([1.4]), 1.0, **kw),
+    "integrate_batch": lambda m, **kw: integrate_batch(
+        m, np.array([0.0]), np.array([1.4]), [0.0, 0.5, 1.0], **kw),
+}
+BAD_INPUTS = ([("dt_max", v) for v in (0.0, -0.5, np.nan, np.inf)]
+              + [("energy_tol", v) for v in (0.0, -1e-8, np.nan)])
+
+
+@pytest.mark.parametrize(
+    "marcher, name, value",
+    [(m, n, v) for m in MARCHERS for n, v in BAD_INPUTS]
+    + [("integrate", "record_every", v) for v in (0, -3, 2.5)])
+def test_bad_flow_inputs_are_domain_errors(quartic, marcher, name, value):
+    with pytest.raises(DomainError, match=name):
+        MARCHERS[marcher](quartic, **{name: value})
+
+
+def test_zero_duration_trajectory_is_its_sample(quartic):
+    traj = integrate(quartic, 0.4, 1.7, 0.0)
+    assert traj.times.tolist() == [0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert traj.q_at(0.0) == 0.4
+        assert traj.p_at(0.0) == 1.7
+        np.testing.assert_array_equal(traj.q_at([0.0, 0.0]), [0.4, 0.4])
+
+
+# Every entry point returns finite values or raises a HetclawError, and
+# the scalar, recorded and batch routes land on the same bits.
+DRAWS = (st.floats(-3.0, 3.0), st.floats(-2.5, 2.5), st.floats(-40.0, 40.0),
+         st.floats(1e-3, 0.5))
+
+
+def _scalar_or_error(q0, p0, t, dt_max):
+    try:
+        q, p = terminal_state(quartic_well(), q0, p0, t, dt_max)
+    except HetclawError as err:
+        return err
+    assert math.isfinite(q) and math.isfinite(p)
+    return q, p
+
+
+@settings(deadline=2000)
+@given(*DRAWS)
+def test_recorded_march_ends_on_the_scalar_one(q0, p0, t, dt_max):
+    """With only its endpoints recorded, integrate certifies the same
+    states as terminal_state."""
+    ref = _scalar_or_error(q0, p0, t, dt_max)
+    if isinstance(ref, HetclawError):
+        with pytest.raises(type(ref)):
+            integrate(quartic_well(), q0, p0, t, dt_max, record_every=10**9)
+        return
+    traj = integrate(quartic_well(), q0, p0, t, dt_max, record_every=10**9)
+    end = -1 if t >= 0.0 else 0
+    assert (traj.q[end], traj.p[end]) == ref
+
+
+# A one-orbit batch costs about 80 us a step against 2 us on floats (2-core
+# x86 host), so 40,000 steps at dt_max = 1e-3 take about 3 s.
+@settings(deadline=10000, max_examples=30)
+@given(*DRAWS)
+def test_batch_march_lands_on_the_scalar_one(q0, p0, t, dt_max):
+    ref = _scalar_or_error(q0, p0, t, dt_max)
+    args = (quartic_well(), np.array([q0]), np.array([p0]), t, dt_max)
+    if isinstance(ref, HetclawError):
+        with pytest.raises(type(ref)):
+            terminal_batch(*args)
+        return
+    Q, P, _ = terminal_batch(*args)
+    assert (Q[0], P[0]) == ref
 
 
 # ===== Events =====
@@ -169,7 +256,7 @@ def test_batch_matches_scalar_integration(quartic):
     np.testing.assert_array_equal(P[0], p0)
     for j in range(q0.size):
         for i, t in enumerate(marks[1:], start=1):
-            q, p, _ = terminal_state(quartic, q0[j], p0[j], float(t))
+            q, p = terminal_state(quartic, q0[j], p0[j], float(t))
             assert Q[i, j] == pytest.approx(q, abs=1e-12)
             assert P[i, j] == pytest.approx(p, abs=1e-12)
 
@@ -193,6 +280,26 @@ def test_terminal_batch_tracks_minimum(quartic):
 def test_dense_output_matches_direct_integration(quartic):
     traj = integrate(quartic, 0.0, 1.1, 3.0)
     t_query = 1.2345
-    q_ref, p_ref, _ = terminal_state(quartic, 0.0, 1.1, t_query)
+    q_ref, p_ref = terminal_state(quartic, 0.0, 1.1, t_query)
     assert traj.q_at(t_query) == pytest.approx(q_ref, abs=1e-8)
     assert traj.p_at(t_query) == pytest.approx(p_ref, abs=1e-8)
+
+
+def test_rk4_step_has_one_call_site():
+    """Every orbit in the package is marched by ``flow._march``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src",
+                       "hetclaw")
+    sites = []
+    for fname in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, fname)) as fh:
+            tree = ast.parse(fh.read())
+        sites += [(fname, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and "rk4_step" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))]
+        if fname == "flow.py":
+            march = next(node for node in tree.body
+                         if getattr(node, "name", None) == "_march")
+    assert len(sites) == 1, sites
+    assert sites[0][0] == "flow.py"
+    assert march.lineno < sites[0][1] <= march.end_lineno
