@@ -8,7 +8,9 @@ seeded and the seed is recorded.
 
 Configuration precedence is defaults < command line flags < JSON config
 file, so a config file pins a run completely even when stray flags are
-present.
+present.  ``EXPERIMENTS`` names the settings each experiment reads, with
+their defaults; a setting it does not read must keep its ``RunConfig``
+default, so no flag is silently ignored.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .errors import DomainError, HetclawError
 from .flow import integrate
 from .fvm import DEFAULT_CFL, Grid1D, detect_shock_formation, evolve, \
     step_datum
-from .model import MODELS
+from .model import MODELS, HamiltonianModel
 from .period import invert_half_period, period_table, shock_time
 from .shooting import DEFAULT_SHOOT_TOL
 from .svgplot import write_svg
@@ -50,6 +53,11 @@ class RunConfig:
     times: tuple | None = None
     seed: int = 0
     tol: float | None = None
+
+
+# Each experiment setting's flag (and config key) and its RunConfig field.
+_FIELDS = {"n": "n", "cfl": "cfl", "tmax": "t_max", "times": "times",
+           "seed": "seed", "tol": "tol"}
 
 
 def config_hash(config: RunConfig) -> str:
@@ -94,18 +102,13 @@ def _parse_times(raw) -> tuple:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags with an optional JSON config file (file wins)."""
-    merged = {
-        "experiment": args.experiment,
-        "model": args.model,
-        "out": args.out,
-        "n": args.n,
-        "cfl": args.cfl,
-        "tmax": args.tmax,
-        "times": args.times,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
+    """Merge flags with an optional JSON config file (file wins).
+
+    Values are checked first; then any setting the experiment does not
+    read must hold its ``RunConfig`` default.
+    """
+    merged = {key: getattr(args, key)
+              for key in ("experiment", "model", "out", *_FIELDS)}
     if args.config is not None:
         with open(args.config) as fh:
             overrides = json.load(fh)
@@ -135,7 +138,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raw = merged[key]
         return None if raw is None else _read(key, raw, kind, positive)
 
-    return RunConfig(
+    config = RunConfig(
         experiment=merged["experiment"],
         model=merged["model"],
         out=merged["out"],
@@ -147,46 +150,62 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         seed=_read("seed", merged["seed"], int),
         tol=optional("tol", positive=True),
     )
+    reads = EXPERIMENTS[config.experiment].reads
+    unset = RunConfig(config.experiment)
+    for key, name in _FIELDS.items():
+        if key not in reads and getattr(config, name) != getattr(unset, name):
+            raise DomainError(
+                f"experiment {config.experiment!r} does not read {key!r}; "
+                f"it reads {sorted(reads)}")
+    return config
 
 
-# ===== Output helpers =====
+# ===== Output =====
 
-def _header_lines(config: RunConfig, units: str) -> tuple:
-    return (f"experiment={config.experiment}",
-            f"config={config_hash(config)}",
-            f"units={units}")
+class _Writer:
+    """Writes one run's files into its output directory, stamps each with
+    the experiment, the config hash and the file's units, and keeps the
+    paths in the order written."""
 
+    def __init__(self, config: RunConfig):
+        self.out = config.out
+        self.stamp = {"experiment": config.experiment,
+                      "config": config_hash(config)}
+        self.paths = []
 
-def _write_json(path, config: RunConfig, units: str, payload: dict) -> None:
-    doc = {"experiment": config.experiment,
-           "config": config_hash(config),
-           "units": units}
-    doc.update(payload)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    def _path(self, name: str) -> str:
+        self.paths.append(os.path.join(self.out, name))
+        return self.paths[-1]
 
+    def _header(self, units: str) -> list:
+        return [f"{key}={value}" for key, value in
+                {**self.stamp, "units": units}.items()]
 
-def _svg_comment(config: RunConfig, units: str) -> str:
-    return " ".join(_header_lines(config, units))
+    def csv(self, name: str, units: str, columns: str, rows) -> None:
+        with open(self._path(name), "w") as fh:
+            for line in self._header(units):
+                fh.write(f"# {line}\n")
+            fh.write(columns + "\n")
+            for row in rows:
+                fh.write(",".join(repr(float(v)) if isinstance(v, float)
+                                  else str(v) for v in row) + "\n")
 
+    def json(self, name: str, units: str, payload: dict) -> None:
+        with open(self._path(name), "w") as fh:
+            json.dump({**self.stamp, "units": units, **payload}, fh,
+                      indent=2, sort_keys=True)
+            fh.write("\n")
 
-def _csv_rows(path, config: RunConfig, units: str, columns: str,
-              rows) -> None:
-    with open(path, "w") as fh:
-        for line in _header_lines(config, units):
-            fh.write(f"# {line}\n")
-        fh.write(columns + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, float)
-                              else str(v) for v in row) + "\n")
+    def svg(self, name: str, units: str, curves, title: str) -> None:
+        write_svg(self._path(name), curves, title=title,
+                  header_comment=" ".join(self._header(units)))
 
 
 # ===== Experiments =====
 
-def _run_phase_portrait(config: RunConfig, out_dir: str) -> list:
-    model = MODELS[config.model]()
-    t_max = config.t_max if config.t_max is not None else 8.0
+def _run_phase_portrait(model: HamiltonianModel, config: RunConfig,
+                        write: _Writer) -> None:
+    t_max = config.t_max
     if not t_max > 0.0:
         raise DomainError(f"phase portrait needs a positive horizon, "
                           f"got {t_max}")
@@ -213,25 +232,18 @@ def _run_phase_portrait(config: RunConfig, out_dir: str) -> list:
         for t, q, p in zip(traj.times, traj.q, traj.p):
             rows.append((k, label, float(p0), float(t), float(q), float(p)))
 
-    csv_path = os.path.join(out_dir, "phase_portrait.csv")
-    _csv_rows(csv_path, config, units, "orbit,class,p0,t,q,p", rows)
-    json_path = os.path.join(out_dir, "phase_portrait.json")
-    _write_json(json_path, config, units,
-                {"orbits": classes, "t_max": t_max})
-    svg_path = os.path.join(out_dir, "phase_portrait.svg")
-    write_svg(svg_path, curves, title="phase portrait",
-              header_comment=_svg_comment(config, "x:position,y:momentum"))
-    return [csv_path, json_path, svg_path]
+    write.csv("phase_portrait.csv", units, "orbit,class,p0,t,q,p", rows)
+    write.json("phase_portrait.json", units,
+               {"orbits": classes, "t_max": t_max})
+    write.svg("phase_portrait.svg", "x:position,y:momentum", curves,
+              "phase portrait")
 
 
-def _run_simulate(config: RunConfig, out_dir: str) -> list:
-    model = MODELS[config.model]()
-    n = config.n if config.n is not None else 2000
-    t_max = config.t_max if config.t_max is not None else 2.5
-    snaps = config.times if config.times is not None else \
-        (0.5, 1.0, 1.2, 2.5)
-    snaps = tuple(s for s in snaps if 0.0 <= s <= t_max) or (t_max,)
-    grid = Grid1D(-4.0, 4.0, n)
+def _run_simulate(model: HamiltonianModel, config: RunConfig,
+                  write: _Writer) -> None:
+    t_max = config.t_max
+    snaps = tuple(s for s in config.times if 0.0 <= s <= t_max) or (t_max,)
+    grid = Grid1D(-4.0, 4.0, config.n)
     x = grid.centers()
 
     result = evolve(model, step_datum(grid), t_max, config.cfl, snaps)
@@ -251,31 +263,22 @@ def _run_simulate(config: RunConfig, out_dir: str) -> list:
     except HetclawError:
         t_star = None
 
-    csv_path = os.path.join(out_dir, "simulate.csv")
-    _csv_rows(csv_path, config, units, "t,x,u,asymptote", rows)
-    json_path = os.path.join(out_dir, "simulate.json")
-    _write_json(json_path, config, units, {
+    write.csv("simulate.csv", units, "t,x,u,asymptote", rows)
+    write.json("simulate.json", units, {
         "domain": [grid.x_min, grid.x_max],
-        "n": n,
+        "n": config.n,
         "cfl": config.cfl,
         "snapshot_times": list(snaps),
         "steps": result.steps,
         "shock_formation_time": t_star,
     })
-    svg_path = os.path.join(out_dir, "simulate.svg")
-    write_svg(svg_path, curves, title="finite volume snapshots",
-              header_comment=_svg_comment(config, units))
-    return [csv_path, json_path, svg_path]
+    write.svg("simulate.svg", units, curves, "finite volume snapshots")
 
 
-def _run_exact(config: RunConfig, out_dir: str) -> list:
-    model = MODELS[config.model]()
-    n = config.n if config.n is not None else 800
-    n += n % 2
-    times = config.times if config.times is not None else \
-        (0.5, 1.0, 1.2, 2.5)
-    times = tuple(sorted(times))
-    xs = Grid1D(-4.0, 4.0, n).centers()
+def _run_exact(model: HamiltonianModel, config: RunConfig,
+               write: _Writer) -> None:
+    times = tuple(sorted(config.times))
+    xs = Grid1D(-4.0, 4.0, config.n + config.n % 2).centers()
     U = solution_grid(model, times, xs)
 
     units = "t:time,x:position,u:velocity"
@@ -284,64 +287,49 @@ def _run_exact(config: RunConfig, out_dir: str) -> list:
             for xv, uv in zip(xs, U[i])]
     curves = [(xs, U[i], f"t={t:g}") for i, t in enumerate(times)]
 
-    csv_path = os.path.join(out_dir, "exact.csv")
-    _csv_rows(csv_path, config, units, "t,x,u", rows)
-    svg_path = os.path.join(out_dir, "exact.svg")
-    write_svg(svg_path, curves, title="semi-analytic profiles",
-              header_comment=_svg_comment(config, units))
-    return [csv_path, svg_path]
+    write.csv("exact.csv", units, "t,x,u", rows)
+    write.svg("exact.svg", units, curves, "semi-analytic profiles")
 
 
-def _run_period(config: RunConfig, out_dir: str) -> list:
-    model = MODELS[config.model]()
+def _run_period(model: HamiltonianModel, config: RunConfig,
+                write: _Writer) -> None:
     if model.separatrix_momentum <= 0.0:
         raise DomainError("period table needs a trapping well; "
                           f"model {config.model!r} has none")
-    n = config.n if config.n is not None else 60
     p_hi = model.separatrix_momentum - 1e-3
     p0_values = np.unique(np.concatenate(
-        [[0.01], np.linspace(0.02, p_hi, max(n - 1, 2))]))
+        [[0.01], np.linspace(0.02, p_hi, max(config.n - 1, 2))]))
     units = "p0:momentum,period:time,q_max:position"
 
     table = period_table(model, p0_values)
     small = next(row for row in table if row.p0 == 0.01)
 
-    csv_path = os.path.join(out_dir, "period.csv")
-    _csv_rows(csv_path, config, units, "p0,period,q_max",
+    write.csv("period.csv", units, "p0,period,q_max",
               [(row.p0, row.period, row.q_max) for row in table])
-    json_path = os.path.join(out_dir, "period.json")
-    _write_json(json_path, config, units, {
+    write.json("period.json", units, {
         "shock_formation_time": shock_time(model),
         "half_period_small_amplitude": small.period / 2.0,
         "rows": int(p0_values.size),
     })
-    svg_path = os.path.join(out_dir, "period.svg")
-    write_svg(svg_path, [([s.p0 for s in table],
-                          [s.period for s in table], "period")],
-              title="period against launch momentum",
-              header_comment=_svg_comment(config, units))
-    return [csv_path, json_path, svg_path]
+    write.svg("period.svg", units,
+              [([s.p0 for s in table], [s.period for s in table], "period")],
+              "period against launch momentum")
 
 
-def _run_inverse(config: RunConfig, out_dir: str) -> list:
-    model = MODELS[config.model]()
-    t = config.t_max if config.t_max is not None else 2.0
-    n = config.n if config.n is not None else 800
-    n += n % 2
-    shoot_tol = config.tol if config.tol is not None else DEFAULT_SHOOT_TOL
+def _run_inverse(model: HamiltonianModel, config: RunConfig,
+                 write: _Writer) -> None:
+    t = config.t_max
     half = max(3.0, 2.0 * t + 1.0)
-    xs = Grid1D(-half, half, n).centers()
-    w = profile_from_solution(model, t, xs, shoot_tol)
+    xs = Grid1D(-half, half, config.n + config.n % 2).centers()
+    w = profile_from_solution(model, t, xs, config.tol)
 
     fm = footprint(model, t, w)
     report = design_report(fm, w, (-half, half), config.cfl)
     fm_units = "x:position,w:velocity,foot:position,p0:momentum"
 
-    csv_path = os.path.join(out_dir, "inverse_footprint.csv")
-    _csv_rows(csv_path, config, fm_units, "x,w,foot,p0",
+    write.csv("inverse_footprint.csv", fm_units, "x,w,foot,p0",
               zip(fm.xs, fm.ws, fm.feet, fm.p0))
-    json_path = os.path.join(out_dir, "inverse.json")
-    _write_json(json_path, config, fm_units, {
+    write.json("inverse.json", fm_units, {
         "horizon": t,
         "window": [-half, half],
         "report": report.as_dict(),
@@ -350,46 +338,35 @@ def _run_inverse(config: RunConfig, out_dir: str) -> list:
     curves = [(xs, w.ws, "target")]
     if report.reconstructed is not None:
         curves.append((xs, report.reconstructed.sample(xs), "reconstructed"))
-    svg_path = os.path.join(out_dir, "inverse.svg")
-    write_svg(svg_path, curves, title="target and reconstructed datum",
-              header_comment=_svg_comment(config, "x:position,w:velocity"))
-    return [csv_path, json_path, svg_path]
+    write.svg("inverse.svg", "x:position,w:velocity", curves,
+              "target and reconstructed datum")
 
 
-def _run_rays(config: RunConfig, out_dir: str) -> list:
-    model = MODELS[config.model]()
-    t = config.t_max if config.t_max is not None else 2.0
-    n_rays = config.n if config.n is not None else 9
-    kwargs = {}
-    if config.tol is not None:
-        kwargs = {"exit_tol": config.tol, "cross_tol": config.tol}
+def _run_rays(model: HamiltonianModel, config: RunConfig,
+              write: _Writer) -> None:
+    t = config.t_max
     if model.separatrix_momentum > 0.0 and t > shock_time(model):
         trace = invert_half_period(model, t)
         p_left, p_right = trace, -trace
     else:
         p_left, p_right = -2.0, 2.0
-    report = ray_fan(model, t, 0.0, p_left, p_right, n_rays, **kwargs)
+    report = ray_fan(model, t, 0.0, p_left, p_right, config.n,
+                     exit_tol=config.tol, cross_tol=config.tol)
     units = "ray:index,t:time,q:position"
 
-    csv_path = os.path.join(out_dir, "rays.csv")
-    _csv_rows(csv_path, config, units, "ray,t,q",
+    write.csv("rays.csv", units, "ray,t,q",
               ((k, s, q) for k in range(report.momenta.size)
                for s, q in zip(report.times, report.positions[:, k])))
-    json_path = os.path.join(out_dir, "rays.json")
-    _write_json(json_path, config, units, report.as_dict())
+    write.json("rays.json", units, report.as_dict())
     curves = [(report.positions[:, k], report.times, f"ray {k}")
               for k in range(report.momenta.size)]
-    svg_path = os.path.join(out_dir, "rays.svg")
-    write_svg(svg_path, curves, title="backward ray fan",
-              header_comment=_svg_comment(config, "x:position,y:time"))
-    return [csv_path, json_path, svg_path]
+    write.svg("rays.svg", "x:position,y:time", curves, "backward ray fan")
 
 
-def _run_entropy_check(config: RunConfig, out_dir: str) -> list:
-    model = MODELS[config.model]()
-    n = config.n if config.n is not None else 600
-    t_max = config.t_max if config.t_max is not None else 2.5
-    grid = Grid1D(-3.0, 3.0, n)
+def _run_entropy_check(model: HamiltonianModel, config: RunConfig,
+                       write: _Writer) -> None:
+    t_max = config.t_max
+    grid = Grid1D(-3.0, 3.0, config.n)
     marks = np.linspace(0.0, t_max, 101)
     result = evolve(model, step_datum(grid), t_max, config.cfl, marks)
     solution = from_snapshots(model, grid.centers(), result.snapshots)
@@ -399,24 +376,18 @@ def _run_entropy_check(config: RunConfig, out_dir: str) -> list:
         model, np.linspace(0.0, t_max, 41), Grid1D(-2.0, 2.0, 256).centers())
     control = entropy_sweep(control_sol, 50, seed=config.seed)
 
-    units = "k:velocity,residual:flux,floor:flux"
-    json_path = os.path.join(out_dir, "entropy_check.json")
-    _write_json(json_path, config, units, {
+    write.json("entropy_check.json", "k:velocity,residual:flux,floor:flux", {
         "primary": report.as_dict(),
         "reversed_control": control.as_dict(),
         "primary_ok": report.ok,
         "control_flagged": not control.ok,
     })
-    return [json_path]
 
 
-def _run_asymptotics(config: RunConfig, out_dir: str) -> list:
-    model = MODELS[config.model]()
-    n = config.n if config.n is not None else 2000
-    times = config.times if config.times is not None else \
-        (5.0, 10.0, 20.0, 30.0)
-    times = tuple(sorted(times))
-    grid = Grid1D(-6.0, 6.0, n)
+def _run_asymptotics(model: HamiltonianModel, config: RunConfig,
+                     write: _Writer) -> None:
+    times = tuple(sorted(config.times))
+    grid = Grid1D(-6.0, 6.0, config.n)
     x = grid.centers()
     result = evolve(model, step_datum(grid), times[-1], config.cfl, times)
 
@@ -441,30 +412,37 @@ def _run_asymptotics(config: RunConfig, out_dir: str) -> list:
                 np.max(np.abs(exact[i] - overlay)[core])),
         })
 
-    csv_path = os.path.join(out_dir, "asymptotics.csv")
-    _csv_rows(csv_path, config, units, "t,x,u_fvm,u_exact,asymptote", rows)
-    json_path = os.path.join(out_dir, "asymptotics.json")
-    _write_json(json_path, config, units,
-                {"deviations_core_window": summary, "core_half_width": 0.95})
+    write.csv("asymptotics.csv", units, "t,x,u_fvm,u_exact,asymptote", rows)
+    write.json("asymptotics.json", units,
+               {"deviations_core_window": summary, "core_half_width": 0.95})
     t_last, u_last = result.snapshots[-1]
-    svg_path = os.path.join(out_dir, "asymptotics.svg")
-    write_svg(svg_path, [(xw, u_last[window], f"fvm t={t_last:g}"),
-                         (xw, exact[-1], f"exact t={t_last:g}"),
-                         (xw, overlay, "asymptote")],
-              title="long-time profiles",
-              header_comment=_svg_comment(config, units))
-    return [csv_path, json_path, svg_path]
+    write.svg("asymptotics.svg", units,
+              [(xw, u_last[window], f"fvm t={t_last:g}"),
+               (xw, exact[-1], f"exact t={t_last:g}"),
+               (xw, overlay, "asymptote")], "long-time profiles")
+
+
+class Experiment(NamedTuple):
+    """A runner and the settings it reads, keyed by flag, with defaults."""
+
+    run: Callable
+    reads: dict
 
 
 EXPERIMENTS = {
-    "phase-portrait": _run_phase_portrait,
-    "simulate": _run_simulate,
-    "exact": _run_exact,
-    "period": _run_period,
-    "inverse": _run_inverse,
-    "rays": _run_rays,
-    "entropy-check": _run_entropy_check,
-    "asymptotics": _run_asymptotics,
+    "phase-portrait": Experiment(_run_phase_portrait, {"tmax": 8.0}),
+    "simulate": Experiment(_run_simulate, {
+        "n": 2000, "cfl": DEFAULT_CFL, "tmax": 2.5,
+        "times": (0.5, 1.0, 1.2, 2.5)}),
+    "exact": Experiment(_run_exact, {"n": 800, "times": (0.5, 1.0, 1.2, 2.5)}),
+    "period": Experiment(_run_period, {"n": 60}),
+    "inverse": Experiment(_run_inverse, {
+        "n": 800, "cfl": DEFAULT_CFL, "tmax": 2.0, "tol": DEFAULT_SHOOT_TOL}),
+    "rays": Experiment(_run_rays, {"n": 9, "tmax": 2.0, "tol": 1e-6}),
+    "entropy-check": Experiment(_run_entropy_check, {
+        "n": 600, "cfl": DEFAULT_CFL, "tmax": 2.5, "seed": 0}),
+    "asymptotics": Experiment(_run_asymptotics, {
+        "n": 2000, "cfl": DEFAULT_CFL, "times": (5.0, 10.0, 20.0, 30.0)}),
 }
 
 
@@ -501,13 +479,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
+        run, reads = EXPERIMENTS[config.experiment]
+        # the headers hash the config as given; the runner sees it filled
+        filled = replace(config, **{
+            _FIELDS[key]: default for key, default in reads.items()
+            if getattr(config, _FIELDS[key]) is None})
+        write = _Writer(config)
         os.makedirs(config.out, exist_ok=True)
-        outputs = EXPERIMENTS[config.experiment](config, config.out)
+        run(MODELS[config.model](), filled, write)
     except (HetclawError, OSError, ValueError, KeyError) as exc:
         print(json.dumps({"error": type(exc).__name__,
                           "message": str(exc)}))
         return 1
     print(json.dumps({"experiment": config.experiment,
-                      "config": config_hash(config),
-                      "outputs": outputs}))
+                      "config": write.stamp["config"],
+                      "outputs": write.paths}))
     return 0

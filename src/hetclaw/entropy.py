@@ -58,8 +58,8 @@ def _bump_slope(xi):
                     0.0)
 
 
-_BUMP_SLOPE_MAX = float(np.max(np.abs(_bump_slope(
-    np.linspace(-1.0, 1.0, 200001)))))
+# d/dxi log|b'| = 0 gives xi**2 = 1/sqrt(3), where |b'| peaks
+_BUMP_SLOPE_MAX = float(-_bump_slope(3.0 ** -0.25))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ from .model import HamiltonianModel
 
 DEFAULT_DT = 1e-3
 DEFAULT_ENERGY_TOL = 1e-8
+# ceiling on the steps of one span: about 20 s of scalar marching
+_MAX_STEPS = 10**7
 
 
 # ===== Stepping kernels =====
@@ -53,6 +55,9 @@ def _split(duration: float, dt_max: float):
         raise DomainError(f"dt_max must be finite and positive, got {dt_max}")
     if not math.isfinite(duration):
         raise DomainError(f"march duration must be finite, got {duration}")
+    if abs(duration) / dt_max > _MAX_STEPS:
+        raise DomainError(f"march of {duration} at dt_max={dt_max} needs "
+                          f"more than {_MAX_STEPS} steps")
     if duration == 0.0:
         return 0, 0.0
     n = max(int(math.ceil(abs(duration) / dt_max - 1e-12)), 1)

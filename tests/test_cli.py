@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 import hetclaw
-from hetclaw.cli import RunConfig, build_parser, config_hash, main
+from hetclaw.cli import EXPERIMENTS, RunConfig, build_parser, config_hash, \
+    main
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+# A value other than the RunConfig default for each experiment setting.
+OFF_DEFAULT = {"n": "5", "cfl": "0.3", "tmax": "1.5", "times": "1.0",
+               "seed": "3", "tol": "1e-3"}
 
 
 def run_ok(capsys, *argv):
@@ -104,15 +110,51 @@ def test_bad_flag_values_fail_with_json(capsys, tmp_path, flags):
 
 
 def test_valid_config_values_resolve_as_before(capsys, tmp_path):
-    """Integral floats and numeric strings still read as before."""
+    """Integral floats, numeric strings and lists still read as before."""
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"experiment": "period", "n": 4.0,
-                               "tol": "1e-6", "times": [1, 2.5],
-                               "out": str(tmp_path / "o")}))
-    payload = run_ok(capsys, "--config", str(cfg))
-    expected = RunConfig(experiment="period", n=4, tol=1e-6,
-                         times=(1.0, 2.5), out=str(tmp_path / "o"))
-    assert payload["config"] == config_hash(expected)
+    for doc, expected in [
+            ({"experiment": "rays", "n": 4.0, "tol": "1e-6"},
+             RunConfig(experiment="rays", n=4, tol=1e-6)),
+            ({"experiment": "exact", "n": 4.0, "times": [1, 2.5]},
+             RunConfig(experiment="exact", n=4, times=(1.0, 2.5)))]:
+        cfg.write_text(json.dumps({**doc, "out": str(tmp_path / "o")}))
+        payload = run_ok(capsys, "--config", str(cfg))
+        assert payload["config"] == config_hash(expected)
+
+
+@pytest.mark.parametrize("experiment, flag", [
+    (name, flag) for name, spec in sorted(EXPERIMENTS.items())
+    for flag in OFF_DEFAULT if flag not in spec.reads])
+def test_ignored_settings_are_refused(capsys, tmp_path, experiment, flag):
+    """Every experiment used to accept every flag, so a setting it never
+    read changed the config hash in its headers and nothing else."""
+    out = tmp_path / "o"
+    code = main(["--experiment", experiment, f"--{flag}",
+                 OFF_DEFAULT[flag], "--out", str(out)])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert f"does not read {flag!r}" in err["message"]
+    assert not out.exists()
+
+
+def test_default_values_of_unread_settings_are_accepted(capsys, tmp_path):
+    payload = run_ok(capsys, "--experiment", "period", "--n", "3",
+                     "--cfl", "0.45", "--seed", "0", "--out", str(tmp_path))
+    assert payload["config"] == config_hash(RunConfig("period", n=3))
+
+
+def test_readme_lists_the_settings_each_experiment_reads():
+    with open(README) as fh:
+        lines = {m.group(1): m.group(2) for m in re.finditer(
+            r"^- `([a-z-]+)`: (.*)$", fh.read(), re.MULTILINE)}
+    assert sorted(lines) == sorted(EXPERIMENTS)
+    for name, spec in EXPERIMENTS.items():
+        listed = dict(re.findall(r"`--([a-z]+)` \(([^)]*)\)", lines[name]))
+        assert sorted(listed) == sorted(spec.reads), name
+        for flag, default in spec.reads.items():
+            assert [float(v) for v in listed[flag].split(",")] == \
+                [float(v) for v in np.atleast_1d(default)], (name, flag)
 
 
 def test_unknown_config_keys_are_rejected(capsys, tmp_path):

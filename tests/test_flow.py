@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hetclaw.errors import DomainError, EnergyDrift, HetclawError
 from hetclaw.model import quartic_well
 from hetclaw.flow import (
+    _split,
     crossing_events,
     integrate,
     integrate_batch,
@@ -154,7 +155,8 @@ MARCHERS = {
     "integrate_batch": lambda m, **kw: integrate_batch(
         m, np.array([0.0]), np.array([1.4]), [0.0, 0.5, 1.0], **kw),
 }
-BAD_INPUTS = ([("dt_max", v) for v in (0.0, -0.5, np.nan, np.inf)]
+# dt_max = 1e-9 asks for 1e9 steps over t = 1, past the step ceiling
+BAD_INPUTS = ([("dt_max", v) for v in (0.0, -0.5, np.nan, np.inf, 1e-9)]
               + [("energy_tol", v) for v in (0.0, -1e-8, np.nan)])
 
 
@@ -165,6 +167,13 @@ BAD_INPUTS = ([("dt_max", v) for v in (0.0, -0.5, np.nan, np.inf)]
 def test_bad_flow_inputs_are_domain_errors(quartic, marcher, name, value):
     with pytest.raises(DomainError, match=name):
         MARCHERS[marcher](quartic, **{name: value})
+
+
+def test_step_count_has_a_ceiling():
+    """A tiny dt_max used to be cut into 1e12 steps and march for days."""
+    with pytest.raises(DomainError, match="steps"):
+        _split(1.0, 1e-12)
+    assert _split(64.0, 1e-3) == (64000, 1e-3)
 
 
 def test_zero_duration_trajectory_is_its_sample(quartic):
