@@ -165,7 +165,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 class _Writer:
     """Writes one run's files into its output directory, stamps each with
     the experiment, the config hash and the file's units, and keeps the
-    paths in the order written."""
+    paths in the order written.  The directory is made with the first
+    file, so a run refused before it writes leaves nothing behind."""
 
     def __init__(self, config: RunConfig):
         self.out = config.out
@@ -174,6 +175,7 @@ class _Writer:
         self.paths = []
 
     def _path(self, name: str) -> str:
+        os.makedirs(self.out, exist_ok=True)
         self.paths.append(os.path.join(self.out, name))
         return self.paths[-1]
 
@@ -296,9 +298,12 @@ def _run_period(model: HamiltonianModel, config: RunConfig,
     if model.separatrix_momentum <= 0.0:
         raise DomainError("period table needs a trapping well; "
                           f"model {config.model!r} has none")
+    if config.n < 3:
+        raise DomainError("experiment 'period' needs --n >= 3 table rows "
+                          f"(p0 = 0.01 and at least two more), got {config.n}")
     p_hi = model.separatrix_momentum - 1e-3
     p0_values = np.unique(np.concatenate(
-        [[0.01], np.linspace(0.02, p_hi, max(config.n - 1, 2))]))
+        [[0.01], np.linspace(0.02, p_hi, config.n - 1)]))
     units = "p0:momentum,period:time,q_max:position"
 
     table = period_table(model, p0_values)
@@ -485,7 +490,6 @@ def main(argv=None) -> int:
             _FIELDS[key]: default for key, default in reads.items()
             if getattr(config, _FIELDS[key]) is None})
         write = _Writer(config)
-        os.makedirs(config.out, exist_ok=True)
         run(MODELS[config.model](), filled, write)
     except (HetclawError, OSError, ValueError, KeyError) as exc:
         print(json.dumps({"error": type(exc).__name__,

@@ -195,17 +195,26 @@ def entropy_residual(solution: GriddedSolution, phi: TestFunction,
             f"[{phi.x0 - phi.rx:.4g}, {phi.x0 + phi.rx:.4g}] exceeds the "
             f"sampled rectangle")
 
-    tt = times[:, None]
-    xx = xs[None, :]
-    diff = u - k
-    sign = np.sign(diff)
-    integrand = (np.abs(diff) * phi.dt(tt, xx)
-                 + sign * 0.5 * (u * u - k * k) * phi.dx(tt, xx)
-                 - sign * solution.model.g_prime(np.broadcast_to(xx, u.shape))
-                 * phi.value(tt, xx))
+    # phi = a(t) b(x) vanishes off the open support, so only the nodes
+    # strictly inside it contribute to the space-time integral
+    i0 = np.searchsorted(times, phi.t0 - phi.rt, side="right")
+    i1 = np.searchsorted(times, phi.t0 + phi.rt, side="left")
+    j0 = np.searchsorted(xs, phi.x0 - phi.rx, side="right")
+    j1 = np.searchsorted(xs, phi.x0 + phi.rx, side="left")
     wt = _cell_weights(times)
     wx = _cell_weights(xs)
-    total = float(wt @ integrand @ wx)
+    xi_t = (times[i0:i1] - phi.t0) / phi.rt
+    xi_x = (xs[j0:j1] - phi.x0) / phi.rx
+    wa = wt[i0:i1] * _bump(xi_t)
+    wa_t = wt[i0:i1] * _bump_slope(xi_t) / phi.rt
+    wb = wx[j0:j1] * _bump(xi_x)
+    wb_x = wx[j0:j1] * _bump_slope(xi_x) / phi.rx
+    u_in = u[i0:i1, j0:j1]
+    diff = u_in - k
+    sign = np.sign(diff)
+    total = float(wa_t @ np.abs(diff) @ wb
+                  + wa @ (sign * 0.5 * (u_in * u_in - k * k)) @ wb_x
+                  - wa @ sign @ (wb * solution.model.g_prime(xs[j0:j1])))
     if times[0] == 0.0:
         total += float(np.dot(np.abs(u[0] - k) * phi.value(0.0, xs), wx))
     return total

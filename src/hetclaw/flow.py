@@ -24,8 +24,11 @@ from .model import HamiltonianModel
 
 DEFAULT_DT = 1e-3
 DEFAULT_ENERGY_TOL = 1e-8
-# ceiling on the steps of one span: about 20 s of scalar marching
+# ceiling on the steps of one march: about 20 s of scalar marching
 _MAX_STEPS = 10**7
+# ceiling on a batch march's orbits x steps: 3.6x the asymptotics raster
+# (9,217 orbits over 30,000 steps), about 80 s at ~80 ns per orbit-step
+_MAX_ORBIT_STEPS = 10**9
 
 
 # ===== Stepping kernels =====
@@ -64,18 +67,16 @@ def _split(duration: float, dt_max: float):
     return n, duration / n
 
 
-def _march(model: HamiltonianModel, q, p, spans, dt_max: float,
-           lowest=None):
+def _march(model: HamiltonianModel, q, p, spans, lowest=None):
     """Yield (q, p) at the end of each span of one fixed-step RK4 march.
 
-    A span is a signed duration, cut by :func:`_split`, or an explicit
-    (n, h) pair of n steps of size h.  (q, p) are floats or arrays alike.
-    With ``lowest`` (an array shaped like q) the running minimum of q is
-    folded into it after every step.
+    A span is an (n, h) pair of n steps of size h, as :func:`_split` cuts
+    it.  (q, p) are floats or arrays alike.  With ``lowest`` (an array
+    shaped like q) the running minimum of q is folded into it after every
+    step.
     """
     gp = model.g_prime
-    for span in spans:
-        n, h = span if isinstance(span, tuple) else _split(span, dt_max)
+    for n, h in spans:
         for _ in range(n):
             q, p = rk4_step(gp, q, p, h)
             if lowest is not None:
@@ -173,7 +174,7 @@ def integrate(model: HamiltonianModel, q0: float, p0: float, t: float,
     n, h = _split(t, dt_max)
     ends = [*range(record_every, n, record_every), n] if n else []
     spans = [(b - a, h) for a, b in zip([0, *ends], ends)]
-    states = [(q0, p0), *_march(model, q0, p0, spans, dt_max)]
+    states = [(q0, p0), *_march(model, q0, p0, spans)]
     qa, pa = map(np.array, zip(*states))
     times = np.array([0.0, *(k * h for k in ends)])
     energy, energy0 = _certify(model, q0, p0, qa, pa, energy_tol)
@@ -190,7 +191,7 @@ def terminal_state(model: HamiltonianModel, q0: float, p0: float, t: float,
                    energy_tol: float = DEFAULT_ENERGY_TOL):
     """Endpoint (q(t), p(t)) of the flow without storing the path."""
     q0, p0 = float(q0), float(p0)
-    [(q, p)] = _march(model, q0, p0, [t], dt_max)
+    [(q, p)] = _march(model, q0, p0, [_split(t, dt_max)])
     _certify(model, q0, p0, q, p, energy_tol)
     return q, p
 
@@ -227,8 +228,13 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
     MN = np.empty_like(Q) if track_min else None
     lowest = q.copy() if track_min else None
     # the leading zero duration yields the launch states as row 0
-    spans = [0.0, *np.diff(rt)]
-    for k, (q, p) in enumerate(_march(model, q, p, spans, dt_max, lowest)):
+    spans = [_split(span, dt_max) for span in [0.0, *np.diff(rt)]]
+    steps = sum(n for n, _ in spans)
+    if steps > _MAX_STEPS or steps * q.size > _MAX_ORBIT_STEPS:
+        raise DomainError(
+            f"batch march of {q.size} orbits over {steps} steps exceeds "
+            f"{_MAX_STEPS} steps or {_MAX_ORBIT_STEPS} orbit-steps")
+    for k, (q, p) in enumerate(_march(model, q, p, spans, lowest)):
         Q[k] = q
         P[k] = p
         if track_min:

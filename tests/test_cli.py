@@ -273,6 +273,27 @@ def test_period_table_small_amplitude_row(capsys, tmp_path):
         np.pi / (2.0 * np.sqrt(2.0)), abs=1e-8)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_period_refuses_fewer_than_three_rows(capsys, tmp_path, n):
+    """--n 1, 2 and 3 used to write the same 3-row table."""
+    out = tmp_path / "o"
+    code = main(["--experiment", "period", "--n", str(n), "--out", str(out)])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert "--n" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_period_table_has_n_rows(capsys, tmp_path, n):
+    run_ok(capsys, "--experiment", "period", "--n", str(n),
+           "--out", str(tmp_path))
+    _, body = read_csv_body(tmp_path / "period.csv")
+    assert len(body) - 1 == n
+    assert json.loads((tmp_path / "period.json").read_text())["rows"] == n
+
+
 def test_phase_portrait_covers_all_classes(capsys, tmp_path):
     out = tmp_path / "orbits"
     run_ok(capsys, "--experiment", "phase-portrait", "--out", str(out))

@@ -17,6 +17,37 @@ from hetclaw.entropy import (
 from hetclaw.errors import DomainError, SupportNotCovered
 
 
+def full_grid_residual(solution, phi, k):
+    """The residual summed over every grid node, phi and its derivatives
+    evaluated everywhere: the reference for the support-restricted sum."""
+    times, xs, u = solution.times, solution.xs, solution.values
+    tt, xx = times[:, None], xs[None, :]
+    diff = u - k
+    sign = np.sign(diff)
+    integrand = (np.abs(diff) * phi.dt(tt, xx)
+                 + sign * 0.5 * (u * u - k * k) * phi.dx(tt, xx)
+                 - sign * solution.model.g_prime(np.broadcast_to(xx, u.shape))
+                 * phi.value(tt, xx))
+
+    def weights(z):
+        return np.diff(np.concatenate([[z[0]], 0.5 * (z[1:] + z[:-1]),
+                                       [z[-1]]]))
+
+    wx = weights(xs)
+    total = float(weights(times) @ integrand @ wx)
+    if times[0] == 0.0:
+        total += float(np.dot(np.abs(u[0] - k) * phi.value(0.0, xs), wx))
+    return total
+
+
+def assert_matches_full_grid(solution, phi, k):
+    """Only the order of summation differs from the reference."""
+    ref = full_grid_residual(solution, phi, k)
+    scale = phi.c1_norm() * phi.diameter()
+    assert entropy_residual(solution, phi, k) == pytest.approx(
+        ref, rel=1e-12, abs=1e-13 * scale)
+
+
 def constant_solution(model, c, times, xs):
     times = np.asarray(times, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -135,6 +166,80 @@ def test_reversed_jump_is_flagged(quartic):
     report = entropy_sweep(control, 50, seed=3)
     assert not report.ok
     assert len(report.flags) >= 1
+
+
+# ===== Support-restricted sum against the full-grid reference =====
+
+def wavy_solution(model, times, xs):
+    """A smooth field plus a moving jump, so every term of the integrand
+    and both signs of u - k show up."""
+    tt, xx = times[:, None], xs[None, :]
+    return GriddedSolution(model, times, xs,
+                           np.sin(3.0 * xx + tt) + np.where(xx < 0.3 * tt,
+                                                            1.2, -0.4))
+
+
+def test_restricted_sum_matches_the_full_grid_on_nonuniform_axes(quartic):
+    rng = np.random.default_rng(5)
+    times = np.sort(np.concatenate([[0.1, 2.7], rng.uniform(0.1, 2.7, 78)]))
+    xs = 2.5 * np.tanh(np.linspace(-1.5, 1.5, 301)) / np.tanh(1.5)
+    sol = wavy_solution(quartic, times, xs)
+    for t0, x0, rt, rx in ((1.2, 0.0, 0.5, 1.0), (1.0, -1.3, 0.3, 0.9),
+                           (2.0, 1.1, 0.6, 0.4)):
+        for k in (-1.5, 0.0, 0.35, 2.0):
+            assert_matches_full_grid(sol, TestFunction(t0, x0, rt, rx), k)
+
+
+def test_support_edges_on_nodes_add_nothing(quartic):
+    times = np.arange(17) / 8.0
+    xs = np.arange(-32, 33) / 16.0
+    sol = wavy_solution(quartic, times, xs)
+    phi = TestFunction(1.0, 0.25, 0.5, 0.75)
+    assert {0.5, 1.5} <= set(times) and {-0.5, 1.0} <= set(xs)
+    for k in (-1.0, 0.5, 1.5):
+        assert_matches_full_grid(sol, phi, k)
+
+
+@pytest.mark.parametrize("t0, x0, rt, rx", [
+    (1.5, 0.0, 0.4, 0.3),     # no node in time, nodes in space
+    (1.0, 0.5, 0.8, 0.2),     # nodes in time, none in space
+])
+def test_support_without_interior_nodes_is_exactly_zero(
+        quartic, t0, x0, rt, rx):
+    """With no node inside the support the initial line has none either,
+    so the residual is its initial term, 0."""
+    times = np.array([0.0, 1.0, 2.0, 3.0])
+    xs = np.array([-1.0, -0.25, 0.0, 0.25, 1.0])
+    sol = wavy_solution(quartic, times, xs)
+    phi = TestFunction(t0, x0, rt, rx)
+    assert not phi.value(0.0, xs).any()
+    assert entropy_residual(sol, phi, 0.2) == 0.0
+    assert full_grid_residual(sol, phi, 0.2) == 0.0
+
+
+def test_support_through_t_zero_keeps_the_initial_term(quartic):
+    times = np.linspace(0.0, 1.5, 61) ** 1.5
+    xs = np.linspace(-2.0, 2.0, 257)
+    sol = wavy_solution(quartic, times, xs)
+    phi = TestFunction(0.2, -0.3, 0.5, 1.1)
+    assert phi.value(0.0, -0.3) > 0.0
+    for k in (-0.8, 0.1, 1.3):
+        assert_matches_full_grid(sol, phi, k)
+
+
+@pytest.mark.parametrize("control", [False, True])
+def test_sweep_flags_match_the_full_grid(fvm_entropy_solution, quartic,
+                                         control):
+    sol = fvm_entropy_solution
+    if control:
+        sol = reversed_shock_solution(quartic, np.linspace(0.0, 2.5, 41),
+                                      sol.xs[::2])
+    report = entropy_sweep(sol, 50, seed=4)
+    ref = [full_grid_residual(sol, phi, k)
+           for phi, k in zip(report.phis, report.k_values)]
+    assert report.flags == [i for i, (r, f) in
+                            enumerate(zip(ref, report.floors)) if r < f]
+    assert bool(report.flags) == control
 
 
 # ===== Convergence =====

@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import math
 import os
+import time
 import warnings
 
 import numpy as np
@@ -174,6 +175,20 @@ def test_step_count_has_a_ceiling():
     with pytest.raises(DomainError, match="steps"):
         _split(1.0, 1e-12)
     assert _split(64.0, 1e-3) == (64000, 1e-3)
+
+
+@pytest.mark.parametrize("orbits, record_times", [
+    (10**5, [0.0, 20.0]),               # 2e9 orbit-steps in one span
+    (1, [0.0, 9000.0, 18000.0]),        # 1.8e7 steps, 9e6 in each gap
+])
+def test_batch_march_work_has_a_ceiling(quartic, orbits, record_times):
+    """A batch march used to bound each record gap on its own, so its
+    orbits x steps grew without limit; it is refused before any step."""
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="orbit-steps"):
+        integrate_batch(quartic, np.zeros(orbits), np.full(orbits, 0.5),
+                        record_times)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_zero_duration_trajectory_is_its_sample(quartic):
