@@ -26,9 +26,12 @@ DEFAULT_DT = 1e-3
 DEFAULT_ENERGY_TOL = 1e-8
 # ceiling on the steps of one march: about 20 s of scalar marching
 _MAX_STEPS = 10**7
-# ceiling on a batch march's orbits x steps: 3.6x the asymptotics raster
-# (9,217 orbits over 30,000 steps), about 80 s at ~80 ns per orbit-step
+# ceiling on a batch march's steps x (orbits + _STEP_COST_ORBITS): 3.3x the
+# asymptotics raster (9,217 orbits over 30,000 steps), about 80 s at ~80 ns
+# per orbit-step; a step's fixed numpy cost (~76 us) is charged as 1,000
+# orbits, so a narrow batch is bounded by the same time as a wide one
 _MAX_ORBIT_STEPS = 10**9
+_STEP_COST_ORBITS = 1000
 
 
 # ===== Stepping kernels =====
@@ -65,6 +68,17 @@ def _split(duration: float, dt_max: float):
         return 0, 0.0
     n = max(int(math.ceil(abs(duration) / dt_max - 1e-12)), 1)
     return n, duration / n
+
+
+def _budget(steps: int, orbits: int) -> None:
+    """Refuse, before its first step, a batch march of ``orbits`` orbits
+    over ``steps`` summed steps that would run for more than about 80 s."""
+    if (steps > _MAX_STEPS
+            or steps * (orbits + _STEP_COST_ORBITS) > _MAX_ORBIT_STEPS):
+        raise DomainError(
+            f"batch march of {orbits} orbits over {steps} steps exceeds "
+            f"{_MAX_STEPS} steps or {_MAX_ORBIT_STEPS} orbit-steps, "
+            f"counting {_STEP_COST_ORBITS} more orbits per step")
 
 
 def _march(model: HamiltonianModel, q, p, spans, lowest=None):
@@ -229,11 +243,7 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
     lowest = q.copy() if track_min else None
     # the leading zero duration yields the launch states as row 0
     spans = [_split(span, dt_max) for span in [0.0, *np.diff(rt)]]
-    steps = sum(n for n, _ in spans)
-    if steps > _MAX_STEPS or steps * q.size > _MAX_ORBIT_STEPS:
-        raise DomainError(
-            f"batch march of {q.size} orbits over {steps} steps exceeds "
-            f"{_MAX_STEPS} steps or {_MAX_ORBIT_STEPS} orbit-steps")
+    _budget(sum(n for n, _ in spans), q.size)
     for k, (q, p) in enumerate(_march(model, q, p, spans, lowest)):
         Q[k] = q
         P[k] = p

@@ -1,10 +1,15 @@
 """Semi-analytic solution: sampling, asymptotics and the standing jump."""
 from __future__ import annotations
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
 from hetclaw.charsol import (
+    _arc_batch,
+    _live_march,
     asymptotic_profile,
     eval_solution,
     shock_size,
@@ -14,7 +19,9 @@ from hetclaw.charsol import (
     time_monotonicity_scan,
 )
 from hetclaw.design import Jump, profile_from_solution
-from hetclaw.errors import DomainError
+from hetclaw.errors import DomainError, EnergyDrift
+from hetclaw.flow import integrate_batch
+from hetclaw.model import MODELS
 from hetclaw.shooting import DEFAULT_SHOOT_TOL, delta
 
 SQRT2 = np.sqrt(2.0)
@@ -260,6 +267,60 @@ def test_grid_route_includes_time_zero(quartic):
     xs = np.array([-0.5, 0.5])
     grid = solution_grid(quartic, (0.0, 1.0), xs, n_orbits=512)
     np.testing.assert_array_equal(grid[0], np.array([-2.0, 2.0]))
+
+
+@pytest.mark.parametrize("name, record", [
+    ("quartic", np.linspace(0.0, 2.5, 101)),    # a gap of 25 steps
+    ("quartic", np.array([0.0, 0.3, 5.0])),     # 74 chunks in one gap
+    ("homogeneous", np.array([0.0, 0.5, 1.0])),  # all free at launch
+])
+def test_live_march_keeps_the_full_march_bits(name, record):
+    """Skipping dead orbits and adding free ones' one increment per step
+    leaves every alive entry and every dead flag as the full march has
+    them.  Orbits heading back into the well from the flat tail are added
+    to the arc's: g' is zero where they start but not where they go."""
+    model = MODELS[name]()
+    q0, p0 = _arc_batch(model, 3.0, 512)
+    q0 = np.concatenate([q0, np.linspace(1.0, 2.5, 16)])
+    p0 = np.concatenate([p0, np.full(16, -0.7)])
+    Q, P, dead = _live_march(model, q0, p0, record)
+    FQ, FP, MN = integrate_batch(model, q0, p0, record, track_min=True)
+    np.testing.assert_array_equal(dead, MN < 0.0)
+    alive = ~dead
+    np.testing.assert_array_equal(Q[alive].view(np.int64),
+                                  FQ[alive].view(np.int64))
+    np.testing.assert_array_equal(P[alive].view(np.int64),
+                                  FP[alive].view(np.int64))
+    free = alive[-1] & (FQ[-1] >= model.cutoff) & (FP[-1] >= 0.0)
+    assert free.any()
+    assert dead[-1].any() == (name == "quartic")
+
+
+def _heavy(model, below_zero_only):
+    """The model with g' scaled by 1.5, everywhere or only at q < 0 where
+    only dead orbits go; g is kept, so the energy drifts."""
+    def g_prime(q):
+        scale = 1.5 if not below_zero_only else np.where(q < 0.0, 1.5, 1.0)
+        return scale * model.g_prime(q)
+    return dataclasses.replace(model, name="heavy", g_prime=g_prime)
+
+
+@pytest.mark.parametrize("below_zero_only", [False, True])
+def test_raster_certifies_dead_and_moving_orbits(quartic, below_zero_only):
+    with pytest.raises(EnergyDrift):
+        solution_grid(_heavy(quartic, below_zero_only), (0.5, 1.5),
+                      np.array([-0.5, 0.5]), n_orbits=512)
+
+
+@pytest.mark.parametrize("n_orbits, times", [
+    (4096, [1e5]),     # 1e8 steps in one gap
+    (8, [5000.0]),     # 145 orbits over 5e6 steps, about 6 min of march
+])
+def test_grid_march_work_has_a_ceiling(quartic, n_orbits, times):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="steps"):
+        solution_grid(quartic, times, np.array([0.5]), n_orbits=n_orbits)
+    assert time.perf_counter() - start < 1.0
 
 
 # ===== Domain =====

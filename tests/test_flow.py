@@ -180,10 +180,13 @@ def test_step_count_has_a_ceiling():
 @pytest.mark.parametrize("orbits, record_times", [
     (10**5, [0.0, 20.0]),               # 2e9 orbit-steps in one span
     (1, [0.0, 9000.0, 18000.0]),        # 1.8e7 steps, 9e6 in each gap
+    (1, [0.0, 2000.0]),                 # 2e6 steps of ~76 us each
 ])
 def test_batch_march_work_has_a_ceiling(quartic, orbits, record_times):
     """A batch march used to bound each record gap on its own, so its
-    orbits x steps grew without limit; it is refused before any step."""
+    orbits x steps grew without limit, and a narrow one could run for
+    minutes on the fixed cost of its steps; it is refused before any
+    step."""
     start = time.perf_counter()
     with pytest.raises(DomainError, match="orbit-steps"):
         integrate_batch(quartic, np.zeros(orbits), np.full(orbits, 0.5),
