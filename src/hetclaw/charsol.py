@@ -20,21 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .flow import (DEFAULT_DT, DEFAULT_ENERGY_TOL, _budget, _certify, _march,
-                   _split)
-from .model import HamiltonianModel, homogeneous
+from .flow import integrate_batch
+from .model import HamiltonianModel
 from .period import invert_half_period
 from .shooting import DEFAULT_SHOOT_TOL, arc_decode, delta, delta_batch
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
-from .flow import integrate_batch, terminal_batch, terminal_state  # noqa: F401
+from .flow import terminal_batch, terminal_state  # noqa: F401
 from .period import shock_time  # noqa: F401
 
 # Width of the one-sided offset used for shock traces.
 TRACE_EPS = 1e-4
-# Steps between two sortings of the raster's orbits into dead, free and
-# moving ones.
-_REGROUP = 64
 
 
 @dataclass(frozen=True)
@@ -205,63 +201,13 @@ def _arc_batch(model: HamiltonianModel, x_max: float, n_orbits: int):
     return q0, p0
 
 
-def _live_march(model: HamiltonianModel, q0, p0, record):
-    """March the arc orbits to the ``record`` times, stepping only the
-    orbits that still move.
-
-    Returns Q and P shaped (len(record), n_orbits) and a dead flag per
-    entry: the orbit's running minimum of q has dropped below 0.  Every
-    ``_REGROUP`` steps the orbits are sorted afresh.  A dead orbit is
-    never stepped again, and its entries keep its last marched state.  A
-    free orbit (q >= cutoff and p >= 0) sees g' = 0 at every RK4 stage,
-    so a step leaves p and adds to q one increment that depends on p and
-    h alone; it is taken once per chunk from q = 0 and added once per
-    step.  Moving orbits take the RK4 march.  Alive entries are therefore
-    bit-identical to ``integrate_batch(..., track_min=True)``.
-    """
-    q = q0.copy()
-    p = p0.copy()
-    lowest = q0.copy()
-    Q = np.empty((record.size, q.size))
-    P = np.empty_like(Q)
-    dead = np.empty(Q.shape, dtype=bool)
-    # the leading zero duration yields the launch states as row 0
-    spans = [_split(span, DEFAULT_DT) for span in [0.0, *np.diff(record)]]
-    _budget(sum(n for n, _ in spans), q.size)
-    for k, (n, h) in enumerate(spans):
-        for start in range(0, n, _REGROUP):
-            c = min(_REGROUP, n - start)
-            gone = lowest < 0.0
-            free = ~gone & (q >= model.cutoff) & (p >= 0.0)
-            moving = np.flatnonzero(~(gone | free))
-            if moving.size:
-                low = lowest[moving]
-                [(q[moving], p[moving])] = _march(
-                    model, q[moving], p[moving], [(c, h)], low)
-                lowest[moving] = low
-            if free.any():
-                qf = q[free]
-                [(inc, _)] = _march(homogeneous(), np.zeros_like(qf),
-                                    p[free], [(1, h)])
-                for _ in range(c):
-                    qf += inc
-                q[free] = qf
-        Q[k] = q
-        P[k] = p
-        dead[k] = lowest < 0.0
-    _certify(model, q0, p0, q, p, DEFAULT_ENERGY_TOL)
-    return Q, P, dead
-
-
 def solution_grid(model: HamiltonianModel, times, xs,
                   n_orbits: int = 4096) -> np.ndarray:
     """Rasterize u onto times x positions by one forward orbit march.
 
-    All arc orbits are marched once to the requested times, but only the
-    ones that still move take RK4 steps: a dead orbit (one that has
-    crossed back through q = 0) is never stepped again, and a free one
-    (q >= cutoff, p >= 0) adds its one exact increment per step; the
-    result is bit-identical to marching them all.  At each requested
+    All arc orbits are marched once to the requested times by
+    :func:`~hetclaw.flow.integrate_batch`, which retires an orbit once it
+    has crossed back through q = 0.  At each requested
     time the still-alive orbits are ordered by position, their arc
     parameters are interpolated linearly at the positive grid positions,
     and the value is the momentum on the interpolated launch energy's
@@ -270,7 +216,8 @@ def solution_grid(model: HamiltonianModel, times, xs,
     interpolated.  Odd reflection fills x < 0.  No shooting is involved,
     so the raster is an independent check of the point route.
     Positions must avoid 0; times must be nondecreasing and start at or
-    after 0.  Row t = 0 is the step datum itself.
+    after 0; ``n_orbits`` must be a positive integer.  Row t = 0 is the
+    step datum itself, and no positions give a grid with no columns.
     """
     times = np.asarray(times, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -278,12 +225,17 @@ def solution_grid(model: HamiltonianModel, times, xs,
         raise DomainError("grid positions must avoid the shock x = 0")
     if times.size and (np.any(np.diff(times) < 0.0) or times[0] < 0.0):
         raise DomainError("grid times must be nondecreasing and >= 0")
+    if not (isinstance(n_orbits, (int, np.integer)) and n_orbits >= 1):
+        raise DomainError(
+            f"n_orbits must be an integer >= 1, got {n_orbits}")
+    if not xs.size:
+        return np.empty((times.size, 0))
 
     record = times if times.size and times[0] == 0.0 else np.concatenate(
         [[0.0], times])
     x_max = float(np.max(np.abs(xs)))
     q0, p0 = _arc_batch(model, x_max, n_orbits)
-    Q, P, dead = _live_march(model, q0, p0, record)
+    Q, P, dead = integrate_batch(model, q0, p0, record, retire=True)
     if record.size != times.size:
         Q, P, dead = Q[1:], P[1:], dead[1:]
 

@@ -136,7 +136,7 @@ def footprint(model: HamiltonianModel, t: float,
     for j in w.jumps:
         i = int(np.searchsorted(xs, j.x))
         pairs.append((i, i + 1))
-    feet, p0, _ = terminal_batch(model, xs, ws, -t)
+    feet, p0 = terminal_batch(model, xs, ws, -t)
     return FootprintMap(model, t, xs, ws, feet, p0, tuple(pairs))
 
 

@@ -8,6 +8,10 @@ certificate, ``_certify``, gauges accuracy by energy conservation; a drift
 above ``energy_tol`` raises :class:`~hetclaw.errors.EnergyDrift` instead
 of silently returning junk.
 
+A batch march steps only the orbits that still move: a free one (past
+the cutoff, heading outward) adds one exact increment per step, and a
+retired one (below q = 0, on request) is never stepped again.
+
 Dense output is cubic Hermite on the stored samples, which is enough for
 event (level-crossing) refinement to ~1e-10 in time at the default step.
 """
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EnergyDrift, NonFinite
-from .model import HamiltonianModel
+from .model import HamiltonianModel, homogeneous
 
 DEFAULT_DT = 1e-3
 DEFAULT_ENERGY_TOL = 1e-8
@@ -32,6 +36,8 @@ _MAX_STEPS = 10**7
 # orbits, so a narrow batch is bounded by the same time as a wide one
 _MAX_ORBIT_STEPS = 10**9
 _STEP_COST_ORBITS = 1000
+# steps between two sortings of a batch into free, moving and retired orbits
+_REGROUP = 64
 
 
 # ===== Stepping kernels =====
@@ -71,12 +77,13 @@ def _split(duration: float, dt_max: float):
 
 
 def _budget(steps: int, orbits: int) -> None:
-    """Refuse, before its first step, a batch march of ``orbits`` orbits
-    over ``steps`` summed steps that would run for more than about 80 s."""
+    """Refuse, before its first step, a vector march of ``orbits`` orbits
+    (or finite-volume cells) over ``steps`` summed steps that would run
+    for more than about 80 s."""
     if (steps > _MAX_STEPS
             or steps * (orbits + _STEP_COST_ORBITS) > _MAX_ORBIT_STEPS):
         raise DomainError(
-            f"batch march of {orbits} orbits over {steps} steps exceeds "
+            f"march of {orbits} orbits or cells over {steps} steps exceeds "
             f"{_MAX_STEPS} steps or {_MAX_ORBIT_STEPS} orbit-steps, "
             f"counting {_STEP_COST_ORBITS} more orbits per step")
 
@@ -213,45 +220,69 @@ def terminal_state(model: HamiltonianModel, q0: float, p0: float, t: float,
 def terminal_batch(model: HamiltonianModel, q0, p0, t: float,
                    dt_max: float = DEFAULT_DT,
                    energy_tol: float = DEFAULT_ENERGY_TOL):
-    """Vectorized :func:`terminal_state` for many initial states, shared t;
-    a third array holds each orbit's running minimum of q."""
-    Q, P, MN = integrate_batch(model, q0, p0, [0.0, t], dt_max, energy_tol,
-                               track_min=True)
-    return Q[-1], P[-1], MN[-1]
+    """Vectorized :func:`terminal_state` for many initial states, shared t."""
+    Q, P = integrate_batch(model, q0, p0, [0.0, t], dt_max, energy_tol)
+    return Q[-1], P[-1]
 
 
 def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
                     dt_max: float = DEFAULT_DT,
                     energy_tol: float = DEFAULT_ENERGY_TOL,
-                    track_min: bool = False):
+                    retire: bool = False):
     """March a batch of orbits, recording states at the given times.
 
     ``record_times`` must start at 0 and be strictly monotone (increasing
-    for forward runs, decreasing for backward ones).  Returns arrays of
-    shape (len(record_times), n_orbits); with ``track_min`` a third array
-    holds the running minimum of q, sampled every micro step, so a dip
-    below a level between two record times cannot go unnoticed.
+    for forward runs, decreasing for backward ones); ``q0`` and ``p0`` are
+    1-D and of one size.  Returns arrays of shape (len(record_times),
+    n_orbits).  Every ``_REGROUP`` steps the orbits are sorted afresh.  A
+    free one (q >= cutoff and p * h >= 0) sees g' = 0 at every RK4 stage,
+    so a step leaves p and adds to q one increment of p and h alone.  With
+    ``retire``, an orbit whose q has dropped below 0 at any step is never
+    stepped again, and a third boolean array flags its stale entries.  The
+    rest take the RK4 march.  Every unflagged entry keeps the full march's
+    bits.
     """
     rt = np.asarray(record_times, dtype=float)
     if not rt.size or rt[0] != 0.0:
         raise DomainError("record_times must start at 0")
     q = np.array(q0, dtype=float, copy=True)
     p = np.array(p0, dtype=float, copy=True)
+    if q.ndim != 1 or q.shape != p.shape:
+        raise DomainError(f"q0 and p0 must be 1-D and of one size, got "
+                          f"shapes {q.shape} and {p.shape}")
     Q = np.empty((len(rt), q.size))
     P = np.empty_like(Q)
-    MN = np.empty_like(Q) if track_min else None
-    lowest = q.copy() if track_min else None
-    # the leading zero duration yields the launch states as row 0
+    retired = np.zeros(Q.shape, dtype=bool)
+    lowest = q.copy() if retire else None
+    gone = np.zeros(q.size, dtype=bool)
+    # the leading zero duration takes no step, so row 0 is the launch
     spans = [_split(span, dt_max) for span in [0.0, *np.diff(rt)]]
     _budget(sum(n for n, _ in spans), q.size)
-    for k, (q, p) in enumerate(_march(model, q, p, spans, lowest)):
+    for k, (n, h) in enumerate(spans):
+        for start in range(0, n, _REGROUP):
+            c = min(_REGROUP, n - start)
+            free = ~gone & (q >= model.cutoff) & (p * h >= 0.0)
+            moving = np.flatnonzero(~(gone | free))
+            if moving.size:
+                low = lowest[moving] if retire else None
+                [(q[moving], p[moving])] = _march(
+                    model, q[moving], p[moving], [(c, h)], low)
+                if retire:
+                    lowest[moving] = low
+                    gone = lowest < 0.0
+            if free.any():
+                qf = q[free]
+                [(inc, _)] = _march(homogeneous(), np.zeros_like(qf),
+                                    p[free], [(1, h)])
+                for _ in range(c):
+                    qf += inc
+                q[free] = qf
         Q[k] = q
         P[k] = p
-        if track_min:
-            MN[k] = lowest
+        retired[k] = gone
     _certify(model, Q[0], P[0], q, p, energy_tol)
-    if track_min:
-        return Q, P, MN
+    if retire:
+        return Q, P, retired
     return Q, P
 
 

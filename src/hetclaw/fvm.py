@@ -19,11 +19,13 @@ floating-point arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CflViolation, DomainError, NonFinite, NotFound
+from .flow import _budget
 from .model import HamiltonianModel
 
 DEFAULT_CFL = 0.45
@@ -151,13 +153,16 @@ def _march(model: HamiltonianModel, u0: CellField, t_final: float,
 
     Yields (t, dt, values, mark): steps shorten to land exactly on each
     ascending mark in (0, t_final], and ``mark`` is the one landed on, or
-    None.  The grid's source term is evaluated once per march.
+    None.  The grid's source term is evaluated once per march.  Before
+    the first step the flow's budget is charged the step count at the
+    launch's CFL step, so a march that would run for hours is refused.
     """
     if not np.isfinite(t_final):
         raise DomainError(f"t_final must be finite, got {t_final}")
     if not (0.0 < cfl <= 1.0):
         raise DomainError(f"cfl must be in (0, 1], got {cfl}")
     dx = u0.grid.dx
+    _budget(math.ceil(t_final / _stable_dt(u0.values, dx, cfl)), u0.grid.n)
     source = model.g_prime(u0.grid.centers())
     u = u0.values
     t = 0.0

@@ -9,7 +9,6 @@ import pytest
 
 from hetclaw.charsol import (
     _arc_batch,
-    _live_march,
     asymptotic_profile,
     eval_solution,
     shock_size,
@@ -20,7 +19,7 @@ from hetclaw.charsol import (
 )
 from hetclaw.design import Jump, profile_from_solution
 from hetclaw.errors import DomainError, EnergyDrift
-from hetclaw.flow import integrate_batch
+from hetclaw.flow import DEFAULT_DT, _march, _split, integrate_batch
 from hetclaw.model import MODELS
 from hetclaw.shooting import DEFAULT_SHOOT_TOL, delta
 
@@ -274,26 +273,35 @@ def test_grid_route_includes_time_zero(quartic):
     ("quartic", np.array([0.0, 0.3, 5.0])),     # 74 chunks in one gap
     ("homogeneous", np.array([0.0, 0.5, 1.0])),  # all free at launch
 ])
-def test_live_march_keeps_the_full_march_bits(name, record):
-    """Skipping dead orbits and adding free ones' one increment per step
-    leaves every alive entry and every dead flag as the full march has
-    them.  Orbits heading back into the well from the flat tail are added
-    to the arc's: g' is zero where they start but not where they go."""
+def test_retiring_march_keeps_the_kernel_bits(name, record):
+    """Retiring orbits that dip below 0 and adding free ones' one
+    increment per step leaves every unretired entry as the bare RK4
+    kernel has it, and the retired flags are the kernel's running minimum
+    below 0.  Orbits heading back into the well from the flat tail are
+    added to the arc's: g' is zero where they start but not where they
+    go."""
     model = MODELS[name]()
     q0, p0 = _arc_batch(model, 3.0, 512)
     q0 = np.concatenate([q0, np.linspace(1.0, 2.5, 16)])
     p0 = np.concatenate([p0, np.full(16, -0.7)])
-    Q, P, dead = _live_march(model, q0, p0, record)
-    FQ, FP, MN = integrate_batch(model, q0, p0, record, track_min=True)
-    np.testing.assert_array_equal(dead, MN < 0.0)
-    alive = ~dead
+    Q, P, retired = integrate_batch(model, q0, p0, record, retire=True)
+    spans = [_split(s, DEFAULT_DT) for s in [0.0, *np.diff(record)]]
+    lowest = q0.copy()
+    KQ, KP, MN = [], [], []
+    for q, p in _march(model, q0.copy(), p0.copy(), spans, lowest):
+        KQ.append(q)
+        KP.append(p)
+        MN.append(lowest.copy())
+    KQ, KP, MN = map(np.array, (KQ, KP, MN))
+    np.testing.assert_array_equal(retired, MN < 0.0)
+    alive = ~retired
     np.testing.assert_array_equal(Q[alive].view(np.int64),
-                                  FQ[alive].view(np.int64))
+                                  KQ[alive].view(np.int64))
     np.testing.assert_array_equal(P[alive].view(np.int64),
-                                  FP[alive].view(np.int64))
-    free = alive[-1] & (FQ[-1] >= model.cutoff) & (FP[-1] >= 0.0)
+                                  KP[alive].view(np.int64))
+    free = alive[-1] & (KQ[-1] >= model.cutoff) & (KP[-1] >= 0.0)
     assert free.any()
-    assert dead[-1].any() == (name == "quartic")
+    assert retired[-1].any() == (name == "quartic")
 
 
 def _heavy(model, below_zero_only):
@@ -321,6 +329,19 @@ def test_grid_march_work_has_a_ceiling(quartic, n_orbits, times):
     with pytest.raises(DomainError, match="steps"):
         solution_grid(quartic, times, np.array([0.5]), n_orbits=n_orbits)
     assert time.perf_counter() - start < 1.0
+
+
+def test_grid_of_no_positions_has_no_columns(quartic):
+    """No positions used to escape as a raw ValueError from np.max."""
+    grid = solution_grid(quartic, [0.0, 1.0], np.array([]))
+    assert grid.shape == (2, 0)
+
+
+@pytest.mark.parametrize("n_orbits", [100.5, 0, -8])
+def test_grid_orbit_count_must_be_a_positive_integer(quartic, n_orbits):
+    """A fractional count used to escape as a raw TypeError."""
+    with pytest.raises(DomainError, match="n_orbits"):
+        solution_grid(quartic, [1.0], np.array([0.5]), n_orbits=n_orbits)
 
 
 # ===== Domain =====

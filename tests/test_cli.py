@@ -187,11 +187,13 @@ def test_infinite_horizon_orbits_fail_with_json(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--tmax", "inf"], ["--cfl", "0"],
-                                   ["--cfl", "1.5"], ["--cfl", "inf"]])
+                                   ["--cfl", "1.5"], ["--cfl", "inf"],
+                                   ["--tmax", "1e6"]])
 def test_unbounded_simulations_fail_fast_with_json(tmp_path, flags):
-    """The first two inputs used to hang the finite-volume march and the
-    last two wrote a blown-up field; run in a child process so a
-    regression fails on the timeout instead of hanging."""
+    """The first two inputs used to hang the finite-volume march, the
+    next two wrote a blown-up field, and the last took 5.6e7 steps; run
+    in a child process so a regression fails on the timeout instead of
+    hanging."""
     src = os.path.dirname(os.path.dirname(hetclaw.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

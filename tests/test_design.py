@@ -89,7 +89,7 @@ def test_flipped_profile_is_rejected(quartic, target_profile):
 
 def test_backward_then_forward_returns_to_the_samples(quartic, target_footprint):
     idx = np.arange(0, target_footprint.xs.size, 40)
-    Q, P, _ = terminal_batch(quartic, target_footprint.feet[idx],
+    Q, P = terminal_batch(quartic, target_footprint.feet[idx],
                              target_footprint.p0[idx], 2.0)
     assert np.max(np.abs(Q - target_footprint.xs[idx])) <= 1e-7
     assert np.max(np.abs(P - target_footprint.ws[idx])) <= 1e-7

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from hetclaw.errors import DomainError, EnergyDrift, HetclawError
 from hetclaw.model import quartic_well
 from hetclaw.flow import (
+    DEFAULT_DT,
+    _march,
     _split,
     crossing_events,
     integrate,
@@ -147,6 +149,18 @@ def test_record_times_must_start_at_zero(quartic):
         integrate_batch(quartic, np.array([0.0]), np.array([1.0]), [])
 
 
+@pytest.mark.parametrize("q0, p0", [
+    (np.zeros(3), np.ones(4)),
+    (np.zeros((2, 2)), np.ones((2, 2))),
+    (0.0, 1.0),
+])
+def test_batch_launch_must_be_two_matching_vectors(quartic, q0, p0):
+    """Launch arrays of different sizes used to escape as a raw numpy
+    broadcast error."""
+    with pytest.raises(DomainError, match="1-D"):
+        integrate_batch(quartic, q0, p0, [0.0, 1.0])
+
+
 # Each public marcher on one trapped orbit to t = 1.
 MARCHERS = {
     "integrate": lambda m, **kw: integrate(m, 0.0, 1.4, 1.0, **kw),
@@ -245,7 +259,7 @@ def test_batch_march_lands_on_the_scalar_one(q0, p0, t, dt_max):
         with pytest.raises(type(ref)):
             terminal_batch(*args)
         return
-    Q, P, _ = terminal_batch(*args)
+    Q, P = terminal_batch(*args)
     assert (Q[0], P[0]) == ref
 
 
@@ -293,15 +307,56 @@ def test_batch_running_minimum_sees_between_record_dips(quartic):
     look alive at the records alone."""
     period = period_quadrature(quartic, 1.0)
     marks = np.array([0.0, period])
-    Q, P, MN = integrate_batch(quartic, np.array([0.0]), np.array([1.0]),
-                               marks, track_min=True)
+    Q, _ = integrate_batch(quartic, np.array([0.0]), np.array([1.0]), marks)
     assert abs(Q[1, 0]) < 1e-6
-    assert MN[1, 0] < -0.3
+    _, _, retired = integrate_batch(quartic, np.array([0.0]),
+                                    np.array([1.0]), marks, retire=True)
+    assert retired.tolist() == [[False], [True]]
 
 
-def test_terminal_batch_tracks_minimum(quartic):
-    Q, P, MN = terminal_batch(quartic, np.array([0.0]), np.array([1.0]), 2.0)
-    assert MN[0] <= np.minimum(0.0, Q[0])
+def test_terminal_batch_is_the_last_recorded_row(quartic):
+    q0 = np.array([0.0, 0.2, 1.5, -0.4])
+    p0 = np.array([1.0, -0.5, 2.0, 0.3])
+    for t in (2.0, -1.5):
+        Q, P = integrate_batch(quartic, q0, p0, [0.0, t])
+        q, p = terminal_batch(quartic, q0, p0, t)
+        np.testing.assert_array_equal(q.view(np.int64), Q[-1].view(np.int64))
+        np.testing.assert_array_equal(p.view(np.int64), P[-1].view(np.int64))
+
+
+def _kernel_rows(model, q0, p0, record):
+    """The bare RK4 kernel over integrate_batch's spans, every orbit
+    stepped every step."""
+    spans = [_split(s, DEFAULT_DT) for s in [0.0, *np.diff(record)]]
+    rows = list(_march(model, q0.copy(), p0.copy(), spans))
+    return (np.array([q for q, _ in rows]), np.array([p for _, p in rows]))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("record", [
+    np.linspace(0.0, 2.5, 101),         # a gap of 25 steps
+    np.array([0.0, 0.3, 5.0]),          # 74 chunks in one gap
+    np.array([0.0, -0.4, -1.7]),        # backward
+])
+def test_batch_march_keeps_the_kernel_bits(quartic, record):
+    """Free orbits add one increment per step instead of taking RK4
+    steps, yet every entry, orbits that dip below 0 included, is the
+    kernel's to the bit.  Past the cutoff an orbit is free when it moves
+    outward in the march's direction (p >= 0 forward, p <= 0 backward);
+    one that heads back into the well is not."""
+    q0 = np.concatenate([np.zeros(40), np.linspace(0.5, 2.5, 24),
+                         np.linspace(1.0, 2.5, 8)])
+    p0 = np.concatenate([np.linspace(1e-3, 2.0, 40), np.full(24, 1.3),
+                         np.full(8, -0.7)])
+    Q, P = integrate_batch(quartic, q0, p0, record)
+    KQ, KP = _kernel_rows(quartic, q0, p0, record)
+    np.testing.assert_array_equal(_bits(Q), _bits(KQ))
+    np.testing.assert_array_equal(_bits(P), _bits(KP))
+    assert (Q < 0.0).any()
+    assert ((Q[-1] >= quartic.cutoff) & (P[-1] * record[-1] >= 0.0)).any()
 
 
 def test_dense_output_matches_direct_integration(quartic):

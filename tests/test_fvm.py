@@ -1,6 +1,8 @@
 """Godunov scheme: fluxes, source split, structure and convergence."""
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,18 @@ def test_marches_reject_unbounded_runs(quartic, t_final, cfl):
         evolve(quartic, u0, t_final, cfl=cfl)
     with pytest.raises(DomainError):
         detect_shock_formation(quartic, u0, t_final, cfl=cfl)
+
+
+def test_march_work_has_a_ceiling(quartic):
+    """A horizon of 1e6 on 2,000 cells needs 1.1e9 steps, about 16 hours
+    of march; both marches refuse it before the first step."""
+    u0 = step_datum(Grid1D(-4.0, 4.0, 2000))
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="steps"):
+        evolve(quartic, u0, 1e6)
+    with pytest.raises(DomainError, match="steps"):
+        detect_shock_formation(quartic, u0, 1e6)
+    assert time.perf_counter() - start < 1.0
 
 
 # ===== Evolution structure =====

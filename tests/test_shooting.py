@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hetclaw.errors import DomainError, NotFound
-from hetclaw.flow import terminal_batch, terminal_state
+from hetclaw.flow import integrate_batch, terminal_state
 from hetclaw.shooting import (DEFAULT_SHOOT_TOL, delta, delta_batch,
                               delta_continuity_scan)
 
@@ -51,9 +51,10 @@ def test_brute_force_scan_agrees(quartic):
                                np.full(n - half, 2.0)])
     q_launch = np.concatenate([np.zeros(half),
                                np.linspace(1e-6, 1.0, n - half)])
-    Q, _, MN = terminal_batch(quartic, q_launch, p_launch, t)
-    ok = MN >= 0.0
-    miss = np.where(ok, np.abs(Q - x), np.inf)
+    Q, _, retired = integrate_batch(quartic, q_launch, p_launch, [0.0, t],
+                                    retire=True)
+    ok = ~retired[-1]
+    miss = np.where(ok, np.abs(Q[-1] - x), np.inf)
     best = int(np.argmin(miss))
     res = delta(quartic, t, x)
     assert abs(q_launch[best] - res.q0) < 2e-3
