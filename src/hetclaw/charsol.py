@@ -215,12 +215,20 @@ def solution_grid(model: HamiltonianModel, times, xs,
     orbits on opposite sides of a turning point the momentum itself is
     interpolated.  Odd reflection fills x < 0.  No shooting is involved,
     so the raster is an independent check of the point route.
-    Positions must avoid 0; times must be nondecreasing and start at or
-    after 0; ``n_orbits`` must be a positive integer.  Row t = 0 is the
-    step datum itself, and no positions give a grid with no columns.
+    Times and positions must be finite 1-D arrays; positions must avoid
+    0; times must be nondecreasing and start at or after 0; ``n_orbits``
+    must be a positive integer.  Row t = 0 is the step datum itself, and
+    no positions give a grid with no columns.
     """
     times = np.asarray(times, dtype=float)
     xs = np.asarray(xs, dtype=float)
+    for name, axis in (("times", times), ("positions", xs)):
+        if axis.ndim != 1:
+            raise DomainError(
+                f"grid {name} must be 1-D, got shape {axis.shape}")
+        if not np.all(np.isfinite(axis)):
+            raise DomainError(f"grid {name} must be finite, "
+                              f"got {axis[~np.isfinite(axis)][0]}")
     if np.any(xs == 0.0):
         raise DomainError("grid positions must avoid the shock x = 0")
     if times.size and (np.any(np.diff(times) < 0.0) or times[0] < 0.0):

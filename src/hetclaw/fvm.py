@@ -42,10 +42,12 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if self.n < 4:
-            raise DomainError(f"grid needs n >= 4, got {self.n}")
-        if not (self.x_max > self.x_min):
-            raise DomainError("grid needs x_max > x_min")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 4):
+            raise DomainError(f"grid needs an integer n >= 4, got {self.n}")
+        if not (math.isfinite(self.x_max - self.x_min)
+                and self.x_max > self.x_min):
+            raise DomainError("grid needs x_max > x_min a finite width apart, "
+                              f"got [{self.x_min}, {self.x_max}]")
 
     @property
     def dx(self) -> float:
@@ -111,24 +113,58 @@ def godunov_flux(u_left, u_right):
     return np.maximum(0.5 * left * left, 0.5 * right * right)
 
 
-def _stable_dt(u, dx: float, cfl: float) -> float:
-    return cfl * dx / max(float(np.max(np.abs(u))), 1.0)
+def _top(u) -> float:
+    """max |u|, NaN when u holds a NaN and inf when it holds an inf."""
+    return float(max(u.max(), -u.min()))
+
+
+def _stable_dt(top: float, dx: float, cfl: float) -> float:
+    return cfl * dx / max(top, 1.0)
 
 
 def cfl_dt(model: HamiltonianModel, field: CellField,
            cfl: float = DEFAULT_CFL) -> float:
     """Largest stable step: cfl * dx over the max wave speed (>= 1)."""
-    return _stable_dt(field.values, field.grid.dx, cfl)
+    return _stable_dt(_top(field.values), field.grid.dx, cfl)
 
 
-def _update(u, dt: float, dx: float, source):
-    """Forward-Euler update with zero-gradient ghosts; source = g'(x_i)."""
-    ext = np.concatenate([u[:1], u, u[-1:]])
-    flux = godunov_flux(ext[:-1], ext[1:])
-    new = u - (dt / dx) * (flux[1:] - flux[:-1]) - dt * source
-    if not np.all(np.isfinite(new)):
+def _buffers(cells):
+    """A ghost-padded copy of the marched cells and four work rows, one
+    per interface: the two one-sided states and their half squares."""
+    ext = np.empty(cells.size + 2)
+    ext[1:-1] = cells
+    return ext, np.empty((4, cells.size + 1))
+
+
+def _update(ext, work, dt: float, dx: float, source, half: bool) -> float:
+    """One forward-Euler step of the cells ext[1:-1], in place.
+
+    Zero-gradient ghosts, except that a half march's left ghost is the
+    mirror cell -u[0].  Each operation is the one the plain formula
+    u - (dt/dx) * (F[1:] - F[:-1]) - dt * source performs, in its order,
+    with F = godunov_flux of the padded field, so the result is the same
+    to the bit.  Returns max |u| of the new field and raises NonFinite
+    when that is not finite.
+    """
+    u = ext[1:-1]
+    ext[0] = -u[0] if half else u[0]
+    ext[-1] = u[-1]
+    sides, squares = work[:2], work[2:]
+    np.maximum(ext[:-1], 0.0, out=sides[0])
+    np.minimum(ext[1:], 0.0, out=sides[1])
+    np.multiply(sides, 0.5, out=squares)
+    squares *= sides
+    flux = np.maximum(squares[0], squares[1], out=squares[0])
+    change = sides[0, :-1]
+    np.subtract(flux[1:], flux[:-1], out=change)
+    change *= dt / dx
+    u -= change
+    np.multiply(source, dt, out=change)
+    u -= change
+    top = _top(u)
+    if not math.isfinite(top):
         raise NonFinite("finite-volume update produced non-finite values")
-    return new
+    return top
 
 
 def step(model: HamiltonianModel, field: CellField, dt: float,
@@ -140,42 +176,95 @@ def step(model: HamiltonianModel, field: CellField, dt: float,
     """
     u = field.values
     dx = field.grid.dx
-    bound = _stable_dt(u, dx, cfl)
+    bound = _stable_dt(_top(u), dx, cfl)
     if dt > bound * (1.0 + 1e-12):
         raise CflViolation(f"dt={dt} exceeds cfl*dx/max|u| = {bound}")
-    return CellField(field.grid, _update(
-        u, dt, dx, model.g_prime(field.grid.centers())))
+    ext, work = _buffers(u)
+    _update(ext, work, dt, dx, model.g_prime(field.grid.centers()), False)
+    return CellField(field.grid, ext[1:-1])
 
 
-def _march(model: HamiltonianModel, u0: CellField, t_final: float,
-           cfl: float, marks=()):
-    """Step u0 toward t_final at the CFL bound, yielding after each step.
+def _unfold(right) -> np.ndarray:
+    """The whole odd field from its right half.  The left half is
+    0.0 - the mirror, so a zero comes out +0.0 on both sides, as the
+    full march's cancellations round it."""
+    return np.concatenate([0.0 - right[::-1], right])
 
-    Yields (t, dt, values, mark): steps shorten to land exactly on each
-    ascending mark in (0, t_final], and ``mark`` is the one landed on, or
-    None.  The grid's source term is evaluated once per march.  Before
-    the first step the flow's budget is charged the step count at the
-    launch's CFL step, so a march that would run for hours is refused.
+
+class _March:
+    """One march of u0 toward t_final at the CFL bound, in place.
+
+    Construction checks the inputs, refuses a non-finite datum, and
+    charges the flow's budget the step count at the launch's CFL step, so
+    a march that would run for hours is refused before its first step.
+    The field lives in one ghost-padded buffer; the grid's source term is
+    evaluated once.
+
+    A datum that is odd to the bit on a mirrored grid, under an odd
+    source, marches only its right half.  The full march would keep such
+    a field odd to the bit (the Godunov flux is even under
+    (uL, uR) -> (-uR, -uL) and the update commutes with negation), so the
+    half march, whose left ghost is -u[0], reproduces it exactly;
+    ``values`` and ``cell`` unfold the left half on demand.
     """
-    if not np.isfinite(t_final):
-        raise DomainError(f"t_final must be finite, got {t_final}")
-    if not (0.0 < cfl <= 1.0):
-        raise DomainError(f"cfl must be in (0, 1], got {cfl}")
-    dx = u0.grid.dx
-    _budget(math.ceil(t_final / _stable_dt(u0.values, dx, cfl)), u0.grid.n)
-    source = model.g_prime(u0.grid.centers())
-    u = u0.values
-    t = 0.0
-    pending = list(marks)
-    while t < t_final - 1e-14:
-        horizon = pending[0] if pending else t_final
-        dt = min(_stable_dt(u, dx, cfl), horizon - t, t_final - t)
-        u = _update(u, dt, dx, source)
-        t += dt
-        mark = None
-        if pending and t >= pending[0] - 1e-14:
-            mark = pending.pop(0)
-        yield t, dt, u, mark
+
+    def __init__(self, model: HamiltonianModel, u0: CellField,
+                 t_final: float, cfl: float, times=()):
+        if not (np.isfinite(t_final) and t_final >= 0.0):
+            raise DomainError(
+                f"t_final must be finite and >= 0, got {t_final}")
+        if not (0.0 < cfl <= 1.0):
+            raise DomainError(f"cfl must be in (0, 1], got {cfl}")
+        for s in times:
+            if np.isnan(s):
+                raise DomainError(f"snapshot times must be numbers, got {s}")
+        grid = u0.grid
+        top = _top(u0.values)
+        if not math.isfinite(top):
+            raise NonFinite(f"datum is not finite (max |u| = {top})")
+        _budget(math.ceil(t_final / _stable_dt(top, grid.dx, cfl)), grid.n)
+        self.t_final, self.cfl, self.dx, self.top = t_final, cfl, grid.dx, top
+        self.marks = sorted({float(s) for s in times if 0.0 <= s <= t_final})
+        source = model.g_prime(grid.centers())
+        h = grid.n // 2
+        self.half = (grid.x_min == -grid.x_max and grid.n % 2 == 0
+                     and np.array_equal(source[::-1], -source)
+                     and np.array_equal(_unfold(u0.values[h:]).view(np.int64),
+                                        u0.values.view(np.int64)))
+        self.offset = h if self.half else 0
+        self.source = source[self.offset:]
+        self.ext, self.work = _buffers(u0.values[self.offset:])
+
+    def __iter__(self):
+        """Step to t_final, yielding (t, dt, mark) after each step.
+
+        Steps shorten to land exactly on each mark in (0, t_final], and
+        ``mark`` is the one landed on, or None.
+        """
+        pending = [m for m in self.marks if m > 0.0]
+        t, top = 0.0, self.top
+        while t < self.t_final - 1e-14:
+            horizon = pending[0] if pending else self.t_final
+            dt = min(_stable_dt(top, self.dx, self.cfl), horizon - t,
+                     self.t_final - t)
+            top = _update(self.ext, self.work, dt, self.dx, self.source,
+                          self.half)
+            t += dt
+            mark = None
+            if pending and t >= pending[0] - 1e-14:
+                mark = pending.pop(0)
+            yield t, dt, mark
+
+    def values(self) -> np.ndarray:
+        """The whole field now, as a fresh array."""
+        u = self.ext[1:-1]
+        return _unfold(u) if self.half else u.copy()
+
+    def cell(self, i: int) -> float:
+        """The value of cell i now."""
+        if i >= self.offset:
+            return self.ext[1 + i - self.offset]
+        return 0.0 - self.ext[self.offset - i]
 
 
 @dataclass(frozen=True)
@@ -190,21 +279,16 @@ class EvolveResult:
 def evolve(model: HamiltonianModel, u0: CellField, t_final: float,
            cfl: float = DEFAULT_CFL, snapshot_times=()) -> EvolveResult:
     """March to t_final, shortening steps to hit snapshots exactly."""
-    if t_final < 0.0:
-        raise DomainError(f"t_final must be >= 0, got {t_final}")
-    marks = sorted({float(s) for s in snapshot_times
-                    if 0.0 <= s <= t_final})
-    values = u0.values.copy()
+    march = _March(model, u0, t_final, cfl, snapshot_times)
     snaps = []
-    if marks and marks[0] == 0.0:
-        snaps.append((0.0, values.copy()))
-        marks.pop(0)
+    if march.marks and march.marks[0] == 0.0:
+        snaps.append((0.0, u0.values.copy()))
     count = 0
-    for _, _, values, mark in _march(model, u0, t_final, cfl, marks):
+    for _, _, mark in march:
         count += 1
         if mark is not None:
-            snaps.append((mark, values.copy()))
-    return EvolveResult(final=CellField(u0.grid, values),
+            snaps.append((mark, march.values()))
+    return EvolveResult(final=CellField(u0.grid, march.values()),
                         snapshots=tuple(snaps), steps=count)
 
 
@@ -231,8 +315,9 @@ def detect_shock_formation(model: HamiltonianModel, u0: CellField,
         raise DomainError("grid must straddle x = 0")
 
     prev_jump = float(u0.values[i_left] - u0.values[i_right])
-    for t, dt, values, _ in _march(model, u0, t_max, cfl):
-        jump = float(values[i_left] - values[i_right])
+    march = _March(model, u0, t_max, cfl)
+    for t, dt, _ in march:
+        jump = float(march.cell(i_left) - march.cell(i_right))
         if prev_jump <= jump_threshold < jump:
             frac = (jump_threshold - prev_jump) / (jump - prev_jump)
             return t - dt + frac * dt

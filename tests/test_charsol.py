@@ -344,6 +344,21 @@ def test_grid_orbit_count_must_be_a_positive_integer(quartic, n_orbits):
         solution_grid(quartic, [1.0], np.array([0.5]), n_orbits=n_orbits)
 
 
+@pytest.mark.parametrize("times, xs", [
+    ((1.0,), np.array([[0.5, 0.6]])),
+    ((1.0,), np.array([0.5, np.nan])),
+    ((1.0,), np.array([np.inf])),
+    ([[1.0]], np.array([0.5])),
+    ((0.5, np.nan), np.array([0.5])),
+    ((np.inf,), np.array([0.5])),
+])
+def test_grid_axes_must_be_finite_and_one_dimensional(quartic, times, xs):
+    """A 2-D xs used to return a 3-D grid, and a NaN position to march
+    every orbit before failing as NonFinite."""
+    with pytest.raises(DomainError, match="grid (times|positions) must be"):
+        solution_grid(quartic, times, xs, n_orbits=64)
+
+
 # ===== Domain =====
 
 def test_rejects_nonpositive_time(quartic):

@@ -1,14 +1,16 @@
 """Godunov scheme: fluxes, source split, structure and convergence."""
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from hetclaw.charsol import asymptotic_profile, solution_grid
-from hetclaw.errors import CflViolation, DomainError, NotFound
+from hetclaw.errors import CflViolation, DomainError, NonFinite, NotFound
 from hetclaw.fvm import (
+    DEFAULT_CFL,
     CellField,
     Grid1D,
     cfl_dt,
@@ -19,6 +21,7 @@ from hetclaw.fvm import (
     sample_datum,
     step,
     step_datum,
+    _March,
 )
 
 SQRT6 = np.sqrt(6.0)
@@ -40,8 +43,14 @@ def test_step_datum_signs():
 
 
 def test_grid_rejects_tiny_cell_counts():
-    with pytest.raises(DomainError):
-        Grid1D(-1.0, 1.0, 2)
+    """A fractional count used to give n + 1/2 rounded up centers, and an
+    infinite bound an infinite cell width."""
+    for bounds, n in [((-1.0, 1.0), 2), ((-3.0, 3.0), 40.5),
+                      ((-3.0, 3.0), 40.0), ((-np.inf, 3.0), 40),
+                      ((-3.0, np.nan), 40), ((-1e308, 1e308), 40),
+                      ((3.0, -3.0), 40)]:
+        with pytest.raises(DomainError):
+            Grid1D(*bounds, n)
 
 
 # ===== Numerical flux =====
@@ -111,19 +120,35 @@ def test_cfl_guard(quartic):
         step(quartic, u0, 3.0 * cfl_dt(quartic, u0))
 
 
-@pytest.mark.parametrize("t_final, cfl", [(np.nan, 0.45), (np.inf, 0.45),
-                                          (1.0, 0.0), (1.0, -0.45),
-                                          (1.0, np.nan), (1.0, 1.5),
-                                          (1.0, np.inf)])
-def test_marches_reject_unbounded_runs(quartic, t_final, cfl):
+@pytest.mark.parametrize("t_final, cfl, times", [
+    *(pytest.param(t, c, (), id=f"{t}-{c}") for t, c in [
+        (np.nan, 0.45), (np.inf, 0.45), (-1.0, 0.45), (1.0, 0.0),
+        (1.0, -0.45), (1.0, np.nan), (1.0, 1.5), (1.0, np.inf)]),
+    pytest.param(1.0, 0.45, (0.5, np.nan), id="nan-snapshot"),
+])
+def test_marches_reject_unbounded_runs(quartic, t_final, cfl, times):
     """A non-finite horizon or a non-positive CFL number would loop
     forever (or return after zero steps), and a CFL number above 1 blows
-    the scheme up; both marches refuse them."""
+    the scheme up; both marches refuse them, and a negative horizon.  A
+    NaN snapshot time used to be dropped without a word."""
     u0 = step_datum(Grid1D(-2.0, 2.0, 100))
-    with pytest.raises(DomainError):
-        evolve(quartic, u0, t_final, cfl=cfl)
-    with pytest.raises(DomainError):
-        detect_shock_formation(quartic, u0, t_final, cfl=cfl)
+    with pytest.raises(DomainError, match="nan" if times else None):
+        evolve(quartic, u0, t_final, cfl=cfl, snapshot_times=times)
+    if not times:
+        with pytest.raises(DomainError):
+            detect_shock_formation(quartic, u0, t_final, cfl=cfl)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_marches_refuse_a_non_finite_datum(quartic, bad):
+    """Such a datum used to escape the step budget as a raw ValueError
+    (NaN) or ZeroDivisionError (inf)."""
+    u0 = step_datum(Grid1D(-2.0, 2.0, 100))
+    u0.values[7] = bad
+    with pytest.raises(NonFinite):
+        evolve(quartic, u0, 1.0)
+    with pytest.raises(NonFinite):
+        detect_shock_formation(quartic, u0, 1.0)
 
 
 def test_march_work_has_a_ceiling(quartic):
@@ -186,6 +211,118 @@ def test_invariant_region_bound(staged_run):
     _, result = staged_run
     for _, v in result.snapshots:
         assert np.max(np.abs(v)) <= SQRT6 + 1e-12
+
+
+# ===== Reference march =====
+
+def _reference_march(model, u0, t_final, marks=()):
+    """The scheme as first written: fresh arrays every step, zero-gradient
+    ghosts on both sides, the whole grid.  Yields (t, dt, u, mark)."""
+    u, dx = u0.values, u0.grid.dx
+    source = model.g_prime(u0.grid.centers())
+    t, pending = 0.0, sorted(m for m in marks if m > 0.0)
+    while t < t_final - 1e-14:
+        horizon = pending[0] if pending else t_final
+        dt = min(DEFAULT_CFL * dx / max(float(np.max(np.abs(u))), 1.0),
+                 horizon - t, t_final - t)
+        ext = np.concatenate([u[:1], u, u[-1:]])
+        flux = godunov_flux(ext[:-1], ext[1:])
+        u = u - (dt / dx) * (flux[1:] - flux[:-1]) - dt * source
+        t += dt
+        mark = None
+        if pending and t >= pending[0] - 1e-14:
+            mark = pending.pop(0)
+        yield t, dt, u, mark
+
+
+def _lopsided(model):
+    """The model with g' scaled by 1.5 at x > 0, so the source is not odd."""
+    return dataclasses.replace(
+        model, name="lopsided",
+        g_prime=lambda x: np.where(x > 0.0, 1.5, 1.0) * model.g_prime(x))
+
+
+def _odd_step(x):
+    return np.where(x > 0.0, 2.0, -2.0)
+
+
+# (model transform, grid, datum, horizon, marks, marches half the grid)
+REFERENCE_CASES = {
+    "step-datum": (None, Grid1D(-3.0, 3.0, 600), _odd_step, 2.5,
+                   (0.0, 0.4, 1.1, 2.5), True),
+    "staged-run": (None, Grid1D(-4.0, 4.0, 4000), _odd_step, 2.5,
+                   (0.5, 1.0, 2.5), True),
+    "odd-with-zeros": (None, Grid1D(-2.0, 2.0, 400),
+                       lambda x: np.where(np.abs(x) < 0.5, 0.0, np.sign(x)),
+                       1.0, (0.5,), True),
+    "not-odd": (None, Grid1D(-2.0, 2.0, 400),
+                lambda x: np.sin(2.0 * x) + 0.3 * np.cos(x), 1.0, (0.3,),
+                False),
+    "asymmetric-grid": (None, Grid1D(-2.0, 3.0, 500), _odd_step, 1.0,
+                        (0.5,), False),
+    "lopsided-source": (_lopsided, Grid1D(-2.0, 2.0, 400), _odd_step, 1.5,
+                        (0.7,), False),
+}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_march_matches_the_reference_to_the_bit(quartic, case):
+    """Snapshots, final field and step count equal the plain march's, sign
+    of zero included, whichever route the datum takes."""
+    transform, grid, datum, horizon, marks, half = REFERENCE_CASES[case]
+    model = transform(quartic) if transform else quartic
+    u0 = sample_datum(grid, datum)
+    assert _March(model, u0, horizon, DEFAULT_CFL).half == half
+    result = evolve(model, u0, horizon, snapshot_times=marks)
+    steps = list(_reference_march(model, u0, horizon, marks))
+    expected = [(m, u) for _, _, u, m in steps if m is not None]
+    if 0.0 in marks:
+        expected.insert(0, (0.0, u0.values))
+    assert result.steps == len(steps)
+    np.testing.assert_array_equal(_bits(result.final.values),
+                                  _bits(steps[-1][2]))
+    assert [t for t, _ in result.snapshots] == [t for t, _ in expected]
+    for (_, got), (_, want) in zip(result.snapshots, expected):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("case", ["step-datum", "lopsided-source"])
+def test_detection_matches_the_reference(quartic, case):
+    transform, grid, datum, horizon, _, _ = REFERENCE_CASES[case]
+    model = transform(quartic) if transform else quartic
+    u0 = sample_datum(grid, datum)
+    i = grid.n // 2
+    threshold = 0.05
+    prev = u0.values[i - 1] - u0.values[i]
+    for t, dt, u, _ in _reference_march(model, u0, horizon):
+        jump = u[i - 1] - u[i]
+        if prev <= threshold < jump:
+            expected = t - dt + (threshold - prev) / (jump - prev) * dt
+            break
+        prev = jump
+    else:
+        pytest.fail("the reference march never crosses the threshold")
+    assert detect_shock_formation(model, u0, horizon,
+                                  jump_threshold=threshold) == expected
+
+
+def test_a_non_finite_update_stops_the_march(quartic):
+    """A source that is NaN at one cell spoils the field on the first
+    step; the march refuses there instead of carrying NaN to t_final."""
+    model = dataclasses.replace(
+        quartic, name="spoiled",
+        g_prime=lambda x: np.where(np.abs(x - 0.5) < 0.01, np.nan, 0.0))
+    u0 = step_datum(Grid1D(-2.0, 2.0, 400))
+    _, _, first, _ = next(_reference_march(model, u0, 1.0))
+    assert not np.all(np.isfinite(first))
+    with pytest.raises(NonFinite):
+        evolve(model, u0, 1.0)
+    with pytest.raises(NonFinite):
+        detect_shock_formation(model, u0, 1.0)
 
 
 # ===== Contraction =====
