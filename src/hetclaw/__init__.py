@@ -9,8 +9,7 @@ design (``design``).  ``cli`` ties them into reproducible experiments.
 """
 
 from .charsol import (asymptotic_profile, eval_solution, shock_size,
-                      shock_trace_momentum, solution_grid, solution_profile,
-                      time_monotonicity_scan)
+                      solution_grid, solution_profile, time_monotonicity_scan)
 from .design import (Jump, Profile, design_report, footprint,
                      profile_from_solution, ray_fan, reconstruct_vertex,
                      round_trip)
@@ -77,7 +76,6 @@ __all__ = [
     "sample_datum",
     "shock_size",
     "shock_time",
-    "shock_trace_momentum",
     "solution_grid",
     "solution_profile",
     "step_datum",

@@ -22,12 +22,12 @@ import numpy as np
 from .errors import DomainError
 from .flow import integrate_batch
 from .model import HamiltonianModel
-from .period import invert_half_period
-from .shooting import DEFAULT_SHOOT_TOL, arc_decode, delta, delta_batch
+from .shooting import (DEFAULT_SHOOT_TOL, arc_decode, arc_encode, delta,
+                       delta_batch)
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .flow import terminal_batch, terminal_state  # noqa: F401
-from .period import shock_time  # noqa: F401
+from .period import invert_half_period, shock_time  # noqa: F401
 
 # Width of the one-sided offset used for shock traces.
 TRACE_EPS = 1e-4
@@ -115,17 +115,6 @@ def shock_size(model: HamiltonianModel, t: float) -> float:
     return -2.0 * u_plus
 
 
-def shock_trace_momentum(model: HamiltonianModel, t: float) -> float:
-    """One-sided trace |u(t, 0+-)| predicted by the period map.
-
-    The orbit grazing x = 0 at time t is the one whose half-period is
-    exactly t, so the trace magnitude equals that momentum.  Defined for
-    t past the shock formation time; used as the cross-route check of
-    shock_size.
-    """
-    return invert_half_period(model, t)
-
-
 # ===== Long-time diagnostics =====
 
 @dataclass(frozen=True)
@@ -154,7 +143,7 @@ def time_monotonicity_scan(model: HamiltonianModel, x: float, t_grid,
     t_vals = np.asarray(sorted(float(t) for t in t_grid))
     u_vals = np.array([eval_solution(model, t, x).u
                        for t in t_vals])
-    bound = float(np.sqrt(2.0 * (model.flat_value - model.g(x))))
+    bound = abs(asymptotic_profile(model, x))
     violations = []
     for i in range(1, len(t_vals)):
         if u_vals[i] > u_vals[i - 1] + tol:
@@ -249,7 +238,7 @@ def solution_grid(model: HamiltonianModel, times, xs,
 
     pos = np.abs(xs)
     g_pos = model.g(pos)
-    s0 = np.where(q0 > 0.0, -q0, 2.0 - p0)
+    s0 = arc_encode(q0, p0)
     U = np.empty((times.size, xs.size))
     for i, t in enumerate(times):
         if t == 0.0:
@@ -264,8 +253,7 @@ def solution_grid(model: HamiltonianModel, times, xs,
         # point, where the shell's square root is not smooth, does the
         # momentum itself interpolate better
         a, b = arc_decode(np.interp(pos, qs, s0[alive][order]))
-        shell = np.sqrt(np.maximum(2.0 * (0.5 * b * b + model.g(a) - g_pos),
-                                   0.0))
+        shell = np.sqrt(np.maximum(2.0 * (model.h(a, b) - g_pos), 0.0))
         p_lin = np.interp(pos, qs, ps)
         k = np.clip(np.searchsorted(qs, pos), 1, qs.size - 1)
         turning = ps[k - 1] * ps[k] < 0.0

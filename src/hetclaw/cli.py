@@ -356,7 +356,7 @@ def _run_rays(model: HamiltonianModel, config: RunConfig,
     else:
         p_left, p_right = -2.0, 2.0
     report = ray_fan(model, t, 0.0, p_left, p_right, config.n,
-                     exit_tol=config.tol, cross_tol=config.tol)
+                     tol=config.tol)
     units = "ray:index,t:time,q:position"
 
     write.csv("rays.csv", units, "ray,t,q",

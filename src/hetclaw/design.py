@@ -312,15 +312,16 @@ class RayFanReport:
 
 def ray_fan(model: HamiltonianModel, t: float, x0: float,
             p_left: float, p_right: float, n_rays: int,
-            exit_tol: float = 1e-6, cross_tol: float = 1e-6) -> RayFanReport:
+            tol: float = 1e-6) -> RayFanReport:
     """Launch n_rays backward orbits from (t, x0), momenta interpolated.
 
     Terminal momenta sweep linearly from p_left to p_right; all rays are
     integrated on one shared time grid so crossings reduce to sign
     changes of pairwise differences, refined by linear interpolation.
-    A sign change only counts when both sides clear ``cross_tol``:
-    rays sharing a foot touch at solver-tolerance scale without
-    crossing, while genuine fan crossings swing far wider.
+    A sign change only counts when both sides clear ``tol``: rays
+    sharing a foot touch at solver-tolerance scale without crossing,
+    while genuine fan crossings swing far wider.  A ray exits once it
+    leaves the band of the two edge rays by more than ``tol``.
     """
     if not 0.0 < t < np.inf:
         raise DomainError(f"horizon must be positive and finite, got {t}")
@@ -340,15 +341,15 @@ def ray_fan(model: HamiltonianModel, t: float, x0: float,
             d = positions[:, i] - positions[:, j]
             hits = np.nonzero((d[:-1] * d[1:] < 0.0)
                               & (np.minimum(np.abs(d[:-1]),
-                                            np.abs(d[1:])) > cross_tol))[0]
+                                            np.abs(d[1:])) > tol))[0]
             for k in hits:
                 frac = d[k] / (d[k] - d[k + 1])
                 s = times[k] + frac * (times[k + 1] - times[k])
                 if 0.0 < s < t:
                     crossings.append((i, j, float(s)))
 
-    lo = np.minimum(positions[:, 0], positions[:, -1]) - exit_tol
-    hi = np.maximum(positions[:, 0], positions[:, -1]) + exit_tol
+    lo = np.minimum(positions[:, 0], positions[:, -1]) - tol
+    hi = np.maximum(positions[:, 0], positions[:, -1]) + tol
     exits = []
     for k in range(1, n_rays - 1):
         out = np.nonzero((positions[:, k] < lo) | (positions[:, k] > hi))[0]

@@ -116,8 +116,8 @@ def _certify(model: HamiltonianModel, q0, p0, q, p, energy_tol: float):
         raise DomainError(f"energy_tol must be positive, got {energy_tol}")
     if not (np.isfinite(q).all() and np.isfinite(p).all()):
         raise NonFinite("orbit left the finite range")
-    e0 = 0.5 * p0 * p0 + model.g(q0)
-    energy = 0.5 * p * p + model.g(q)
+    e0 = model.h(q0, p0)
+    energy = model.h(q, p)
     drift = float(np.max(np.abs(energy - e0), initial=0.0))
     if drift > energy_tol:
         raise EnergyDrift(f"energy drift {drift:.3e} > {energy_tol:.1e}")

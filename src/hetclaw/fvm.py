@@ -75,9 +75,6 @@ class CellField:
         if self.values.shape != (self.grid.n,):
             raise DomainError("values length must match the cell count")
 
-    def copy(self) -> "CellField":
-        return CellField(self.grid, self.values.copy())
-
 
 def step_datum(grid: Grid1D) -> CellField:
     """The step datum: 2 for x > 0, -2 for x < 0."""
@@ -171,9 +168,12 @@ def step(model: HamiltonianModel, field: CellField, dt: float,
          cfl: float = DEFAULT_CFL) -> CellField:
     """One forward-Euler step of the split Godunov scheme.
 
-    Zero-gradient ghost cells; raises CflViolation when dt exceeds the
-    stated bound and NonFinite if the update blows up.
+    Zero-gradient ghost cells; raises DomainError unless dt is positive
+    and finite, CflViolation when dt exceeds the stated bound and
+    NonFinite if the update blows up.
     """
+    if not (0.0 < dt < math.inf):
+        raise DomainError(f"dt must be positive and finite, got {dt}")
     u = field.values
     dx = field.grid.dx
     bound = _stable_dt(_top(u), dx, cfl)
@@ -216,15 +216,16 @@ class _March:
         if not (0.0 < cfl <= 1.0):
             raise DomainError(f"cfl must be in (0, 1], got {cfl}")
         for s in times:
-            if np.isnan(s):
-                raise DomainError(f"snapshot times must be numbers, got {s}")
+            if not (0.0 <= s <= t_final):
+                raise DomainError(
+                    f"snapshot times must lie in [0, {t_final}], got {s}")
         grid = u0.grid
         top = _top(u0.values)
         if not math.isfinite(top):
             raise NonFinite(f"datum is not finite (max |u| = {top})")
         _budget(math.ceil(t_final / _stable_dt(top, grid.dx, cfl)), grid.n)
         self.t_final, self.cfl, self.dx, self.top = t_final, cfl, grid.dx, top
-        self.marks = sorted({float(s) for s in times if 0.0 <= s <= t_final})
+        self.marks = sorted({float(s) for s in times})
         source = model.g_prime(grid.centers())
         h = grid.n // 2
         self.half = (grid.x_min == -grid.x_max and grid.n % 2 == 0

@@ -11,11 +11,14 @@ its relative precision as they near the separatrix.  Substituting
 q = q_turn * sin(theta) and measuring the half-angle from pi/2 makes the
 integrand smooth through the turning point (see ``_passage_times``);
 Gauss-Legendre on panels graded toward pi/2 then integrates it to
-rounding.  The same arrival-time quadrature times the shots of the
-shooting map.  An ODE route (integrate and detect the first upward return
-to q = 0) serves as an independent cross-check, and a Richardson
-extrapolation of half-periods toward p0 = 0 recovers the infimum, which
-is the shock-formation time of the step-datum solution.
+rounding.  Both arrival-time integrals of the shooting map live here:
+the passage times of an oscillating orbit (``_passage_times``) and the
+flight time of an orbit above the flat level (``_flight_time``), whose
+panels are graded toward its arrival end.  An ODE route (integrate and
+detect the first upward return to q = 0) serves as an independent
+cross-check, and a Richardson extrapolation of half-periods toward
+p0 = 0 recovers the infimum, which is the shock-formation time of the
+step-datum solution.
 """
 
 from __future__ import annotations
@@ -44,6 +47,15 @@ _OCTAVES = np.concatenate(([0.0], 0.5 ** np.arange(60, -1, -1)))
 
 _BASE_EDGES = 0.5 * math.pi - 0.5 * math.pi * _OCTAVES[::-1]
 
+# Gauss-Legendre on [0, 1] in the octave panels, in the distance r from
+# the arrival end of a flight.  Near the separatrix the integrand peaks
+# there on the scale eps**(1/4), and each panel resolves one octave of
+# that peak, as the period panels do toward pi/2.
+_R_HALF = 0.5 * np.diff(_OCTAVES)
+_R_NODES = ((_OCTAVES[:-1] + _R_HALF)[:, None]
+            + _R_HALF[:, None] * _GL_NODES).ravel()
+_R_WEIGHTS = (_R_HALF[:, None] * _GL_WEIGHTS).ravel()
+
 # Positions per quadrature block: each temporary stays near 160 kB, in cache.
 _BLOCK = 8
 
@@ -53,11 +65,6 @@ _MAX_ITERATIONS = 200
 
 
 # ===== Arrival-time quadrature =====
-
-def _below_flat(model: HamiltonianModel, d):
-    """flat - g at depth d >= 0 below the cutoff, exact next to it."""
-    return d * model.chord_slope(d, 0.0)
-
 
 def _passage_times(model: HamiltonianModel, depth, x):
     """(tau_out, tau_ret): when the orbit turning at depth ``depth`` below
@@ -97,6 +104,26 @@ def _passage_times(model: HamiltonianModel, depth, x):
         quarter[blk] = panels.sum(axis=1)
         t_out[blk] = np.where(hi <= split, panels, 0.0).sum(axis=1)
     return t_out, 2.0 * quarter - t_out
+
+
+def _flight_time(model: HamiltonianModel, v, a, b):
+    """tau(E; a -> b) for arrays with 0 <= a <= b and E = flat + v**2/2.
+
+    ``v`` >= 0 is the speed past the cutoff.  The part inside the cutoff
+    is integrated on panels graded toward its upper end; the flat part is
+    crossed at speed v.
+    """
+    c = model.cutoff
+    hi = np.minimum(b, c)
+    width = hi - np.minimum(a, c)
+    inner = np.empty_like(v)
+    for k in range(0, v.size, _BLOCK):
+        blk = slice(k, k + _BLOCK)
+        d = (c - hi[blk, None]) + width[blk, None] * _R_NODES
+        speed = np.sqrt(v[blk, None] ** 2 + 2.0 * model.below_flat(d))
+        inner[blk] = width[blk] * (1.0 / speed @ _R_WEIGHTS)
+    tail = np.maximum(b, c) - np.maximum(a, c)
+    return inner + np.where(tail > 0.0, tail / v, 0.0)
 
 
 def _half_period(model: HamiltonianModel, depth: float) -> float:
@@ -174,12 +201,12 @@ def _solve(residual, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
 
 def _depth(model: HamiltonianModel, p0: float) -> float:
     """Depth d below the cutoff of the turning point of the orbit launched
-    from (0, p0): the root of _below_flat(d) = flat - p0**2/2."""
+    from (0, p0): the root of below_flat(d) = flat - p0**2/2."""
     p_sep = model.separatrix_momentum
     if not (0.0 < p0 < p_sep):
         raise DomainError(f"period needs p0 in (0, {p_sep:.6g}), got {p0}")
     target = model.flat_value - 0.5 * p0 * p0
-    depth = _solve(lambda d: _below_flat(model, d) - target, 0.0,
+    depth = _solve(lambda d: model.below_flat(d) - target, 0.0,
                    model.cutoff, -target, 0.5 * p0 * p0)
     # The depth carries an absolute rounding of eps * cutoff, and the
     # integrand's chord slopes inherit it relative to q_turn: a turning
@@ -272,7 +299,7 @@ def invert_half_period(model: HamiltonianModel, t: float) -> float:
                           f"half-period infimum {t_shock:.6g}")
     z = _solve(lambda z: _passage_times(model, -z, np.zeros_like(z))[1] - t,
                -model.cutoff, 0.0, t_shock - t, math.inf)
-    return math.sqrt(2.0 * (model.flat_value - _below_flat(model, -z)))
+    return math.sqrt(2.0 * (model.flat_value - model.below_flat(-z)))
 
 
 # ===== Tabulation =====

@@ -39,8 +39,7 @@ import numpy as np
 
 from .errors import DomainError, NotFound
 from .model import HamiltonianModel
-from .period import (_BLOCK, _GL_NODES, _GL_WEIGHTS, _OCTAVES, _below_flat,
-                     _illinois, _passage_times)
+from .period import _flight_time, _illinois, _passage_times
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .flow import terminal_batch, terminal_state  # noqa: F401
@@ -52,16 +51,6 @@ DEFAULT_SHOOT_TOL = 1e-9
 # this share of t is not rounding in the quadrature but a shot double
 # precision cannot represent.
 _LOST = 1e-6
-
-
-# Gauss-Legendre on [0, 1] in the octave panels, in the distance r from
-# the arrival end.  Near the separatrix the integrand peaks there on the
-# scale eps**(1/4), and each panel resolves one octave of that peak, as
-# the period panels do toward pi/2.
-_R_HALF = 0.5 * np.diff(_OCTAVES)
-_R_NODES = ((_OCTAVES[:-1] + _R_HALF)[:, None]
-            + _R_HALF[:, None] * _GL_NODES).ravel()
-_R_WEIGHTS = (_R_HALF[:, None] * _GL_WEIGHTS).ravel()
 
 
 # ===== The glued arc =====
@@ -79,6 +68,12 @@ def arc_decode(s):
         return np.where(s <= 0.0, -s, 0.0), np.where(s <= 0.0, 2.0, 2.0 - s)
     s = float(s)
     return (-s, 2.0) if s <= 0.0 else (0.0, 2.0 - s)
+
+
+def arc_encode(q0, p0):
+    """Datum (q0, p0) on the arc -> arc parameter s, elementwise; the
+    inverse of :func:`arc_decode`."""
+    return np.where(q0 > 0.0, -q0, 2.0 - p0)
 
 
 def free_flight(model: HamiltonianModel, t: float, x):
@@ -104,28 +99,6 @@ class DeltaResult:
     p0: float
     residual: float
     p_end: float
-
-
-# ===== Arrival-time quadrature =====
-
-def _flight_time(model: HamiltonianModel, v, a, b):
-    """tau(E; a -> b) for arrays with 0 <= a <= b and E = flat + v**2/2.
-
-    ``v`` >= 0 is the speed past the cutoff.  The part inside the cutoff
-    is integrated on panels graded toward its upper end; the flat part is
-    crossed at speed v.
-    """
-    c = model.cutoff
-    hi = np.minimum(b, c)
-    width = hi - np.minimum(a, c)
-    inner = np.empty_like(v)
-    for k in range(0, v.size, _BLOCK):
-        blk = slice(k, k + _BLOCK)
-        d = (c - hi[blk, None]) + width[blk, None] * _R_NODES
-        speed = np.sqrt(v[blk, None] ** 2 + 2.0 * _below_flat(model, d))
-        inner[blk] = width[blk] * (1.0 / speed @ _R_WEIGHTS)
-    tail = np.maximum(b, c) - np.maximum(a, c)
-    return inner + np.where(tail > 0.0, tail / v, 0.0)
 
 
 # ===== Shooting =====
@@ -186,7 +159,7 @@ def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
 
     def speed(v, xk):
         depth = np.maximum(c - xk, 0.0)
-        return np.hypot(v, np.sqrt(2.0 * _below_flat(model, depth)))
+        return np.hypot(v, np.sqrt(2.0 * model.below_flat(depth)))
 
     lost = np.zeros_like(xs, dtype=bool)
 
@@ -243,7 +216,7 @@ def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
         z = solve(osc, passage_miss, z_x.copy(), np.zeros_like(xo),
                   passage_miss(z_x, np.arange(xo.size))[0], t - tau_sep[osc])
         q0_out[shoot[osc]] = 0.0
-        p0_out[shoot[osc]] = np.sqrt(2.0 * (flat - _below_flat(model, -z)))
+        p0_out[shoot[osc]] = np.sqrt(2.0 * (flat - model.below_flat(-z)))
     if np.any(lost):
         raise NotFound(f"no shot reaches x={xs[lost][0]} at t={t}: the "
                        f"arrival time is missed by more than {_LOST:g} t")
@@ -294,7 +267,7 @@ def delta_continuity_scan(model: HamiltonianModel, t_range, x_range,
     p_grid = np.empty((n_t, n_x))
     for i, t in enumerate(t_vals):
         q0, p0, _, _ = delta_batch(model, float(t), x_vals)
-        s_grid[i] = np.where(q0 > 0.0, -q0, 2.0 - p0)
+        s_grid[i] = arc_encode(q0, p0)
         p_grid[i] = p0
 
     step_t = (t1 - t0) / (n_t - 1) if n_t > 1 else 0.0

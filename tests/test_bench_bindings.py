@@ -5,7 +5,8 @@ wrappers during a traced round.  Some of those names are imported but not
 called by the module that holds them, so a cleanup that drops them would
 only break the traced benchmark; these tests catch that in the main
 suite, along with a dropped argument that a wrapper reads off a call.
-The last test keeps the library free of imports nothing uses.
+The last two tests keep the library free of imports nothing uses and
+of private constants read across modules.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import ast
 import importlib.util
 import inspect
 import os
+import re
 
 import pytest
 
@@ -86,3 +88,18 @@ def test_no_dead_imports(fname):
     traced = {a for m, a, *_ in tracing.PATCHES if m.__name__ == module}
     dead = imported - used - exported - traced
     assert not dead, f"{fname} imports {sorted(dead)} and never uses them"
+
+
+@pytest.mark.parametrize("fname", sorted(f for f in os.listdir(SRC)
+                                         if f.endswith(".py")))
+def test_no_private_constants_from_siblings(fname):
+    """No module reads a private constant (``_UPPER_CASE``) of another, so
+    a rule such as a quadrature's nodes and panels has one home and is
+    changed in one place."""
+    with open(os.path.join(SRC, fname)) as fh:
+        tree = ast.parse(fh.read())
+    borrowed = [f"{node.module}.{a.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").startswith("hetclaw"))
+                for a in node.names if re.fullmatch(r"_[A-Z0-9_]+", a.name)]
+    assert not borrowed, f"{fname} imports {borrowed}"

@@ -12,7 +12,6 @@ from hetclaw.charsol import (
     asymptotic_profile,
     eval_solution,
     shock_size,
-    shock_trace_momentum,
     solution_grid,
     solution_profile,
     time_monotonicity_scan,
@@ -21,6 +20,7 @@ from hetclaw.design import Jump, profile_from_solution
 from hetclaw.errors import DomainError, EnergyDrift
 from hetclaw.flow import DEFAULT_DT, _march, _split, integrate_batch
 from hetclaw.model import MODELS
+from hetclaw.period import invert_half_period
 from hetclaw.shooting import DEFAULT_SHOOT_TOL, delta
 
 SQRT2 = np.sqrt(2.0)
@@ -169,16 +169,16 @@ def test_jump_size_grows_and_saturates(quartic):
 
 
 def test_trace_momentum_values(quartic):
-    assert shock_trace_momentum(quartic, 1.2) == pytest.approx(
+    assert invert_half_period(quartic, 1.2) == pytest.approx(
         0.695704223218254, abs=1e-8)
-    assert shock_trace_momentum(quartic, 2.0) == pytest.approx(
+    assert invert_half_period(quartic, 2.0) == pytest.approx(
         1.33527856057482174, abs=1e-8)
-    assert shock_trace_momentum(quartic, 4.0) == pytest.approx(
+    assert invert_half_period(quartic, 4.0) == pytest.approx(
         1.40996236139438907, abs=1e-8)
 
 
 def test_one_sided_trace_matches_point_samples(quartic):
-    trace = shock_trace_momentum(quartic, 2.0)
+    trace = invert_half_period(quartic, 2.0)
     near = eval_solution(quartic, 2.0, 1e-8)
     assert near.u == pytest.approx(-trace, abs=1e-6)
     # the returning orbit is found this close to the origin too: no
@@ -193,7 +193,7 @@ def test_late_shock_traces_are_finite(quartic, t):
     """The trace orbits return to the origin within 2e-8 of the
     separatrix momentum; the half-period inversion still lands on them,
     and the profile's jump tag carries the same traces."""
-    trace = shock_trace_momentum(quartic, t)
+    trace = invert_half_period(quartic, t)
     assert 1.4142 < trace < SQRT2
     assert eval_solution(quartic, t, 1e-8).u == pytest.approx(-trace,
                                                              abs=1e-10)

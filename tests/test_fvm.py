@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import time
 
 import numpy as np
@@ -118,6 +119,10 @@ def test_cfl_guard(quartic):
     assert cfl_dt(quartic, u0, cfl=0.45) == pytest.approx(0.45 * grid.dx / 2.0)
     with pytest.raises(CflViolation):
         step(quartic, u0, 3.0 * cfl_dt(quartic, u0))
+    # a step back in time, or none, is refused before the update
+    for dt in (-0.01, 0.0, -0.0, np.nan, np.inf):
+        with pytest.raises(DomainError, match="dt"):
+            step(quartic, u0, dt)
 
 
 @pytest.mark.parametrize("t_final, cfl, times", [
@@ -125,14 +130,19 @@ def test_cfl_guard(quartic):
         (np.nan, 0.45), (np.inf, 0.45), (-1.0, 0.45), (1.0, 0.0),
         (1.0, -0.45), (1.0, np.nan), (1.0, 1.5), (1.0, np.inf)]),
     pytest.param(1.0, 0.45, (0.5, np.nan), id="nan-snapshot"),
+    pytest.param(1.0, 0.45, (0.5, 5.0), id="late-snapshot"),
+    pytest.param(1.0, 0.45, (-1.0,), id="negative-snapshot"),
+    pytest.param(1.0, 0.45, (np.inf,), id="inf-snapshot"),
 ])
 def test_marches_reject_unbounded_runs(quartic, t_final, cfl, times):
     """A non-finite horizon or a non-positive CFL number would loop
     forever (or return after zero steps), and a CFL number above 1 blows
     the scheme up; both marches refuse them, and a negative horizon.  A
-    NaN snapshot time used to be dropped without a word."""
+    snapshot time that is NaN or outside [0, t_final] used to be dropped
+    without a word; the refusal names it."""
     u0 = step_datum(Grid1D(-2.0, 2.0, 100))
-    with pytest.raises(DomainError, match="nan" if times else None):
+    with pytest.raises(DomainError,
+                       match=re.escape(str(times[-1])) if times else None):
         evolve(quartic, u0, t_final, cfl=cfl, snapshot_times=times)
     if not times:
         with pytest.raises(DomainError):

@@ -62,8 +62,6 @@ def test_hamiltonian_split(quartic):
     p = np.array([-2.0, -0.5, 0.0, 1.3])
     x = 0.4
     np.testing.assert_allclose(quartic.h(x, p), p**2 / 2.0 + quartic.g(x))
-    np.testing.assert_array_equal(quartic.dh_dp(x, p), p)
-    assert quartic.dh_dx(x, 1.0) == quartic.g_prime(x)
 
 
 def test_hamiltonian_even_in_momentum(quartic):
@@ -80,6 +78,58 @@ def test_homogeneous_is_flat(homog):
     x = np.linspace(-5.0, 5.0, 101)
     assert np.all(homog.g(x) == 0.0)
     assert np.all(homog.g_prime(x) == 0.0)
+
+
+# ===== Chord slope and the gap below the flat level =====
+
+def _mp_chord(mp, d, d_top):
+    """60-digit chord slope of the quartic well between depths d >= d_top
+    below the cutoff, or g' where they merge.  With y = d (2 - d),
+    g(1 - d) = 1 - y**4."""
+    d, d_top = mp.mpf(d), mp.mpf(d_top)
+    if d == d_top:
+        return 8 * (1 - d) * (d * (2 - d)) ** 3
+    y, yt = d * (2 - d), d_top * (2 - d_top)
+    return ((1 - yt**4) - (1 - y**4)) / (d - d_top)
+
+
+def test_quartic_chord_slope_is_exact_to_rounding(quartic):
+    """The quadratures' precision rests on the chord slope; it must hold
+    next to the cutoff, where g itself rounds to 1, as the two points
+    merge, and anywhere in between."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    d_cut = np.geomspace(1e-12, 0.999, 200)
+    top = rng.uniform(0.0, 0.99, 200)
+    wide = np.sort(rng.uniform(0.0, 1.0, (200, 2)), axis=1)
+    cases = {
+        "at the cutoff": (d_cut, np.zeros_like(d_cut)),
+        "1e-9 apart": (top + 1e-9, top),
+        "merged": (top, top),
+        "random": (wide[:, 1], wide[:, 0]),
+    }
+    with mp.workdps(60):
+        for name, (d, d_top) in cases.items():
+            got = quartic.chord_slope(d, d_top)
+            want = np.array([float(_mp_chord(mp, a, b))
+                             for a, b in zip(d, d_top)])
+            rel = np.abs(got - want) / np.abs(want)
+            assert np.max(rel) <= 1e-14, (name, np.max(rel))
+        # the gap below the flat level, 1 - g(1 - d) = (d (2 - d))**4
+        got = quartic.below_flat(d_cut)
+        want = np.array([float((mp.mpf(d) * (2 - mp.mpf(d))) ** 4)
+                         for d in d_cut])
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def test_homogeneous_chord_is_exact_zero(homog):
+    """Zeros in the broadcast shape of the two depths."""
+    for d, d_top in [(0.3, 0.0), (np.zeros(3)[:, None], np.zeros(4)),
+                     (np.linspace(0.0, 1.0, 5), 0.2)]:
+        slope = homog.chord_slope(d, d_top)
+        assert slope.shape == np.broadcast(d, d_top).shape
+        assert np.all(slope == 0.0)
+    assert np.all(homog.below_flat(np.linspace(0.0, 2.0, 9)) == 0.0)
 
 
 def test_registry_contents():
@@ -104,6 +154,7 @@ def test_unbounded_potential_is_flagged():
     bad = HamiltonianModel(name="linear", g=lambda x: np.abs(np.asarray(x, dtype=float)),
                            g_prime=lambda x: np.sign(np.asarray(x, dtype=float)),
                            g_second=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                           chord_slope=lambda d, d_top: np.ones(np.broadcast(d, d_top).shape),
                            cutoff=1.0, flat_value=1.0)
     report = check_assumptions(bad)
     assert not report.flat_tails
@@ -115,6 +166,7 @@ def test_inconsistent_gradient_is_flagged(quartic):
     lying = HamiltonianModel(name="negated", g=quartic.g,
                              g_prime=lambda x: -quartic.g_prime(x),
                              g_second=quartic.g_second,
+                             chord_slope=quartic.chord_slope,
                              cutoff=1.0, flat_value=1.0)
     report = check_assumptions(lying)
     assert not report.derivatives_consistent
