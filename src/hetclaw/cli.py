@@ -150,6 +150,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         seed=_read("seed", merged["seed"], int),
         tol=optional("tol", positive=True),
     )
+    if config.seed < 0:
+        raise DomainError(f"--seed must be an int >= 0, got {config.seed}")
     reads = EXPERIMENTS[config.experiment].reads
     unset = RunConfig(config.experiment)
     for key, name in _FIELDS.items():
@@ -277,10 +279,18 @@ def _run_simulate(model: HamiltonianModel, config: RunConfig,
     write.svg("simulate.svg", units, curves, "finite volume snapshots")
 
 
+def _even_centers(config: RunConfig, half: float):
+    """Centres of the even grid of n or n + 1 cells on [-half, half]."""
+    if config.n < 3:
+        raise DomainError(f"experiment {config.experiment!r} needs "
+                          f"--n >= 3, got {config.n}")
+    return Grid1D(-half, half, config.n + config.n % 2).centers()
+
+
 def _run_exact(model: HamiltonianModel, config: RunConfig,
                write: _Writer) -> None:
     times = tuple(sorted(config.times))
-    xs = Grid1D(-4.0, 4.0, config.n + config.n % 2).centers()
+    xs = _even_centers(config, 4.0)
     U = solution_grid(model, times, xs)
 
     units = "t:time,x:position,u:velocity"
@@ -325,7 +335,7 @@ def _run_inverse(model: HamiltonianModel, config: RunConfig,
                  write: _Writer) -> None:
     t = config.t_max
     half = max(3.0, 2.0 * t + 1.0)
-    xs = Grid1D(-half, half, config.n + config.n % 2).centers()
+    xs = _even_centers(config, half)
     w = profile_from_solution(model, t, xs, config.tol)
 
     fm = footprint(model, t, w)
@@ -394,17 +404,20 @@ def _run_asymptotics(model: HamiltonianModel, config: RunConfig,
     times = tuple(sorted(config.times))
     grid = Grid1D(-6.0, 6.0, config.n)
     x = grid.centers()
-    result = evolve(model, step_datum(grid), times[-1], config.cfl, times)
-
     window = np.abs(x) <= 2.5
     xw = x[window]
+    core = np.abs(xw) <= 0.95
+    if not core.any():
+        raise DomainError("experiment 'asymptotics' needs --n with a cell "
+                          f"centre in |x| <= 0.95, got {config.n}")
+    result = evolve(model, step_datum(grid), times[-1], config.cfl, times)
+
     exact = solution_grid(model, times, xw, n_orbits=8192)
     overlay = asymptotic_profile(model, xw)
     units = ("t:time,x:position,u_fvm:velocity,u_exact:velocity,"
              "asymptote:velocity")
     rows = []
     summary = []
-    core = np.abs(xw) <= 0.95
     for i, (t, values) in enumerate(result.snapshots):
         uw = values[window]
         for xv, uf, ue, av in zip(xw, uw, exact[i], overlay):

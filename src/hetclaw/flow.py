@@ -1,12 +1,13 @@
 """Characteristic (Hamiltonian) flow of q' = p, p' = -g'(q).
 
 Every orbit is marched by one fixed-step classical RK4 loop, ``_march``,
-in equal steps that divide each span exactly.  Determinism matters more
-here than adaptive cleverness: the forward raster, the footprints and the
-ray fans build on this flow and need bit-reproducible outputs.  One
-certificate, ``_certify``, gauges accuracy by energy conservation; a drift
-above ``energy_tol`` raises :class:`~hetclaw.errors.EnergyDrift` instead
-of silently returning junk.
+in equal steps that divide each span exactly; a batch runs the same
+operations in place on preallocated rows, to the same bits.  Determinism
+matters more here than adaptive cleverness: the forward raster, the
+footprints and the ray fans build on this flow and need bit-reproducible
+outputs.  One certificate, ``_certify``, gauges accuracy by energy
+conservation; a drift above ``energy_tol`` raises
+:class:`~hetclaw.errors.EnergyDrift` instead of silently returning junk.
 
 A batch march steps only the orbits that still move: a free one (past
 the cutoff, heading outward) adds one exact increment per step, and a
@@ -31,9 +32,10 @@ DEFAULT_ENERGY_TOL = 1e-8
 # ceiling on the steps of one march: about 20 s of scalar marching
 _MAX_STEPS = 10**7
 # ceiling on a batch march's steps x (orbits + _STEP_COST_ORBITS): 3.3x the
-# asymptotics raster (9,217 orbits over 30,000 steps), about 80 s at ~80 ns
-# per orbit-step; a step's fixed numpy cost (~76 us) is charged as 1,000
-# orbits, so a narrow batch is bounded by the same time as a wide one
+# asymptotics raster (9,217 orbits over 30,000 steps), about 20 s at ~20 ns
+# per orbit-step of the in-place kernel (2-core x86 host); a step's fixed
+# numpy cost (~30-40 us) is charged as 1,000 orbits, so a narrow batch is
+# bounded by about 35 s
 _MAX_ORBIT_STEPS = 10**9
 _STEP_COST_ORBITS = 1000
 # steps between two sortings of a batch into free, moving and retired orbits
@@ -76,15 +78,17 @@ def _split(duration: float, dt_max: float):
     return n, duration / n
 
 
-def _budget(steps: int, orbits: int) -> None:
+def _budget(steps, orbits: int) -> None:
     """Refuse, before its first step, a vector march of ``orbits`` orbits
     (or finite-volume cells) over ``steps`` summed steps that would run
-    for more than about 80 s."""
+    for more than about half a minute.  A fractional or infinite
+    ``steps`` counts as the next whole number."""
     if (steps > _MAX_STEPS
-            or steps * (orbits + _STEP_COST_ORBITS) > _MAX_ORBIT_STEPS):
+            or math.ceil(steps) * (orbits + _STEP_COST_ORBITS)
+            > _MAX_ORBIT_STEPS):
         raise DomainError(
-            f"march of {orbits} orbits or cells over {steps} steps exceeds "
-            f"{_MAX_STEPS} steps or {_MAX_ORBIT_STEPS} orbit-steps, "
+            f"march of {orbits} orbits or cells over {steps:.3g} steps "
+            f"exceeds {_MAX_STEPS} steps or {_MAX_ORBIT_STEPS} orbit-steps, "
             f"counting {_STEP_COST_ORBITS} more orbits per step")
 
 
@@ -92,17 +96,58 @@ def _march(model: HamiltonianModel, q, p, spans, lowest=None):
     """Yield (q, p) at the end of each span of one fixed-step RK4 march.
 
     A span is an (n, h) pair of n steps of size h, as :func:`_split` cuts
-    it.  (q, p) are floats or arrays alike.  With ``lowest`` (an array
-    shaped like q) the running minimum of q is folded into it after every
-    step.
+    it.  Floats take :func:`rk4_step`; 1-D arrays take :func:`_rk4_rows`,
+    which lands on the same bits.  With ``lowest`` (arrays only, shaped
+    like q) the running minimum of q is folded into it after every step.
     """
+    if isinstance(q, np.ndarray):
+        yield from _rk4_rows(model, q, p, spans, lowest)
+        return
     gp = model.g_prime
     for n, h in spans:
         for _ in range(n):
             q, p = rk4_step(gp, q, p, h)
-            if lowest is not None:
-                np.minimum(lowest, q, out=lowest)
         yield q, p
+
+
+def _rk4_rows(model: HamiltonianModel, q, p, spans, lowest=None):
+    """The array path of :func:`_march`: rk4_step's IEEE operations, in
+    its order and on its operands, on preallocated rows.
+
+    Stage block i holds [q_i; p_i; -g'(q_i)], so rows 0:2 are the stage
+    state and rows 1:3 its slope (k_q is the stage's p); block 0's state
+    is the march's own.  Each yielded pair is a fresh copy.
+    """
+    z = np.empty((4, 3, q.size))
+    z[0, 0], z[0, 1] = q, p
+    y, q1, f1 = z[0, :2], z[0, 0], z[0, 2]
+    k1, k2, k3, k4 = z[:, 1:]
+    acc = np.empty((2, q.size))
+    force = model.force
+    for n, h in spans:
+        a = 0.5 * h
+        # blocks 1-3: (stage state, its q and force rows, the slope and
+        # the step that lead to it from y)
+        stages = [(z[i, :2], z[i, 0], z[i, 2], z[i - 1, 1:], c)
+                  for i, c in ((1, a), (2, a), (3, h))]
+        for _ in range(n):
+            force(q1, f1)
+            for state, qi, fi, slope, c in stages:
+                np.multiply(c, slope, out=state)
+                np.add(y, state, out=state)
+                force(qi, fi)
+            # y + h * (((k1 + 2 k2) + 2 k3) + k4) / 6
+            np.multiply(2.0, k2, out=acc)
+            np.add(k1, acc, out=acc)
+            np.multiply(2.0, k3, out=k3)
+            np.add(acc, k3, out=acc)
+            np.add(acc, k4, out=acc)
+            np.multiply(h, acc, out=acc)
+            np.divide(acc, 6.0, out=acc)
+            np.add(y, acc, out=y)
+            if lowest is not None:
+                np.minimum(lowest, q1, out=lowest)
+        yield q1.copy(), z[0, 1].copy()
 
 
 def _certify(model: HamiltonianModel, q0, p0, q, p, energy_tol: float):

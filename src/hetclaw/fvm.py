@@ -223,7 +223,10 @@ class _March:
         top = _top(u0.values)
         if not math.isfinite(top):
             raise NonFinite(f"datum is not finite (max |u| = {top})")
-        _budget(math.ceil(t_final / _stable_dt(top, grid.dx, cfl)), grid.n)
+        # a cfl far below 1 can underflow the step to 0, or overflow the
+        # step count past any integer
+        dt = _stable_dt(top, grid.dx, cfl)
+        _budget(t_final / dt if dt > 0.0 else math.inf, grid.n)
         self.t_final, self.cfl, self.dx, self.top = t_final, cfl, grid.dx, top
         self.marks = sorted({float(s) for s in times})
         source = model.g_prime(grid.centers())

@@ -36,6 +36,22 @@ def _quartic_g_prime(x):
     return 8.0 * x * y * y * y if y > 0.0 else 0.0
 
 
+def _quartic_force(x, out):
+    # -g'(x) into out as ((-8 x) y) y y: under round-to-nearest
+    # (-a) b = -(a b), so each product is the negated one of
+    # _quartic_g_prime's, and -0.0 where y > 0 fails (NaN included) is
+    # its negated zero
+    y = np.multiply(x, x)
+    np.subtract(1.0, y, out=y)
+    np.multiply(-8.0, x, out=out)
+    out *= y
+    out *= y
+    out *= y
+    flat = np.greater(y, 0.0)
+    np.logical_not(flat, out=flat)
+    np.copyto(out, -0.0, where=flat)
+
+
 def _quartic_g_second(x):
     # 8 (1-x^2)^3 - 48 x^2 (1-x^2)^2 on |x| <= 1; matches 0 at |x| = 1, so
     # the potential is C^3 across the matching points.
@@ -62,18 +78,25 @@ def _zero(x):
     return 0.0
 
 
+def _zero_force(x, out):
+    out.fill(-0.0)
+
+
 def _zero_chord(d, d_top):
     return np.zeros(np.broadcast(d, d_top).shape)
 
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """Potential triple (g, g', g''), its chord slope and the flatness
-    radius.
+    """Potential triple (g, g', g''), the force, its chord slope and the
+    flatness radius.
 
-    All callables accept floats or numpy arrays.  ``flat_value`` is
-    the constant value of g outside [-cutoff, cutoff]; characteristics with
-    momentum p and position x out there move in straight lines.
+    The callables accept floats or numpy arrays, except ``force(x, out)``,
+    which writes -g'(x) for the array x into the float array ``out`` of
+    its shape, equal to -g_prime(x) to the bit; the batch RK4 march reads
+    it.  ``flat_value`` is the constant value of g outside
+    [-cutoff, cutoff]; characteristics with momentum p and position x out
+    there move in straight lines.
     ``chord_slope(d, d_top)`` is the slope of g between the points at
     depths d >= d_top >= 0 below the cutoff,
     (g(cutoff - d_top) - g(cutoff - d)) / (d - d_top), or g' where the two
@@ -84,6 +107,7 @@ class HamiltonianModel:
     name: str
     g: Callable = field(compare=False)
     g_prime: Callable = field(compare=False)
+    force: Callable = field(compare=False)
     g_second: Callable = field(compare=False)
     chord_slope: Callable = field(compare=False)
     cutoff: float
@@ -110,6 +134,7 @@ def quartic_well() -> HamiltonianModel:
         name="quartic",
         g=_quartic_g,
         g_prime=_quartic_g_prime,
+        force=_quartic_force,
         g_second=_quartic_g_second,
         chord_slope=_quartic_chord,
         cutoff=1.0,
@@ -124,6 +149,7 @@ def homogeneous() -> HamiltonianModel:
         name="homogeneous",
         g=_zero,
         g_prime=_zero,
+        force=_zero_force,
         g_second=_zero,
         chord_slope=_zero_chord,
         cutoff=0.0,

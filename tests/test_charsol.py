@@ -310,7 +310,11 @@ def _heavy(model, below_zero_only):
     def g_prime(q):
         scale = 1.5 if not below_zero_only else np.where(q < 0.0, 1.5, 1.0)
         return scale * model.g_prime(q)
-    return dataclasses.replace(model, name="heavy", g_prime=g_prime)
+
+    def force(q, out):
+        np.negative(g_prime(q), out=out)
+    return dataclasses.replace(model, name="heavy", g_prime=g_prime,
+                               force=force)
 
 
 @pytest.mark.parametrize("below_zero_only", [False, True])

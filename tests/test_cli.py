@@ -232,6 +232,41 @@ def test_empty_time_lists_fail_before_writing(capsys, tmp_path, experiment):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, flag, value", [
+    ("exact", "--n", "1"), ("exact", "--n", "2"), ("inverse", "--n", "1"),
+    ("asymptotics", "--n", "4"), ("asymptotics", "--n", "6"),
+    ("entropy-check", "--seed", "-1"),
+])
+def test_unusable_flag_values_are_refused_by_name(capsys, tmp_path,
+                                                  experiment, flag, value):
+    """exact and inverse --n 1 used to name the derived cell count 2,
+    asymptotics --n 4 to fail as a ValueError on a core window with no
+    cell centre, and --seed -1 as numpy's ValueError."""
+    out = tmp_path / "o"
+    code = main(["--experiment", experiment, flag, value, "--out", str(out)])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert flag in err["message"]
+    assert err["message"].endswith(f"got {value}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfl", ["1e-300", "1e-310", "5e-324"])
+def test_step_budget_refusal_is_short_and_names_the_limit(capsys, tmp_path,
+                                                          cfl):
+    """--cfl 1e-300 used to print the 300-digit step count; at 1e-310 the
+    count overflowed a float and at 5e-324 the step underflowed to 0,
+    each a raw traceback."""
+    code = main(["--experiment", "simulate", "--n", "100", "--cfl", cfl,
+                 "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert "exceeds 10000000 steps" in err["message"]
+    assert len(err["message"]) < 200
+
+
 def test_parser_rejects_unknown_experiments():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--experiment", "nonsense"])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import os
 import time
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetclaw.errors import DomainError, EnergyDrift, HetclawError
-from hetclaw.model import quartic_well
+from hetclaw.model import MODELS, quartic_well
 from hetclaw.flow import (
     DEFAULT_DT,
     _march,
@@ -21,6 +22,7 @@ from hetclaw.flow import (
     crossing_events,
     integrate,
     integrate_batch,
+    rk4_step,
     terminal_batch,
     terminal_state,
 )
@@ -248,8 +250,8 @@ def test_recorded_march_ends_on_the_scalar_one(q0, p0, t, dt_max):
     assert (traj.q[end], traj.p[end]) == ref
 
 
-# A one-orbit batch costs about 80 us a step against 2 us on floats (2-core
-# x86 host), so 40,000 steps at dt_max = 1e-3 take about 3 s.
+# A one-orbit batch costs about 40 us a step against 2 us on floats (2-core
+# x86 host), so 40,000 steps at dt_max = 1e-3 take about 1.6 s.
 @settings(deadline=10000, max_examples=30)
 @given(*DRAWS)
 def test_batch_march_lands_on_the_scalar_one(q0, p0, t, dt_max):
@@ -322,6 +324,50 @@ def test_terminal_batch_is_the_last_recorded_row(quartic):
         q, p = terminal_batch(quartic, q0, p0, t)
         np.testing.assert_array_equal(q.view(np.int64), Q[-1].view(np.int64))
         np.testing.assert_array_equal(p.view(np.int64), P[-1].view(np.int64))
+
+
+def _rk4_step_rows(model, q, p, spans, lowest):
+    """A plain loop of rk4_step on whole arrays, the running minimum of q
+    folded into ``lowest`` after every step."""
+    rows = []
+    for n, h in spans:
+        for _ in range(n):
+            q, p = rk4_step(model.g_prime, q, p, h)
+            np.minimum(lowest, q, out=lowest)
+        rows.append((q, p, lowest.copy()))
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("spans", [
+    [(1, 1e-3)],
+    [(7, 1e-3), (64, 1e-3), (3, 2.5e-4)],
+    [(1, -1e-3), (40, -1e-3), (2, -0.3)],
+], ids=["one-step", "forward", "backward"])
+def test_array_march_is_rk4_step_to_the_bit(name, spans):
+    """An array march runs in place on its own rows, yet each span's end
+    is a plain rk4_step loop's to the bit, and so is the running minimum.
+    The kernel-bit tests of the batch marchers take ``_march`` as their
+    reference; this ties it to rk4_step.  The launches sit on the rim
+    q = +-1, past it and at p = +-0."""
+    model = MODELS[name]()
+    q0 = np.concatenate([[1.0, -1.0, 1.0, -1.0, 0.0, -0.0, 1.5, -2.5, 0.3,
+                          -0.7, 1.0 - 2.0**-53],
+                         np.linspace(-1.2, 1.2, 25)])
+    p0 = np.concatenate([[0.0, -0.0, -0.5, 0.5, 0.0, -0.0, -1.0, 0.7, 1.2,
+                          -0.0, 1e-3],
+                         np.linspace(1.4, -1.4, 25)])
+    lowest = q0.copy()
+    got = [(q, p, lowest.copy())
+           for q, p in _march(model, q0.copy(), p0.copy(), spans, lowest)]
+    want = _rk4_step_rows(model, q0.copy(), p0.copy(), spans, q0.copy())
+    assert len(got) == len(want) == len(spans)
+    for row, ref in zip(got, want):
+        for a, b in zip(row, ref):
+            np.testing.assert_array_equal(_bits(a), _bits(b))
+    for (qa, pa, _), (qb, pb, _) in itertools.combinations(got, 2):
+        assert not any(np.shares_memory(a, b)
+                       for a in (qa, pa) for b in (qb, pb))
 
 
 def _kernel_rows(model, q0, p0, record):

@@ -56,6 +56,23 @@ def test_curvature_at_origin(quartic):
     assert fd == pytest.approx(8.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_force_is_the_negated_gradient_to_the_bit(name):
+    """The batch march reads -g' from ``force``, so it must be
+    ``-g_prime`` to the bit: signed zeros, the rim, the flat tails,
+    infinities and NaN included."""
+    model = MODELS[name]()
+    edge = [1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 1.0 - 2.0**-53,
+            -1.0 + 2.0**-53, 1.0 + 2.0**-52, 5e-324, -5e-324, 1e-200]
+    rng = np.random.default_rng(7)
+    x = np.concatenate([edge, np.linspace(-1.5, 1.5, 3001),
+                        rng.uniform(-1.0, 1.0, 1000)])
+    out = np.full_like(x, 7.0)
+    model.force(x, out)
+    want = -model.g_prime(x)
+    np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+
+
 # ===== Hamiltonian accessors =====
 
 def test_hamiltonian_split(quartic):
@@ -153,6 +170,7 @@ def test_unbounded_potential_is_flagged():
     """A potential that keeps growing outside the cutoff is not admissible."""
     bad = HamiltonianModel(name="linear", g=lambda x: np.abs(np.asarray(x, dtype=float)),
                            g_prime=lambda x: np.sign(np.asarray(x, dtype=float)),
+                           force=lambda x, out: np.negative(np.sign(x), out=out),
                            g_second=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                            chord_slope=lambda d, d_top: np.ones(np.broadcast(d, d_top).shape),
                            cutoff=1.0, flat_value=1.0)
@@ -165,6 +183,7 @@ def test_unbounded_potential_is_flagged():
 def test_inconsistent_gradient_is_flagged(quartic):
     lying = HamiltonianModel(name="negated", g=quartic.g,
                              g_prime=lambda x: -quartic.g_prime(x),
+                             force=lambda x, out: np.copyto(out, quartic.g_prime(x)),
                              g_second=quartic.g_second,
                              chord_slope=quartic.chord_slope,
                              cutoff=1.0, flat_value=1.0)
