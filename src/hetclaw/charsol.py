@@ -88,13 +88,16 @@ def solution_profile(model: HamiltonianModel, t: float, xs,
                      shoot_tol: float = DEFAULT_SHOOT_TOL) -> np.ndarray:
     """Vector of solution values u(t, x) over the positions ``xs``.
 
-    Positions must avoid 0.  All |x| share one shooting call, and odd
-    reflection fills x < 0.
+    Positions must avoid 0.  Each distinct |x| is shot once, all in one
+    shooting call, and odd reflection fills x < 0.  A shot does not
+    depend on its batch, so every entry equals
+    ``eval_solution(model, t, x).u`` to the bit.
     """
     xs = np.asarray(xs, dtype=float)
     if np.any(xs == 0.0):
         raise DomainError("profile positions must avoid the shock x = 0")
-    u = delta_batch(model, t, np.abs(xs), shoot_tol)[3]
+    pos, back = np.unique(np.abs(xs), return_inverse=True)
+    u = delta_batch(model, t, pos, shoot_tol)[3][back]
     return np.where(xs < 0.0, -u, u)
 
 

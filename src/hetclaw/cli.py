@@ -247,7 +247,7 @@ def _run_simulate(model: HamiltonianModel, config: RunConfig,
                   write: _Writer) -> None:
     t_max = config.t_max
     snaps = tuple(s for s in config.times if 0.0 <= s <= t_max) or (t_max,)
-    grid = Grid1D(-4.0, 4.0, config.n)
+    grid = _grid(config, -4.0, 4.0)
     x = grid.centers()
 
     result = evolve(model, step_datum(grid), t_max, config.cfl, snaps)
@@ -277,6 +277,14 @@ def _run_simulate(model: HamiltonianModel, config: RunConfig,
         "shock_formation_time": t_star,
     })
     write.svg("simulate.svg", units, curves, "finite volume snapshots")
+
+
+def _grid(config: RunConfig, x_min: float, x_max: float) -> Grid1D:
+    """The FVM grid of --n cells on [x_min, x_max]."""
+    if config.n < 4:
+        raise DomainError(f"experiment {config.experiment!r} needs "
+                          f"--n >= 4 cells, got {config.n}")
+    return Grid1D(x_min, x_max, config.n)
 
 
 def _even_centers(config: RunConfig, half: float):
@@ -381,7 +389,7 @@ def _run_rays(model: HamiltonianModel, config: RunConfig,
 def _run_entropy_check(model: HamiltonianModel, config: RunConfig,
                        write: _Writer) -> None:
     t_max = config.t_max
-    grid = Grid1D(-3.0, 3.0, config.n)
+    grid = _grid(config, -3.0, 3.0)
     marks = np.linspace(0.0, t_max, 101)
     result = evolve(model, step_datum(grid), t_max, config.cfl, marks)
     solution = from_snapshots(model, grid.centers(), result.snapshots)
@@ -402,7 +410,7 @@ def _run_entropy_check(model: HamiltonianModel, config: RunConfig,
 def _run_asymptotics(model: HamiltonianModel, config: RunConfig,
                      write: _Writer) -> None:
     times = tuple(sorted(config.times))
-    grid = Grid1D(-6.0, 6.0, config.n)
+    grid = _grid(config, -6.0, 6.0)
     x = grid.centers()
     window = np.abs(x) <= 2.5
     xw = x[window]

@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def _quartic_g(x):
     # 1 - (1-x^2)^4 in the factored form x^2 (2-x^2) (1 + (1-x^2)^2),
@@ -72,6 +74,11 @@ def _quartic_chord(d, d_top):
     return (2.0 - d - d_top) * (y + yt) * (y * y + yt * yt)
 
 
+# Fixed finite probes, over the well and its flat tails, on which a model's
+# force must be -g_prime to the bit.
+_FORCE_PROBES = np.linspace(-4.0, 4.0, 401)
+
+
 def _zero(x):
     if isinstance(x, np.ndarray):
         return np.zeros_like(x, dtype=float)
@@ -94,7 +101,9 @@ class HamiltonianModel:
     The callables accept floats or numpy arrays, except ``force(x, out)``,
     which writes -g'(x) for the array x into the float array ``out`` of
     its shape, equal to -g_prime(x) to the bit; the batch RK4 march reads
-    it.  ``flat_value`` is the constant value of g outside
+    it.  Construction raises DomainError where the two differ on a fixed
+    grid of probe points, so replacing one means replacing both.
+    ``flat_value`` is the constant value of g outside
     [-cutoff, cutoff]; characteristics with momentum p and position x out
     there move in straight lines.
     ``chord_slope(d, d_top)`` is the slope of g between the points at
@@ -112,6 +121,18 @@ class HamiltonianModel:
     chord_slope: Callable = field(compare=False)
     cutoff: float
     flat_value: float
+
+    def __post_init__(self):
+        # A model copied with a new g_prime alone would keep the old force,
+        # and its batch marches would follow the old gradient.
+        out = np.empty_like(_FORCE_PROBES)
+        self.force(_FORCE_PROBES, out)
+        want = -np.asarray(self.g_prime(_FORCE_PROBES), dtype=float)
+        bad = out.view(np.int64) != want.view(np.int64)
+        if np.any(bad):
+            raise DomainError(
+                f"model {self.name!r}: force is not -g_prime at "
+                f"x={float(_FORCE_PROBES[bad][0])!r}; replace both together")
 
     def h(self, x, p):
         """Flux value H(x, p) = p**2/2 + g(x)."""

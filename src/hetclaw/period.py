@@ -121,7 +121,8 @@ def _flight_time(model: HamiltonianModel, v, a, b):
         blk = slice(k, k + _BLOCK)
         d = (c - hi[blk, None]) + width[blk, None] * _R_NODES
         speed = np.sqrt(v[blk, None] ** 2 + 2.0 * model.below_flat(d))
-        inner[blk] = width[blk] * (1.0 / speed @ _R_WEIGHTS)
+        # row by row, so an entry's bits do not depend on its block
+        inner[blk] = width[blk] * np.vecdot(1.0 / speed, _R_WEIGHTS)
     tail = np.maximum(b, c) - np.maximum(a, c)
     return inner + np.where(tail > 0.0, tail / v, 0.0)
 

@@ -19,6 +19,7 @@ from hetclaw.charsol import (
 from hetclaw.design import Jump, profile_from_solution
 from hetclaw.errors import DomainError, EnergyDrift
 from hetclaw.flow import DEFAULT_DT, _march, _split, integrate_batch
+from hetclaw.fvm import Grid1D
 from hetclaw.model import MODELS
 from hetclaw.period import invert_half_period
 from hetclaw.shooting import DEFAULT_SHOOT_TOL, delta
@@ -212,6 +213,17 @@ def test_profile_route_matches_point_route(quartic):
         for x, u in zip(xs, us):
             assert u == pytest.approx(
                 eval_solution(quartic, 2.0, float(x)).u, abs=1e-7)
+
+
+def test_mirrored_profile_is_odd_and_the_point_route_to_the_bit(quartic):
+    """Each distinct |x| is shot once, and a shot does not depend on its
+    batch, so the profile is odd and equals the point route bit for bit."""
+    xs = Grid1D(-4.2, 4.2, 400).centers()
+    us = solution_profile(quartic, 1.6, xs)
+    np.testing.assert_array_equal(us[::-1].view(np.int64),
+                                  (-us).view(np.int64))
+    points = np.array([eval_solution(quartic, 1.6, float(x)).u for x in xs])
+    np.testing.assert_array_equal(us.view(np.int64), points.view(np.int64))
 
 
 def test_grid_route_matches_point_route(quartic):

@@ -235,13 +235,15 @@ def test_empty_time_lists_fail_before_writing(capsys, tmp_path, experiment):
 @pytest.mark.parametrize("experiment, flag, value", [
     ("exact", "--n", "1"), ("exact", "--n", "2"), ("inverse", "--n", "1"),
     ("asymptotics", "--n", "4"), ("asymptotics", "--n", "6"),
-    ("entropy-check", "--seed", "-1"),
+    ("entropy-check", "--seed", "-1"), ("simulate", "--n", "1"),
+    ("entropy-check", "--n", "1"),
 ])
 def test_unusable_flag_values_are_refused_by_name(capsys, tmp_path,
                                                   experiment, flag, value):
     """exact and inverse --n 1 used to name the derived cell count 2,
     asymptotics --n 4 to fail as a ValueError on a core window with no
-    cell centre, and --seed -1 as numpy's ValueError."""
+    cell centre, --seed -1 as numpy's ValueError, and simulate and
+    entropy-check --n 1 to name neither the flag nor the experiment."""
     out = tmp_path / "o"
     code = main(["--experiment", experiment, flag, value, "--out", str(out)])
     err = json.loads(capsys.readouterr().out)
@@ -249,6 +251,8 @@ def test_unusable_flag_values_are_refused_by_name(capsys, tmp_path,
     assert err["error"] == "DomainError"
     assert flag in err["message"]
     assert err["message"].endswith(f"got {value}")
+    if flag == "--n":
+        assert repr(experiment) in err["message"]
     assert not out.exists()
 
 

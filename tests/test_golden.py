@@ -3,7 +3,7 @@
 ``cli_golden.json`` holds the sha256 of all files the eight experiments
 write at their default configuration.  A refactor that is meant to leave
 the numbers alone must leave these bytes alone too; the test regenerates
-them and names the first file that differs.
+them and names every file that differs.
 
 The digests are tied to the numpy build that produced them (recorded in
 the manifest, currently 2.4.6): another numpy may round a few ulps
@@ -50,10 +50,12 @@ def test_default_outputs_match_the_golden_manifest(tmp_path, capsys):
     capsys.readouterr()
     assert sorted(found) == sorted(golden["files"]), (
         f"file set changed: {sorted(set(found) ^ set(golden['files']))}")
-    for path, digest in sorted(golden["files"].items()):
-        assert found[path] == digest, (
-            f"{path} differs from the golden manifest (manifest built with "
-            f"numpy {golden['numpy']}, running {np.__version__})")
+    differ = [path for path, digest in sorted(golden["files"].items())
+              if found[path] != digest]
+    assert not differ, (
+        f"{len(differ)} files differ from the golden manifest: "
+        f"{', '.join(differ)} (manifest built with numpy {golden['numpy']}, "
+        f"running {np.__version__})")
 
 
 if __name__ == "__main__":

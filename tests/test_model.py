@@ -1,9 +1,13 @@
 """Potential definitions, derivative consistency and assumption checks."""
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
+from hetclaw.errors import DomainError
 from hetclaw.model import HamiltonianModel, MODELS, check_assumptions, homogeneous, quartic_well
 
 
@@ -71,6 +75,26 @@ def test_force_is_the_negated_gradient_to_the_bit(name):
     model.force(x, out)
     want = -model.g_prime(x)
     np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+
+
+def test_replacing_the_gradient_alone_is_refused(quartic):
+    """A copy with a new g_prime but the old force would march its batch
+    orbits on the old gradient; construction names the first probe where
+    the two part."""
+    def g_prime(x):
+        return np.where(x > 0.5, 1.5, 1.0) * quartic.g_prime(x)
+
+    with pytest.raises(DomainError, match="'steep': force is not -g_prime") \
+            as err:
+        dataclasses.replace(quartic, name="steep", g_prime=g_prime)
+    x = float(re.search(r"at x=(\S+);", str(err.value)).group(1))
+    assert 0.5 < x < 0.53
+
+    def force(x, out):
+        np.negative(g_prime(x), out=out)
+    steep = dataclasses.replace(quartic, name="steep", g_prime=g_prime,
+                                force=force)
+    assert steep.g_prime(0.75) == 1.5 * quartic.g_prime(0.75)
 
 
 # ===== Hamiltonian accessors =====

@@ -14,7 +14,10 @@ from hetclaw.errors import DomainError, HetclawError
 from hetclaw.flow import integrate
 from hetclaw.model import quartic_well
 from hetclaw.period import (
+    _BLOCK,
+    _flight_time,
     _half_period,
+    _passage_times,
     invert_half_period,
     period_by_ode,
     period_quadrature,
@@ -89,6 +92,29 @@ def test_period_grows_strictly(quartic):
 
 def test_period_blows_up_at_the_separatrix(quartic):
     assert period_quadrature(quartic, 1.4142) == pytest.approx(30.4339116, rel=1e-6)
+
+
+# ===== Batch independence =====
+
+def test_a_quadrature_block_is_its_entries_to_the_bit(quartic):
+    """Each entry of a multi-block call, ragged tail included, has the
+    bits of its own one-entry call, for both arrival-time integrals."""
+    rng = np.random.default_rng(3)
+    n = 3 * _BLOCK + 5
+    v = rng.uniform(0.05, 1.5, n)
+    a = rng.uniform(0.0, 0.8, n)
+    b = a + rng.uniform(0.0, 2.0, n)
+    depth = rng.uniform(1e-6, 0.9, n)
+    x = rng.uniform(0.0, 1.0, n) * (quartic.cutoff - depth)
+    flights = _flight_time(quartic, v, a, b)
+    passages = _passage_times(quartic, depth, x)
+    for k in range(n):
+        one = slice(k, k + 1)
+        assert flights[k].view(np.int64) == _flight_time(
+            quartic, v[one], a[one], b[one])[0].view(np.int64)
+        for got, want in zip(passages, _passage_times(quartic, depth[one],
+                                                      x[one])):
+            assert got[k].view(np.int64) == want[0].view(np.int64)
 
 
 # ===== Independent route =====

@@ -71,6 +71,38 @@ def test_batch_matches_scalar(quartic):
         assert p0[j] == pytest.approx(res.p0, abs=1e-8)
 
 
+# ===== Batch independence =====
+
+# Positions that fall on the oscillating, escaping and half-line branches
+# and in free flight at each of the times below.
+BRANCH_XS = np.array([0.03, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97, 1.05,
+                      1.3, 1.8, 2.6, 3.5, 4.5, 5.5, 7.0, 50.0, 70.0])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("t", [0.3, 1.6, 2.4, 30.0])
+def test_a_shot_does_not_depend_on_its_batch(quartic, t):
+    """The set, its reversal, every x twice and each x alone give the same
+    (q0, p0, residual, p_end) to the bit."""
+    xs = BRANCH_XS
+    q0, p0, _, _ = ref = delta_batch(quartic, t, xs)
+    half = (p0 == 2.0) & (xs - 2.0 * t < quartic.cutoff)
+    osc = p0 < quartic.separatrix_momentum
+    assert half.any() and osc.any() and (~half & ~osc & (q0 == 0.0)).any()
+
+    reversed_ = [a[::-1] for a in delta_batch(quartic, t, xs[::-1])]
+    doubled = delta_batch(quartic, t, np.repeat(xs, 2))
+    alone = [delta(quartic, t, float(x)) for x in xs]
+    alone = [[getattr(d, k) for d in alone]
+             for k in ("q0", "p0", "residual", "p_end")]
+    for want, rev, dup, one in zip(ref, reversed_, doubled, alone):
+        for got in (rev, dup[0::2], dup[1::2], one):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
 # ===== Continuity =====
 
 def test_no_continuity_breaks_on_the_working_rectangle(quartic):
