@@ -8,8 +8,8 @@ entropy inequalities (``entropy``), and backward-characteristic inverse
 design (``design``).  ``cli`` ties them into reproducible experiments.
 """
 
-from .charsol import (asymptotic_profile, eval_solution, shock_size,
-                      solution_grid, solution_profile, time_monotonicity_scan)
+from .charsol import (asymptotic_profile, eval_solution, solution_grid,
+                      solution_profile, time_monotonicity_scan)
 from .design import (Jump, Profile, design_report, footprint,
                      profile_from_solution, ray_fan, reconstruct_vertex,
                      round_trip)
@@ -20,13 +20,12 @@ from .errors import (BracketFailure, DomainError, EnergyDrift, HetclawError,
 from .flow import (Trajectory, crossing_events, integrate, integrate_batch,
                    terminal_batch, terminal_state)
 from .fvm import (CellField, Grid1D, detect_shock_formation, evolve,
-                  l1_distance, sample_datum, step_datum)
-from .model import MODELS, HamiltonianModel, check_assumptions, \
-    homogeneous, quartic_well
+                  l1_distance, step_datum)
+from .model import MODELS, HamiltonianModel, homogeneous, quartic_well
 from .period import (PeriodSample, invert_half_period, period_by_ode,
                      period_quadrature, period_table, shock_time,
                      turning_point)
-from .shooting import delta, delta_batch, delta_continuity_scan
+from .shooting import delta, delta_batch
 
 __all__ = [
     "BracketFailure",
@@ -46,11 +45,9 @@ __all__ = [
     "TestFunction",
     "Trajectory",
     "asymptotic_profile",
-    "check_assumptions",
     "crossing_events",
     "delta",
     "delta_batch",
-    "delta_continuity_scan",
     "design_report",
     "detect_shock_formation",
     "entropy_residual",
@@ -73,8 +70,6 @@ __all__ = [
     "reconstruct_vertex",
     "residual_floor",
     "round_trip",
-    "sample_datum",
-    "shock_size",
     "shock_time",
     "solution_grid",
     "solution_profile",

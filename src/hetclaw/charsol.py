@@ -7,10 +7,10 @@ the step datum (2 for x > 0, -2 for x < 0) everywhere off the standing
 shock at x = 0.
 
 The module also evaluates the stationary limit profile
--sgn(x) * sqrt(2 (flat - g(x))), one-sided shock traces, and the
-long-time monotonicity diagnostics, and it can rasterize the solution
-onto a space-time grid by marching one batch of arc orbits forward
-instead of shooting per grid node.
+-sgn(x) * sqrt(2 (flat - g(x))) and the long-time monotonicity
+diagnostics, and it can rasterize the solution onto a space-time grid by
+marching one batch of arc orbits forward instead of shooting per grid
+node.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from .shooting import (DEFAULT_SHOOT_TOL, arc_decode, arc_encode, delta,
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .flow import terminal_batch, terminal_state  # noqa: F401
 from .period import invert_half_period, shock_time  # noqa: F401
-
-# Width of the one-sided offset used for shock traces.
-TRACE_EPS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -99,23 +96,6 @@ def solution_profile(model: HamiltonianModel, t: float, xs,
     pos, back = np.unique(np.abs(xs), return_inverse=True)
     u = delta_batch(model, t, pos, shoot_tol)[3][back]
     return np.where(xs < 0.0, -u, u)
-
-
-# ===== Shock trace =====
-
-def shock_size(model: HamiltonianModel, t: float) -> float:
-    """Jump u(t, 0-) - u(t, 0+) from one-sided offset evaluations.
-
-    Each one-sided trace is the linear Richardson value 2 u(eps) -
-    u(2 eps) with eps = TRACE_EPS, which cancels the first-order offset
-    error.  Before the shock forms both traces agree to O(eps^2) and the
-    size is ~0.
-    """
-    u_eps = eval_solution(model, t, TRACE_EPS).u
-    u_2eps = eval_solution(model, t, 2.0 * TRACE_EPS).u
-    u_plus = 2.0 * u_eps - u_2eps
-    # odd extension gives the left trace as the negated right one
-    return -2.0 * u_plus
 
 
 # ===== Long-time diagnostics =====

@@ -110,8 +110,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged = {key: getattr(args, key)
               for key in ("experiment", "model", "out", *_FIELDS)}
     if args.config is not None:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                overrides = json.load(fh)
+            except ValueError as exc:
+                raise DomainError(f"config file {args.config!r} is not "
+                                  f"UTF-8 JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise DomainError("config file must hold one JSON object")
         unknown = set(overrides) - set(merged)
@@ -512,7 +516,7 @@ def main(argv=None) -> int:
             if getattr(config, _FIELDS[key]) is None})
         write = _Writer(config)
         run(MODELS[config.model](), filled, write)
-    except (HetclawError, OSError, ValueError, KeyError) as exc:
+    except (HetclawError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__,
                           "message": str(exc)}))
         return 1

@@ -27,6 +27,9 @@ from .shooting import DEFAULT_SHOOT_TOL
 
 MONOTONE_TOL = 1e-6
 COLLAPSE_TOL = 1e-4
+# The crossing scan compares every pair of rays, so its time grows as the
+# square of the ray count.
+_MAX_RAYS = 1000
 
 
 # ===== Profiles =====
@@ -322,11 +325,14 @@ def ray_fan(model: HamiltonianModel, t: float, x0: float,
     sharing a foot touch at solver-tolerance scale without crossing,
     while genuine fan crossings swing far wider.  A ray exits once it
     leaves the band of the two edge rays by more than ``tol``.
+    ``n_rays`` must be an integer from 2 to 1000.
     """
     if not 0.0 < t < np.inf:
         raise DomainError(f"horizon must be positive and finite, got {t}")
-    if n_rays < 2:
-        raise DomainError(f"need at least two rays, got {n_rays}")
+    if not (isinstance(n_rays, (int, np.integer))
+            and 2 <= n_rays <= _MAX_RAYS):
+        raise DomainError(f"need an integer count of 2 to {_MAX_RAYS} "
+                          f"rays, got {n_rays!r}")
     lam = np.linspace(0.0, 1.0, n_rays)
     momenta = (1.0 - lam) * p_left + lam * p_right
     record = np.linspace(0.0, -t, 801)

@@ -25,10 +25,6 @@ class BracketFailure(HetclawError):
     """A root bracket could not be established."""
 
 
-class CflViolation(HetclawError):
-    """A finite-volume step was requested with too large a time step."""
-
-
 class NonMonotoneFeet(HetclawError):
     """Backward-characteristic feet are not nondecreasing."""
 

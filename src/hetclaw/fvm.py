@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CflViolation, DomainError, NonFinite, NotFound
+from .errors import DomainError, NonFinite, NotFound
 from .flow import _budget
 from .model import HamiltonianModel
 
@@ -81,11 +81,6 @@ def step_datum(grid: Grid1D) -> CellField:
     return CellField(grid, np.where(grid.centers() > 0.0, 2.0, -2.0))
 
 
-def sample_datum(grid: Grid1D, fn) -> CellField:
-    """Cell field sampled from a callable at cell centers."""
-    return CellField(grid, np.asarray(fn(grid.centers()), dtype=float))
-
-
 def l1_distance(field: CellField, other, window=None) -> float:
     """L1 distance between a field and an array (or field) of values."""
     v = other.values if isinstance(other, CellField) else np.asarray(other)
@@ -119,20 +114,6 @@ def _stable_dt(top: float, dx: float, cfl: float) -> float:
     return cfl * dx / max(top, 1.0)
 
 
-def cfl_dt(model: HamiltonianModel, field: CellField,
-           cfl: float = DEFAULT_CFL) -> float:
-    """Largest stable step: cfl * dx over the max wave speed (>= 1)."""
-    return _stable_dt(_top(field.values), field.grid.dx, cfl)
-
-
-def _buffers(cells):
-    """A ghost-padded copy of the marched cells and four work rows, one
-    per interface: the two one-sided states and their half squares."""
-    ext = np.empty(cells.size + 2)
-    ext[1:-1] = cells
-    return ext, np.empty((4, cells.size + 1))
-
-
 def _update(ext, work, dt: float, dx: float, source, half: bool) -> float:
     """One forward-Euler step of the cells ext[1:-1], in place.
 
@@ -162,26 +143,6 @@ def _update(ext, work, dt: float, dx: float, source, half: bool) -> float:
     if not math.isfinite(top):
         raise NonFinite("finite-volume update produced non-finite values")
     return top
-
-
-def step(model: HamiltonianModel, field: CellField, dt: float,
-         cfl: float = DEFAULT_CFL) -> CellField:
-    """One forward-Euler step of the split Godunov scheme.
-
-    Zero-gradient ghost cells; raises DomainError unless dt is positive
-    and finite, CflViolation when dt exceeds the stated bound and
-    NonFinite if the update blows up.
-    """
-    if not (0.0 < dt < math.inf):
-        raise DomainError(f"dt must be positive and finite, got {dt}")
-    u = field.values
-    dx = field.grid.dx
-    bound = _stable_dt(_top(u), dx, cfl)
-    if dt > bound * (1.0 + 1e-12):
-        raise CflViolation(f"dt={dt} exceeds cfl*dx/max|u| = {bound}")
-    ext, work = _buffers(u)
-    _update(ext, work, dt, dx, model.g_prime(field.grid.centers()), False)
-    return CellField(field.grid, ext[1:-1])
 
 
 def _unfold(right) -> np.ndarray:
@@ -237,7 +198,12 @@ class _March:
                                         u0.values.view(np.int64)))
         self.offset = h if self.half else 0
         self.source = source[self.offset:]
-        self.ext, self.work = _buffers(u0.values[self.offset:])
+        # a ghost-padded copy of the marched cells, and four work rows, one
+        # per interface: the two one-sided states and their half squares
+        cells = u0.values[self.offset:]
+        self.ext = np.empty(cells.size + 2)
+        self.ext[1:-1] = cells
+        self.work = np.empty((4, cells.size + 1))
 
     def __iter__(self):
         """Step to t_final, yielding (t, dt, mark) after each step.

@@ -4,9 +4,8 @@ The potential g encodes all of the spatial dependence.  It is required to
 be flat outside a bounded interval [-cutoff, cutoff] so that characteristics
 are straight lines far from the origin.  The default model is a quartic
 well, g(x) = 1 - (1 - x**2)**4 inside [-1, 1] and g = 1 outside, whose
-first and second derivatives are hard-coded closed forms.  Finite
-differences are used only as a consistency check, never to drive the
-dynamics.
+derivative is a hard-coded closed form; finite differences never drive
+the dynamics.
 """
 
 from __future__ import annotations
@@ -54,15 +53,6 @@ def _quartic_force(x, out):
     np.copyto(out, -0.0, where=flat)
 
 
-def _quartic_g_second(x):
-    # 8 (1-x^2)^3 - 48 x^2 (1-x^2)^2 on |x| <= 1; matches 0 at |x| = 1, so
-    # the potential is C^3 across the matching points.
-    y = 1.0 - x * x
-    if isinstance(x, np.ndarray):
-        return np.where(y > 0.0, 8.0 * y * y * y - 48.0 * x * x * y * y, 0.0)
-    return 8.0 * y * y * y - 48.0 * x * x * y * y if y > 0.0 else 0.0
-
-
 def _quartic_chord(d, d_top):
     # With y = 1 - x^2 = d (2 - d) at depth d = 1 - x below the cutoff,
     # g(1 - d_top) - g(1 - d) = y^4 - y_top^4 factors as
@@ -75,7 +65,7 @@ def _quartic_chord(d, d_top):
 
 
 # Fixed finite probes, over the well and its flat tails, on which a model's
-# force must be -g_prime to the bit.
+# force must be -g_prime to the bit and its tails exactly flat.
 _FORCE_PROBES = np.linspace(-4.0, 4.0, 401)
 
 
@@ -95,7 +85,7 @@ def _zero_chord(d, d_top):
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """Potential triple (g, g', g''), the force, its chord slope and the
+    """Potential g and its gradient g', the force, its chord slope and the
     flatness radius.
 
     The callables accept floats or numpy arrays, except ``force(x, out)``,
@@ -105,7 +95,8 @@ class HamiltonianModel:
     grid of probe points, so replacing one means replacing both.
     ``flat_value`` is the constant value of g outside
     [-cutoff, cutoff]; characteristics with momentum p and position x out
-    there move in straight lines.
+    there move in straight lines.  Construction raises DomainError where a
+    probe past the cutoff has g != flat_value or g' != 0.
     ``chord_slope(d, d_top)`` is the slope of g between the points at
     depths d >= d_top >= 0 below the cutoff,
     (g(cutoff - d_top) - g(cutoff - d)) / (d - d_top), or g' where the two
@@ -117,7 +108,6 @@ class HamiltonianModel:
     g: Callable = field(compare=False)
     g_prime: Callable = field(compare=False)
     force: Callable = field(compare=False)
-    g_second: Callable = field(compare=False)
     chord_slope: Callable = field(compare=False)
     cutoff: float
     flat_value: float
@@ -133,6 +123,15 @@ class HamiltonianModel:
             raise DomainError(
                 f"model {self.name!r}: force is not -g_prime at "
                 f"x={float(_FORCE_PROBES[bad][0])!r}; replace both together")
+        # Free flight moves an orbit past the cutoff in a straight line.
+        g = np.asarray(self.g(_FORCE_PROBES), dtype=float)
+        bad = ((np.abs(_FORCE_PROBES) > self.cutoff)
+               & ((g != self.flat_value) | (want != 0.0)))
+        if np.any(bad):
+            raise DomainError(
+                f"model {self.name!r}: tail is not flat at "
+                f"x={float(_FORCE_PROBES[bad][0])!r}; past the cutoff g must "
+                f"be flat_value and g' zero")
 
     def h(self, x, p):
         """Flux value H(x, p) = p**2/2 + g(x)."""
@@ -156,7 +155,6 @@ def quartic_well() -> HamiltonianModel:
         g=_quartic_g,
         g_prime=_quartic_g_prime,
         force=_quartic_force,
-        g_second=_quartic_g_second,
         chord_slope=_quartic_chord,
         cutoff=1.0,
         flat_value=1.0,
@@ -171,7 +169,6 @@ def homogeneous() -> HamiltonianModel:
         g=_zero,
         g_prime=_zero,
         force=_zero_force,
-        g_second=_zero,
         chord_slope=_zero_chord,
         cutoff=0.0,
         flat_value=0.0,
@@ -180,71 +177,3 @@ def homogeneous() -> HamiltonianModel:
 
 MODELS = {"quartic": quartic_well, "homogeneous": homogeneous}
 
-
-# ===== Assumption checks =====
-
-@dataclass
-class AssumptionReport:
-    """Result of sampling the structural assumptions on a model.
-
-    The checks never abort; every violation is recorded as a human-readable
-    string so a caller can decide what to do with a bad model.
-    """
-
-    flat_tails: bool
-    derivatives_consistent: bool
-    violations: list
-
-    @property
-    def all_ok(self) -> bool:
-        return self.flat_tails and self.derivatives_consistent
-
-
-def check_assumptions(model: HamiltonianModel, xs=None) -> AssumptionReport:
-    """Sample-test flatness and derivative consistency.
-
-    Args:
-        model: model to check.
-        xs: sample positions; defaults to 1001 points on [-2-cutoff, 2+cutoff].
-    """
-    # central finite-difference step, and the allowed mismatch between
-    # hard-coded and differenced derivatives
-    fd_step, fd_tol = 1e-5, 1e-6
-    if xs is None:
-        half = 2.0 + model.cutoff
-        xs = np.linspace(-half, half, 1001)
-    xs = np.asarray(xs, dtype=float)
-    violations = []
-
-    # flat tails: g constant and g' zero outside the cutoff radius
-    tails = xs[np.abs(xs) > model.cutoff + fd_step]
-    flat_tails = True
-    if tails.size:
-        gv = model.g(tails)
-        gpv = model.g_prime(tails)
-        bad = np.abs(gv - model.flat_value) > 1e-12
-        bad_p = np.abs(gpv) > 1e-12
-        if np.any(bad) or np.any(bad_p):
-            flat_tails = False
-            for x in tails[bad | bad_p][:5]:
-                violations.append(f"tail not flat at x={x:.6g}")
-
-    # central differences of g against g', and of g' against g''
-    fd_prime = (model.g(xs + fd_step) - model.g(xs - fd_step)) / (2.0 * fd_step)
-    fd_second = (model.g_prime(xs + fd_step)
-                 - model.g_prime(xs - fd_step)) / (2.0 * fd_step)
-    err_p = np.abs(fd_prime - model.g_prime(xs))
-    err_s = np.abs(fd_second - model.g_second(xs))
-    derivatives_consistent = True
-    if np.any(err_p > fd_tol) or np.any(err_s > fd_tol):
-        derivatives_consistent = False
-        for x in xs[err_p > fd_tol][:5]:
-            violations.append(f"g' inconsistent with g near x={x:.6g}")
-        for x in xs[err_s > fd_tol][:5]:
-            violations.append(f"g'' inconsistent with g' near x={x:.6g}")
-
-    return AssumptionReport(
-        flat_tails=flat_tails,
-        derivatives_consistent=derivatives_consistent,
-        violations=violations,
-    )

@@ -222,72 +222,3 @@ def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
                        f"arrival time is missed by more than {_LOST:g} t")
     return q0_out, p0_out, res_out, p_end_out
 
-
-# ===== Continuity scan =====
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    """Discrete modulus of continuity of the shooting map on a grid.
-
-    ``s_values`` holds the arc parameter; jumps between grid neighbors
-    are compared against 10x the grid step in the same direction.
-    """
-
-    t_values: np.ndarray
-    x_values: np.ndarray
-    s_values: np.ndarray
-    p0_values: np.ndarray
-    max_jump_t: float
-    max_jump_x: float
-    threshold_t: float
-    threshold_x: float
-    flags: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.flags
-
-
-def delta_continuity_scan(model: HamiltonianModel, t_range, x_range,
-                          n: int) -> ContinuityReport:
-    """Scan delta over a (t, x) rectangle and flag continuity breaks.
-
-    A neighbor-to-neighbor jump of the arc parameter larger than 10x the
-    grid step in that direction is flagged.  A degenerate rectangle (one
-    point) yields an empty report.
-    """
-    t0, t1 = map(float, t_range)
-    x0, x1 = map(float, x_range)
-    n_t = n if t1 > t0 else 1
-    n_x = n if x1 > x0 else 1
-    t_vals = np.linspace(t0, t1, n_t)
-    x_vals = np.linspace(x0, x1, n_x)
-
-    s_grid = np.empty((n_t, n_x))
-    p_grid = np.empty((n_t, n_x))
-    for i, t in enumerate(t_vals):
-        q0, p0, _, _ = delta_batch(model, float(t), x_vals)
-        s_grid[i] = arc_encode(q0, p0)
-        p_grid[i] = p0
-
-    step_t = (t1 - t0) / (n_t - 1) if n_t > 1 else 0.0
-    step_x = (x1 - x0) / (n_x - 1) if n_x > 1 else 0.0
-    jumps_t = np.abs(np.diff(s_grid, axis=0))
-    jumps_x = np.abs(np.diff(s_grid, axis=1))
-    thr_t = 10.0 * step_t
-    thr_x = 10.0 * step_x
-
-    flags = []
-    if jumps_t.size:
-        for i, j in zip(*np.nonzero(jumps_t > thr_t)):
-            flags.append(("t", int(i), int(j), float(jumps_t[i, j])))
-    if jumps_x.size:
-        for i, j in zip(*np.nonzero(jumps_x > thr_x)):
-            flags.append(("x", int(i), int(j), float(jumps_x[i, j])))
-
-    return ContinuityReport(
-        t_values=t_vals, x_values=x_vals, s_values=s_grid,
-        p0_values=p_grid,
-        max_jump_t=float(np.max(jumps_t)) if jumps_t.size else 0.0,
-        max_jump_x=float(np.max(jumps_x)) if jumps_x.size else 0.0,
-        threshold_t=thr_t, threshold_x=thr_x, flags=tuple(flags))

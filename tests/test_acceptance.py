@@ -9,13 +9,12 @@ true values.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from hetclaw.charsol import asymptotic_profile, eval_solution, solution_grid, time_monotonicity_scan
 from hetclaw.design import Jump, Profile, footprint, monotone_test, ray_fan, reconstruct_vertex, round_trip
 from hetclaw.entropy import entropy_sweep, reversed_shock_solution
 from hetclaw.flow import integrate, terminal_state
-from hetclaw.fvm import CellField, Grid1D, detect_shock_formation, evolve, l1_distance, step_datum
+from hetclaw.fvm import Grid1D, detect_shock_formation, evolve, l1_distance, step_datum
 from hetclaw.period import invert_half_period, period_by_ode, period_quadrature, shock_time
 
 SQRT2 = np.sqrt(2.0)

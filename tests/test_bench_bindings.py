@@ -5,12 +5,13 @@ wrappers during a traced round.  Some of those names are imported but not
 called by the module that holds them, so a cleanup that drops them would
 only break the traced benchmark; these tests catch that in the main
 suite, along with a dropped argument that a wrapper reads off a call.
-The last two tests keep the library free of imports nothing uses and
-of private constants read across modules.
+The last three tests keep the library free of imports nothing uses, of
+private constants read across modules, and of exports only tests call.
 """
 from __future__ import annotations
 
 import ast
+import glob
 import importlib.util
 import inspect
 import os
@@ -18,8 +19,10 @@ import re
 
 import pytest
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                       "perfbench", "tracing.py")
+import hetclaw
+
+ROOT = os.path.dirname(os.path.dirname(__file__))
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
 
 
 def _load_tracing():
@@ -60,8 +63,7 @@ def test_traced_signature_has_the_described_arguments(module, attr, kind):
     assert DESCRIBED[kind] <= set(params)
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src",
-                   "hetclaw")
+SRC = os.path.join(ROOT, "src", "hetclaw")
 
 
 @pytest.mark.parametrize("fname", sorted(f for f in os.listdir(SRC)
@@ -103,3 +105,29 @@ def test_no_private_constants_from_siblings(fname):
                 and (node.level or (node.module or "").startswith("hetclaw"))
                 for a in node.names if re.fullmatch(r"_[A-Z0-9_]+", a.name)]
     assert not borrowed, f"{fname} imports {borrowed}"
+
+
+# Exported for the acceptance tests as independent routes to a number the
+# library computes another way; no experiment calls them.
+REFERENCE_ROUTES = {"time_monotonicity_scan", "l1_distance", "period_by_ode"}
+
+
+def _references(path):
+    """Names a file reads, as a variable, an attribute or a string."""
+    with open(path) as fh:
+        nodes = list(ast.walk(ast.parse(fh.read())))
+    return ({n.id for n in nodes if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            | {n.value for n in nodes if isinstance(n, ast.Constant)})
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """A public name only its own test calls is a diagnostic the library
+    need not carry."""
+    files = [os.path.join(SRC, f) for f in os.listdir(SRC)
+             if f.endswith(".py") and f != "__init__.py"]
+    files += glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+    refs = set().union(*map(_references, files))
+    unused = set(hetclaw.__all__) - refs - REFERENCE_ROUTES
+    assert not unused, f"only tests use {sorted(unused)}"

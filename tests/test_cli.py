@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -164,6 +165,18 @@ def test_unknown_config_keys_are_rejected(capsys, tmp_path):
     err = json.loads(capsys.readouterr().out)
     assert code == 1
     assert err["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("content", [b"{", b"\xff"])
+def test_config_files_that_are_not_utf8_json_are_refused(capsys, tmp_path,
+                                                         content):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(content)
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert str(cfg) in err["message"]
 
 
 # ===== Machine-readable failure =====
@@ -420,6 +433,20 @@ def test_rays_reject_a_nonpositive_horizon(capsys, tmp_path, tmax):
     assert code == 1
     assert err["error"] == "DomainError"
     assert not (tmp_path / "o" / "rays.csv").exists()
+
+
+@pytest.mark.parametrize("n", ["1001", "100000000"])
+def test_rays_refuse_large_fans_at_once(capsys, tmp_path, n):
+    """The crossing scan is quadratic in the ray count: 1,600 rays took
+    33 s on a 2-core machine, and the step budget alone admitted 500,000."""
+    start = time.perf_counter()
+    code = main(["--experiment", "rays", "--n", n,
+                 "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert err["message"].endswith(f"got {n}")
 
 
 def test_homogeneous_rays_fill_without_collisions(capsys, tmp_path):

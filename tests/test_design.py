@@ -9,13 +9,11 @@ import pytest
 from hetclaw.charsol import asymptotic_profile
 from hetclaw.cli import main
 from hetclaw.design import (
-    FootprintMap,
     Jump,
     Profile,
     design_report,
     footprint,
     monotone_test,
-    profile_from_solution,
     ray_fan,
     reconstruct_vertex,
     round_trip,
@@ -198,8 +196,11 @@ def test_homogeneous_fan_fills_its_cone(homog):
 
 
 def test_fan_needs_two_rays(quartic):
-    with pytest.raises(DomainError):
-        ray_fan(quartic, 2.0, 0.0, -1.0, 1.0, 1)
+    """And at most 1,000, since the pairwise crossing scan is quadratic in
+    the count; 2.5 rays used to end in a raw TypeError."""
+    for n_rays in (1, 2.5, 1001, True):
+        with pytest.raises(DomainError, match="2 to 1000 rays"):
+            ray_fan(quartic, 2.0, 0.0, -1.0, 1.0, n_rays)
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, np.inf, np.nan])

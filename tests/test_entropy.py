@@ -6,7 +6,6 @@ import pytest
 
 from hetclaw.charsol import asymptotic_profile, solution_grid
 from hetclaw.entropy import (
-    FLOOR_C,
     GriddedSolution,
     TestFunction,
     entropy_residual,

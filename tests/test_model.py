@@ -1,4 +1,4 @@
-"""Potential definitions, derivative consistency and assumption checks."""
+"""Potential definitions, derivative consistency and flat tails."""
 from __future__ import annotations
 
 import dataclasses
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hetclaw.errors import DomainError
-from hetclaw.model import HamiltonianModel, MODELS, check_assumptions, homogeneous, quartic_well
+from hetclaw.model import HamiltonianModel, MODELS
 
 
 # ===== Potential values =====
@@ -55,7 +55,6 @@ def test_gradient_against_finite_differences(quartic):
 
 
 def test_curvature_at_origin(quartic):
-    assert quartic.g_second(0.0) == pytest.approx(8.0, abs=1e-12)
     fd = (quartic.g(1e-4) - 2.0 * quartic.g(0.0) + quartic.g(-1e-4)) / 1e-8
     assert fd == pytest.approx(8.0, abs=1e-4)
 
@@ -178,39 +177,33 @@ def test_registry_contents():
     assert MODELS["quartic"]().cutoff == 1.0
 
 
-# ===== Assumption checks =====
+# ===== Flat tails and derivative consistency =====
+
+def _assert_flat_and_consistent(model, xs):
+    """g = flat_value and g' = 0 past the cutoff, and g' within 1e-6 of a
+    central difference of g (step 1e-5) everywhere, the cutoff included."""
+    tails = xs[np.abs(xs) > model.cutoff]
+    assert np.all(model.g(tails) == model.flat_value)
+    assert np.all(model.g_prime(tails) == 0.0)
+    fd = (model.g(xs + 1e-5) - model.g(xs - 1e-5)) / 2e-5
+    assert np.max(np.abs(fd - model.g_prime(xs))) <= 1e-6
+
 
 def test_assumptions_hold_for_the_quartic_well(quartic):
-    report = check_assumptions(quartic, xs=np.linspace(-2.0, 2.0, 1001))
-    assert report.all_ok
-    assert report.violations == []
+    _assert_flat_and_consistent(quartic, np.linspace(-2.0, 2.0, 1001))
 
 
 def test_assumptions_hold_for_homogeneous(homog):
-    assert check_assumptions(homog).all_ok
+    _assert_flat_and_consistent(homog, np.linspace(-2.0, 2.0, 1001))
 
 
 def test_unbounded_potential_is_flagged():
-    """A potential that keeps growing outside the cutoff is not admissible."""
-    bad = HamiltonianModel(name="linear", g=lambda x: np.abs(np.asarray(x, dtype=float)),
-                           g_prime=lambda x: np.sign(np.asarray(x, dtype=float)),
-                           force=lambda x, out: np.negative(np.sign(x), out=out),
-                           g_second=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                           chord_slope=lambda d, d_top: np.ones(np.broadcast(d, d_top).shape),
-                           cutoff=1.0, flat_value=1.0)
-    report = check_assumptions(bad)
-    assert not report.flat_tails
-    assert not report.all_ok
-    assert report.violations
-
-
-def test_inconsistent_gradient_is_flagged(quartic):
-    lying = HamiltonianModel(name="negated", g=quartic.g,
-                             g_prime=lambda x: -quartic.g_prime(x),
-                             force=lambda x, out: np.copyto(out, quartic.g_prime(x)),
-                             g_second=quartic.g_second,
-                             chord_slope=quartic.chord_slope,
-                             cutoff=1.0, flat_value=1.0)
-    report = check_assumptions(lying)
-    assert not report.derivatives_consistent
-    assert any("inconsistent" in v.lower() for v in report.violations)
+    """A potential that keeps growing outside the cutoff is not admissible:
+    free flight past the cutoff would not be straight."""
+    with pytest.raises(DomainError,
+                       match="'linear': tail is not flat at x=-4.0"):
+        HamiltonianModel(name="linear", g=lambda x: np.abs(np.asarray(x, dtype=float)),
+                         g_prime=lambda x: np.sign(np.asarray(x, dtype=float)),
+                         force=lambda x, out: np.negative(np.sign(x), out=out),
+                         chord_slope=lambda d, d_top: np.ones(np.broadcast(d, d_top).shape),
+                         cutoff=1.0, flat_value=1.0)
