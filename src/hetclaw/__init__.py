@@ -22,9 +22,8 @@ from .flow import (Trajectory, crossing_events, integrate, integrate_batch,
 from .fvm import (CellField, Grid1D, detect_shock_formation, evolve,
                   l1_distance, step_datum)
 from .model import MODELS, HamiltonianModel, homogeneous, quartic_well
-from .period import (PeriodSample, invert_half_period, period_by_ode,
-                     period_quadrature, period_table, shock_time,
-                     turning_point)
+from .period import (invert_half_period, period_by_ode, period_quadrature,
+                     shock_time, turning_point)
 from .shooting import delta, delta_batch
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "MODELS",
     "NonFinite",
     "NotFound",
-    "PeriodSample",
     "Profile",
     "TestFunction",
     "Trajectory",
@@ -63,7 +61,6 @@ __all__ = [
     "l1_distance",
     "period_by_ode",
     "period_quadrature",
-    "period_table",
     "profile_from_solution",
     "quartic_well",
     "ray_fan",

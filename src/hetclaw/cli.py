@@ -9,8 +9,8 @@ seeded and the seed is recorded.
 Configuration precedence is defaults < command line flags < JSON config
 file, so a config file pins a run completely even when stray flags are
 present.  ``EXPERIMENTS`` names the settings each experiment reads, with
-their defaults; a setting it does not read must keep its ``RunConfig``
-default, so no flag is silently ignored.
+their defaults and ranges; a setting it does not read must keep its
+``RunConfig`` default, so no flag is silently ignored.
 """
 
 from __future__ import annotations
@@ -26,14 +26,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .charsol import asymptotic_profile, solution_grid
-from .design import design_report, footprint, profile_from_solution, ray_fan
+from .design import MAX_RAYS, design_report, footprint, \
+    profile_from_solution, ray_fan
 from .entropy import entropy_sweep, from_snapshots, reversed_shock_solution
 from .errors import DomainError, HetclawError
 from .flow import integrate
 from .fvm import DEFAULT_CFL, Grid1D, detect_shock_formation, evolve, \
     step_datum
 from .model import MODELS, HamiltonianModel
-from .period import invert_half_period, period_table, shock_time
+from .period import invert_half_period, period_quadrature, shock_time, \
+    turning_point
 from .shooting import DEFAULT_SHOOT_TOL
 from .svgplot import write_svg
 
@@ -72,11 +74,10 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _read(key: str, raw, kind=float, positive: bool = False):
+def _read(key: str, raw, kind=float):
     """``kind(raw)``, or a DomainError naming the config key.
 
-    A float must be finite and an int exact (2.7 or true is not a
-    count); ``positive`` also demands a value above 0.
+    A float must be finite and an int exact (2.7 or true is not a count).
     """
     try:
         value = kind(raw)
@@ -84,9 +85,8 @@ def _read(key: str, raw, kind=float, positive: bool = False):
             value = math.nan
     except (TypeError, ValueError, OverflowError):
         value = math.nan
-    if not math.isfinite(value) or (positive and value <= 0):
-        raise DomainError(f"config {key!r} must be a finite"
-                          f"{' positive' if positive else ''} "
+    if not math.isfinite(value):
+        raise DomainError(f"config {key!r} must be a finite "
                           f"{kind.__name__}, got {raw!r}")
     return value
 
@@ -96,16 +96,17 @@ def _parse_times(raw) -> tuple:
         raw = [piece for piece in raw.split(",") if piece.strip()]
     if not isinstance(raw, (list, tuple)):
         raise DomainError(f"config 'times' must be a list, got {raw!r}")
-    if not raw:
-        raise DomainError("config 'times' must list at least one time")
+    if not 1 <= len(raw) <= MAX_TIMES:
+        raise DomainError(f"--times must list 1 to {MAX_TIMES} times, "
+                          f"got {len(raw)}")
     return tuple(_read("times", v) for v in raw)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge flags with an optional JSON config file (file wins).
 
-    Values are checked first; then any setting the experiment does not
-    read must hold its ``RunConfig`` default.
+    Values are read first; then a setting the experiment does not read
+    must hold its default, and one it reads must lie in its range.
     """
     merged = {key: getattr(args, key)
               for key in ("experiment", "model", "out", *_FIELDS)}
@@ -138,24 +139,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise DomainError(f"config 'out' must be a path string, "
                           f"got {merged['out']!r}")
 
-    def optional(key, kind=float, positive=False):
+    def optional(key, kind=float):
         raw = merged[key]
-        return None if raw is None else _read(key, raw, kind, positive)
+        return None if raw is None else _read(key, raw, kind)
 
     config = RunConfig(
         experiment=merged["experiment"],
         model=merged["model"],
         out=merged["out"],
-        n=optional("n", int, positive=True),
+        n=optional("n", int),
         cfl=_read("cfl", merged["cfl"]),
         t_max=optional("tmax"),
         times=None if merged["times"] is None
         else _parse_times(merged["times"]),
         seed=_read("seed", merged["seed"], int),
-        tol=optional("tol", positive=True),
+        tol=optional("tol"),
     )
-    if config.seed < 0:
-        raise DomainError(f"--seed must be an int >= 0, got {config.seed}")
     reads = EXPERIMENTS[config.experiment].reads
     unset = RunConfig(config.experiment)
     for key, name in _FIELDS.items():
@@ -163,7 +162,27 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise DomainError(
                 f"experiment {config.experiment!r} does not read {key!r}; "
                 f"it reads {sorted(reads)}")
+    filled = _filled(config)
+    for key, flag in reads.items():
+        span = flag.span()
+        if key == "times" and config.times is not None and "tmax" in reads:
+            # a given time past the horizon would go unwritten; the
+            # runner clips only the default times to it
+            flag = flag._replace(high=filled.t_max)
+            span = f"from {flag.low} to --tmax = {filled.t_max}"
+        for v in np.atleast_1d(getattr(filled, _FIELDS[key])):
+            if not flag.holds(v):
+                raise DomainError(f"experiment {config.experiment!r} needs "
+                                  f"--{key} {span}, got {v}")
     return config
+
+
+def _filled(config: RunConfig) -> RunConfig:
+    """The config as the runner sees it, unset settings at defaults."""
+    return replace(config, **{
+        _FIELDS[key]: flag.default
+        for key, flag in EXPERIMENTS[config.experiment].reads.items()
+        if getattr(config, _FIELDS[key]) is None})
 
 
 # ===== Output =====
@@ -214,9 +233,6 @@ class _Writer:
 def _run_phase_portrait(model: HamiltonianModel, config: RunConfig,
                         write: _Writer) -> None:
     t_max = config.t_max
-    if not t_max > 0.0:
-        raise DomainError(f"phase portrait needs a positive horizon, "
-                          f"got {t_max}")
     p_sep = model.separatrix_momentum
     launches = [0.4, 0.8, 1.2, 1.39, p_sep, 1.6, 2.0]
     units = "orbit:index,class:label,p0:momentum,t:time,q:position,p:momentum"
@@ -250,8 +266,9 @@ def _run_phase_portrait(model: HamiltonianModel, config: RunConfig,
 def _run_simulate(model: HamiltonianModel, config: RunConfig,
                   write: _Writer) -> None:
     t_max = config.t_max
-    snaps = tuple(s for s in config.times if 0.0 <= s <= t_max) or (t_max,)
-    grid = _grid(config, -4.0, 4.0)
+    # only the default times can pass the horizon
+    snaps = tuple(s for s in config.times if s <= t_max) or (t_max,)
+    grid = Grid1D(-4.0, 4.0, config.n)
     x = grid.centers()
 
     result = evolve(model, step_datum(grid), t_max, config.cfl, snaps)
@@ -283,26 +300,11 @@ def _run_simulate(model: HamiltonianModel, config: RunConfig,
     write.svg("simulate.svg", units, curves, "finite volume snapshots")
 
 
-def _grid(config: RunConfig, x_min: float, x_max: float) -> Grid1D:
-    """The FVM grid of --n cells on [x_min, x_max]."""
-    if config.n < 4:
-        raise DomainError(f"experiment {config.experiment!r} needs "
-                          f"--n >= 4 cells, got {config.n}")
-    return Grid1D(x_min, x_max, config.n)
-
-
-def _even_centers(config: RunConfig, half: float):
-    """Centres of the even grid of n or n + 1 cells on [-half, half]."""
-    if config.n < 3:
-        raise DomainError(f"experiment {config.experiment!r} needs "
-                          f"--n >= 3, got {config.n}")
-    return Grid1D(-half, half, config.n + config.n % 2).centers()
-
-
 def _run_exact(model: HamiltonianModel, config: RunConfig,
                write: _Writer) -> None:
     times = tuple(sorted(config.times))
-    xs = _even_centers(config, 4.0)
+    # an even cell count keeps the shock x = 0 off the centres
+    xs = Grid1D(-4.0, 4.0, config.n + config.n % 2).centers()
     U = solution_grid(model, times, xs)
 
     units = "t:time,x:position,u:velocity"
@@ -320,26 +322,20 @@ def _run_period(model: HamiltonianModel, config: RunConfig,
     if model.separatrix_momentum <= 0.0:
         raise DomainError("period table needs a trapping well; "
                           f"model {config.model!r} has none")
-    if config.n < 3:
-        raise DomainError("experiment 'period' needs --n >= 3 table rows "
-                          f"(p0 = 0.01 and at least two more), got {config.n}")
     p_hi = model.separatrix_momentum - 1e-3
-    p0_values = np.unique(np.concatenate(
-        [[0.01], np.linspace(0.02, p_hi, config.n - 1)]))
+    p0s = [0.01, *np.linspace(0.02, p_hi, config.n - 1).tolist()]
+    periods = [period_quadrature(model, p0) for p0 in p0s]
     units = "p0:momentum,period:time,q_max:position"
 
-    table = period_table(model, p0_values)
-    small = next(row for row in table if row.p0 == 0.01)
-
     write.csv("period.csv", units, "p0,period,q_max",
-              [(row.p0, row.period, row.q_max) for row in table])
+              [(p0, period, turning_point(model, p0))
+               for p0, period in zip(p0s, periods)])
     write.json("period.json", units, {
         "shock_formation_time": shock_time(model),
-        "half_period_small_amplitude": small.period / 2.0,
-        "rows": int(p0_values.size),
+        "half_period_small_amplitude": periods[0] / 2.0,
+        "rows": len(p0s),
     })
-    write.svg("period.svg", units,
-              [([s.p0 for s in table], [s.period for s in table], "period")],
+    write.svg("period.svg", units, [(p0s, periods, "period")],
               "period against launch momentum")
 
 
@@ -347,7 +343,7 @@ def _run_inverse(model: HamiltonianModel, config: RunConfig,
                  write: _Writer) -> None:
     t = config.t_max
     half = max(3.0, 2.0 * t + 1.0)
-    xs = _even_centers(config, half)
+    xs = Grid1D(-half, half, config.n + config.n % 2).centers()
     w = profile_from_solution(model, t, xs, config.tol)
 
     fm = footprint(model, t, w)
@@ -393,7 +389,7 @@ def _run_rays(model: HamiltonianModel, config: RunConfig,
 def _run_entropy_check(model: HamiltonianModel, config: RunConfig,
                        write: _Writer) -> None:
     t_max = config.t_max
-    grid = _grid(config, -3.0, 3.0)
+    grid = Grid1D(-3.0, 3.0, config.n)
     marks = np.linspace(0.0, t_max, 101)
     result = evolve(model, step_datum(grid), t_max, config.cfl, marks)
     solution = from_snapshots(model, grid.centers(), result.snapshots)
@@ -414,14 +410,15 @@ def _run_entropy_check(model: HamiltonianModel, config: RunConfig,
 def _run_asymptotics(model: HamiltonianModel, config: RunConfig,
                      write: _Writer) -> None:
     times = tuple(sorted(config.times))
-    grid = _grid(config, -6.0, 6.0)
+    grid = Grid1D(-6.0, 6.0, config.n)
     x = grid.centers()
     window = np.abs(x) <= 2.5
     xw = x[window]
     core = np.abs(xw) <= 0.95
-    if not core.any():
-        raise DomainError("experiment 'asymptotics' needs --n with a cell "
-                          f"centre in |x| <= 0.95, got {config.n}")
+    # an odd grid puts a centre on the shock x = 0, which the raster refuses
+    if not core.any() or config.n % 2:
+        raise DomainError("experiment 'asymptotics' needs an even --n with "
+                          f"a cell centre in |x| <= 0.95, got {config.n}")
     result = evolve(model, step_datum(grid), times[-1], config.cfl, times)
 
     exact = solution_grid(model, times, xw, n_orbits=8192)
@@ -452,27 +449,57 @@ def _run_asymptotics(model: HamiltonianModel, config: RunConfig,
                (xw, overlay, "asymptote")], "long-time profiles")
 
 
+class Flag(NamedTuple):
+    """A setting's default and its range, from ``low`` to ``high``
+    (``above`` leaves ``low`` out); ``--times`` ranges each time."""
+
+    default: object
+    low: float
+    high: float
+    above: bool = False
+
+    def holds(self, value) -> bool:
+        return (self.low < value if self.above else self.low <= value) \
+            and value <= self.high
+
+    def span(self) -> str:
+        return f"{'above' if self.above else 'from'} {self.low} to {self.high}"
+
+
 class Experiment(NamedTuple):
-    """A runner and the settings it reads, keyed by flag, with defaults."""
+    """A runner and the settings it reads, keyed by flag."""
 
     run: Callable
     reads: dict
 
 
+# Upper ends, measured on a 2-core host: an experiment's largest values,
+# taken together, run in about 30 s or are refused by flow's step budget.
+MAX_TIMES = 20
+_CFL = Flag(DEFAULT_CFL, 0, 1, True)
 EXPERIMENTS = {
-    "phase-portrait": Experiment(_run_phase_portrait, {"tmax": 8.0}),
+    "phase-portrait": Experiment(_run_phase_portrait,
+                                 {"tmax": Flag(8.0, 0, 1000, True)}),
     "simulate": Experiment(_run_simulate, {
-        "n": 2000, "cfl": DEFAULT_CFL, "tmax": 2.5,
-        "times": (0.5, 1.0, 1.2, 2.5)}),
-    "exact": Experiment(_run_exact, {"n": 800, "times": (0.5, 1.0, 1.2, 2.5)}),
-    "period": Experiment(_run_period, {"n": 60}),
+        "n": Flag(2000, 4, 20000), "cfl": _CFL,
+        "tmax": Flag(2.5, 0, 100, True),
+        "times": Flag((0.5, 1.0, 1.2, 2.5), 0, 100)}),
+    "exact": Experiment(_run_exact, {
+        "n": Flag(800, 3, 100000),
+        "times": Flag((0.5, 1.0, 1.2, 2.5), 0, 100)}),
+    "period": Experiment(_run_period, {"n": Flag(60, 3, 3000)}),
     "inverse": Experiment(_run_inverse, {
-        "n": 800, "cfl": DEFAULT_CFL, "tmax": 2.0, "tol": DEFAULT_SHOOT_TOL}),
-    "rays": Experiment(_run_rays, {"n": 9, "tmax": 2.0, "tol": 1e-6}),
+        "n": Flag(800, 3, 10000), "cfl": _CFL, "tmax": Flag(2.0, 0, 100, True),
+        "tol": Flag(DEFAULT_SHOOT_TOL, 0, 0.1, True)}),
+    "rays": Experiment(_run_rays, {
+        "n": Flag(9, 2, MAX_RAYS), "tmax": Flag(2.0, 0, 4, True),
+        "tol": Flag(1e-6, 0, 0.1, True)}),
     "entropy-check": Experiment(_run_entropy_check, {
-        "n": 600, "cfl": DEFAULT_CFL, "tmax": 2.5, "seed": 0}),
+        "n": Flag(600, 4, 20000), "cfl": _CFL, "tmax": Flag(2.5, 0.01, 100),
+        "seed": Flag(0, 0, 2**32 - 1)}),
     "asymptotics": Experiment(_run_asymptotics, {
-        "n": 2000, "cfl": DEFAULT_CFL, "times": (5.0, 10.0, 20.0, 30.0)}),
+        "n": Flag(2000, 4, 8000), "cfl": _CFL,
+        "times": Flag((5.0, 10.0, 20.0, 30.0), 0, 60)}),
 }
 
 
@@ -509,13 +536,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        run, reads = EXPERIMENTS[config.experiment]
         # the headers hash the config as given; the runner sees it filled
-        filled = replace(config, **{
-            _FIELDS[key]: default for key, default in reads.items()
-            if getattr(config, _FIELDS[key]) is None})
         write = _Writer(config)
-        run(MODELS[config.model](), filled, write)
+        EXPERIMENTS[config.experiment].run(MODELS[config.model](),
+                                           _filled(config), write)
     except (HetclawError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__,
                           "message": str(exc)}))

@@ -29,7 +29,7 @@ MONOTONE_TOL = 1e-6
 COLLAPSE_TOL = 1e-4
 # The crossing scan compares every pair of rays, so its time grows as the
 # square of the ray count.
-_MAX_RAYS = 1000
+MAX_RAYS = 1000
 
 
 # ===== Profiles =====
@@ -284,15 +284,6 @@ class RayFanReport:
     def feet(self) -> np.ndarray:
         return self.positions[0]
 
-    @property
-    def has_interior_event(self) -> bool:
-        return bool(self.crossings) or bool(self.exits)
-
-    def extremal_crossings(self) -> tuple:
-        last = self.momenta.size - 1
-        return tuple(c for c in self.crossings
-                     if {c[0], c[1]} == {0, last})
-
     def fill_ratio(self) -> float:
         """Largest foot gap relative to an even filling (1 = perfectly even)."""
         feet = np.sort(self.feet)
@@ -330,8 +321,8 @@ def ray_fan(model: HamiltonianModel, t: float, x0: float,
     if not 0.0 < t < np.inf:
         raise DomainError(f"horizon must be positive and finite, got {t}")
     if not (isinstance(n_rays, (int, np.integer))
-            and 2 <= n_rays <= _MAX_RAYS):
-        raise DomainError(f"need an integer count of 2 to {_MAX_RAYS} "
+            and 2 <= n_rays <= MAX_RAYS):
+        raise DomainError(f"need an integer count of 2 to {MAX_RAYS} "
                           f"rays, got {n_rays!r}")
     lam = np.linspace(0.0, 1.0, n_rays)
     momenta = (1.0 - lam) * p_left + lam * p_right

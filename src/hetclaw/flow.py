@@ -6,7 +6,7 @@ operations in place on preallocated rows, to the same bits.  Determinism
 matters more here than adaptive cleverness: the forward raster, the
 footprints and the ray fans build on this flow and need bit-reproducible
 outputs.  One certificate, ``_certify``, gauges accuracy by energy
-conservation; a drift above ``energy_tol`` raises
+conservation; a drift above ``ENERGY_TOL`` raises
 :class:`~hetclaw.errors.EnergyDrift` instead of silently returning junk.
 
 A batch march steps only the orbits that still move: a free one (past
@@ -28,7 +28,7 @@ from .errors import DomainError, EnergyDrift, NonFinite
 from .model import HamiltonianModel, homogeneous
 
 DEFAULT_DT = 1e-3
-DEFAULT_ENERGY_TOL = 1e-8
+ENERGY_TOL = 1e-8
 # ceiling on the steps of one march: about 20 s of scalar marching
 _MAX_STEPS = 10**7
 # ceiling on a batch march's steps x (orbits + _STEP_COST_ORBITS): 3.3x the
@@ -150,22 +150,20 @@ def _rk4_rows(model: HamiltonianModel, q, p, spans, lowest=None):
         yield q1.copy(), z[0, 1].copy()
 
 
-def _certify(model: HamiltonianModel, q0, p0, q, p, energy_tol: float):
+def _certify(model: HamiltonianModel, q0, p0, q, p):
     """Raise unless the states (q, p) are finite and keep the launch
-    energy to ``energy_tol``; return their energies and the launch's.
+    energy to ``ENERGY_TOL``; return their energies and the launch's.
 
     A non-finite state stays non-finite under the update q + dq, so the
     end state of a march certifies every state before it.
     """
-    if not energy_tol > 0.0:
-        raise DomainError(f"energy_tol must be positive, got {energy_tol}")
     if not (np.isfinite(q).all() and np.isfinite(p).all()):
         raise NonFinite("orbit left the finite range")
     e0 = model.h(q0, p0)
     energy = model.h(q, p)
     drift = float(np.max(np.abs(energy - e0), initial=0.0))
-    if drift > energy_tol:
-        raise EnergyDrift(f"energy drift {drift:.3e} > {energy_tol:.1e}")
+    if drift > ENERGY_TOL:
+        raise EnergyDrift(f"energy drift {drift:.3e} > {ENERGY_TOL:.1e}")
     return energy, e0
 
 
@@ -220,8 +218,7 @@ class Trajectory:
 
 
 def integrate(model: HamiltonianModel, q0: float, p0: float, t: float,
-              dt_max: float = DEFAULT_DT, energy_tol: float = DEFAULT_ENERGY_TOL,
-              record_every: int = 1) -> Trajectory:
+              dt_max: float = DEFAULT_DT, record_every: int = 1) -> Trajectory:
     """Integrate the characteristic system from (q0, p0) over signed time t.
 
     Args:
@@ -229,8 +226,6 @@ def integrate(model: HamiltonianModel, q0: float, p0: float, t: float,
         q0, p0: initial state at time 0.
         t: terminal time; negative integrates backward.
         dt_max: step-size bound (the actual step divides t exactly).
-        energy_tol: allowed energy drift at any sample before EnergyDrift
-            is raised.
         record_every: keep every k-th sample (endpoints always kept).
     """
     if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
@@ -243,7 +238,7 @@ def integrate(model: HamiltonianModel, q0: float, p0: float, t: float,
     states = [(q0, p0), *_march(model, q0, p0, spans)]
     qa, pa = map(np.array, zip(*states))
     times = np.array([0.0, *(k * h for k in ends)])
-    energy, energy0 = _certify(model, q0, p0, qa, pa, energy_tol)
+    energy, energy0 = _certify(model, q0, p0, qa, pa)
     if t < 0.0:
         times, qa, pa, energy = (a[::-1].copy()
                                  for a in (times, qa, pa, energy))
@@ -253,27 +248,23 @@ def integrate(model: HamiltonianModel, q0: float, p0: float, t: float,
 
 
 def terminal_state(model: HamiltonianModel, q0: float, p0: float, t: float,
-                   dt_max: float = DEFAULT_DT,
-                   energy_tol: float = DEFAULT_ENERGY_TOL):
+                   dt_max: float = DEFAULT_DT):
     """Endpoint (q(t), p(t)) of the flow without storing the path."""
     q0, p0 = float(q0), float(p0)
     [(q, p)] = _march(model, q0, p0, [_split(t, dt_max)])
-    _certify(model, q0, p0, q, p, energy_tol)
+    _certify(model, q0, p0, q, p)
     return q, p
 
 
 def terminal_batch(model: HamiltonianModel, q0, p0, t: float,
-                   dt_max: float = DEFAULT_DT,
-                   energy_tol: float = DEFAULT_ENERGY_TOL):
+                   dt_max: float = DEFAULT_DT):
     """Vectorized :func:`terminal_state` for many initial states, shared t."""
-    Q, P = integrate_batch(model, q0, p0, [0.0, t], dt_max, energy_tol)
+    Q, P = integrate_batch(model, q0, p0, [0.0, t], dt_max)
     return Q[-1], P[-1]
 
 
 def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
-                    dt_max: float = DEFAULT_DT,
-                    energy_tol: float = DEFAULT_ENERGY_TOL,
-                    retire: bool = False):
+                    dt_max: float = DEFAULT_DT, retire: bool = False):
     """March a batch of orbits, recording states at the given times.
 
     ``record_times`` must start at 0 and be strictly monotone (increasing
@@ -325,7 +316,7 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
         Q[k] = q
         P[k] = p
         retired[k] = gone
-    _certify(model, Q[0], P[0], q, p, energy_tol)
+    _certify(model, Q[0], P[0], q, p)
     if retire:
         return Q, P, retired
     return Q, P

@@ -24,7 +24,6 @@ step-datum solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -301,24 +300,3 @@ def invert_half_period(model: HamiltonianModel, t: float) -> float:
     z = _solve(lambda z: _passage_times(model, -z, np.zeros_like(z))[1] - t,
                -model.cutoff, 0.0, t_shock - t, math.inf)
     return math.sqrt(2.0 * (model.flat_value - model.below_flat(-z)))
-
-
-# ===== Tabulation =====
-
-@dataclass(frozen=True)
-class PeriodSample:
-    """One row of the period table: launch momentum, period, turning point."""
-
-    p0: float
-    period: float
-    q_max: float
-
-
-def period_table(model: HamiltonianModel, p0_values) -> list[PeriodSample]:
-    """Evaluate the period map on a momentum grid."""
-    rows = []
-    for p0 in p0_values:
-        p0 = float(p0)
-        rows.append(PeriodSample(p0, period_quadrature(model, p0),
-                                 turning_point(model, p0)))
-    return rows

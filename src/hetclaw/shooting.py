@@ -56,7 +56,7 @@ _LOST = 1e-6
 # ===== The glued arc =====
 
 def arc_decode(s):
-    """Arc parameter s -> datum (q0, p0), for one float or elementwise.
+    """Arc parameters s -> data (q0, p0), elementwise on an array.
 
     s <= 0 encodes the point (-s, 2) on the half-line piece; s in (0, 2)
     encodes (0, 2 - s) on the momentum piece; s = 0 is the corner (0, 2).
@@ -64,10 +64,7 @@ def arc_decode(s):
     """
     if not np.all(np.asarray(s) < 2.0):
         raise DomainError(f"arc parameters must be < 2, got {s}")
-    if isinstance(s, np.ndarray):
-        return np.where(s <= 0.0, -s, 0.0), np.where(s <= 0.0, 2.0, 2.0 - s)
-    s = float(s)
-    return (-s, 2.0) if s <= 0.0 else (0.0, 2.0 - s)
+    return np.where(s <= 0.0, -s, 0.0), np.where(s <= 0.0, 2.0, 2.0 - s)
 
 
 def arc_encode(q0, p0):

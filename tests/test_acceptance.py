@@ -201,14 +201,16 @@ def test_criterion_8_ray_fans(quartic, homog):
     pair_h = ray_fan(homog, 2.0, 0.0, -2.0, 2.0, 2)
 
     fill = fan_h.fill_ratio()
-    ok = (fan.has_interior_event and not fan.extremal_crossings()
+    interior = bool(fan.crossings or fan.exits)
+    extremal = [c for c in fan.crossings if {c[0], c[1]} == {0, 8}]
+    ok = (interior and not extremal
           and not pair.crossings and not fan_h.crossings and not fan_h.exits
           and abs(fill - 1.0) <= 0.05 and not pair_h.crossings)
     verdict(8, ok, f"trapping model: {len(fan.crossings)} crossings, "
                    f"{len(fan.exits)} exits; free model: "
                    f"{len(fan_h.crossings)}/{len(fan_h.exits)}, fill {fill:.6f}")
-    assert fan.has_interior_event
-    assert fan.extremal_crossings() == ()
+    assert interior
+    assert not extremal
     assert not pair.crossings
     assert not fan_h.crossings and not fan_h.exits
     assert abs(fill - 1.0) <= 0.05

@@ -13,10 +13,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hetclaw
-from hetclaw.cli import EXPERIMENTS, RunConfig, build_parser, config_hash, \
-    main
+from hetclaw.cli import _FIELDS, EXPERIMENTS, MAX_TIMES, RunConfig, \
+    build_parser, config_hash, main, resolve_config
+from hetclaw.errors import DomainError
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 # A value other than the RunConfig default for each experiment setting.
@@ -151,11 +153,48 @@ def test_readme_lists_the_settings_each_experiment_reads():
             r"^- `([a-z-]+)`: (.*)$", fh.read(), re.MULTILINE)}
     assert sorted(lines) == sorted(EXPERIMENTS)
     for name, spec in EXPERIMENTS.items():
-        listed = dict(re.findall(r"`--([a-z]+)` \(([^)]*)\)", lines[name]))
+        listed = {flag: (default, span) for flag, default, span in
+                  re.findall(r"`--([a-z]+)` \(([^;)]*); ([^)]*)\)",
+                             lines[name])}
         assert sorted(listed) == sorted(spec.reads), name
-        for flag, default in spec.reads.items():
-            assert [float(v) for v in listed[flag].split(",")] == \
-                [float(v) for v in np.atleast_1d(default)], (name, flag)
+        for flag, setting in spec.reads.items():
+            default, span = listed[flag]
+            assert [float(v) for v in default.split(",")] == \
+                [float(v) for v in np.atleast_1d(setting.default)], \
+                (name, flag)
+            assert span == setting.span(), (name, flag)
+
+
+_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+    st.floats().map(repr), st.integers(-10, 10**6).map(str),
+    st.text(max_size=8),
+    st.lists(st.one_of(st.floats(), st.integers(-10, 200),
+                       st.text(max_size=4)), max_size=MAX_TIMES + 2))
+
+
+@settings(deadline=1000, max_examples=400)
+@given(st.sampled_from(sorted(EXPERIMENTS)), st.sampled_from(sorted(_FIELDS)),
+       _VALUES)
+def test_config_values_resolve_in_range_or_are_refused_by_name(
+        experiment, key, value):
+    """Any value a config file can hold either resolves inside the
+    experiment's table, or is refused by a DomainError naming its key."""
+    args = build_parser().parse_args(["--experiment", experiment])
+    setattr(args, key, value)
+    try:
+        config = resolve_config(args)
+    except DomainError as exc:
+        assert re.search(rf"\b{key}\b", str(exc)), str(exc)
+        return
+    reads = EXPERIMENTS[experiment].reads
+    for flag, field in _FIELDS.items():
+        given_value = getattr(config, field)
+        if flag not in reads:
+            assert given_value == getattr(RunConfig(experiment), field)
+        elif given_value is not None:
+            entries = given_value if flag == "times" else (given_value,)
+            assert all(reads[flag].holds(v) for v in entries), (flag, config)
 
 
 def test_unknown_config_keys_are_rejected(capsys, tmp_path):
@@ -248,6 +287,7 @@ def test_empty_time_lists_fail_before_writing(capsys, tmp_path, experiment):
 @pytest.mark.parametrize("experiment, flag, value", [
     ("exact", "--n", "1"), ("exact", "--n", "2"), ("inverse", "--n", "1"),
     ("asymptotics", "--n", "4"), ("asymptotics", "--n", "6"),
+    ("asymptotics", "--n", "7"), ("asymptotics", "--n", "2001"),
     ("entropy-check", "--seed", "-1"), ("simulate", "--n", "1"),
     ("entropy-check", "--n", "1"),
 ])
@@ -255,7 +295,8 @@ def test_unusable_flag_values_are_refused_by_name(capsys, tmp_path,
                                                   experiment, flag, value):
     """exact and inverse --n 1 used to name the derived cell count 2,
     asymptotics --n 4 to fail as a ValueError on a core window with no
-    cell centre, --seed -1 as numpy's ValueError, and simulate and
+    cell centre and an odd --n, after its march, on a centre at the
+    shock, --seed -1 as numpy's ValueError, and simulate and
     entropy-check --n 1 to name neither the flag nor the experiment."""
     out = tmp_path / "o"
     code = main(["--experiment", experiment, flag, value, "--out", str(out)])
@@ -267,6 +308,53 @@ def test_unusable_flag_values_are_refused_by_name(capsys, tmp_path,
     if flag == "--n":
         assert repr(experiment) in err["message"]
     assert not out.exists()
+
+
+def _past_each_upper_end():
+    for name, spec in sorted(EXPERIMENTS.items()):
+        for flag, setting in sorted(spec.reads.items()):
+            yield name, f"--{flag}", str(setting.high + 1)
+    yield "exact", "--times", ",".join(["1"] * (MAX_TIMES + 1))
+
+
+@pytest.mark.parametrize("experiment, flag, value", [
+    ("period", "--n", "100000000"), ("exact", "--n", "100000000"),
+    ("entropy-check", "--n", "1000000000"), ("rays", "--n", "1001"),
+    ("inverse", "--tmax", "-1"), ("entropy-check", "--tmax", "0"),
+    ("exact", "--times", "-1"), ("simulate", "--times", "3"),
+    *_past_each_upper_end()])
+def test_out_of_range_values_are_refused_at_once_by_name(
+        capsys, tmp_path, experiment, flag, value):
+    """period --n 1e8 used to run for days, exact --n 1e7 to end in a raw
+    MemoryError, inverse --tmax -1 and entropy-check --tmax 0 to be refused
+    without naming the flag, and simulate --times 3 to drop the time and
+    write t = 2.5 alone."""
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = main(["--experiment", experiment, flag, value, "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert flag in err["message"]
+    assert not out.exists()
+
+
+def test_simulate_names_both_flags_for_a_time_past_the_horizon(capsys,
+                                                              tmp_path):
+    code = main(["--experiment", "simulate", "--times", "0.5,3",
+                 "--out", str(tmp_path / "o")])
+    message = json.loads(capsys.readouterr().out)["message"]
+    assert code == 1
+    assert "--times" in message and "--tmax" in message
+    assert message.endswith("got 3.0")
+
+
+def test_simulate_clips_only_its_default_times(capsys, tmp_path):
+    run_ok(capsys, "--experiment", "simulate", "--n", "100", "--tmax", "1",
+           "--out", str(tmp_path))
+    doc = json.loads((tmp_path / "simulate.json").read_text())
+    assert doc["snapshot_times"] == [0.5, 1.0]
 
 
 @pytest.mark.parametrize("cfl", ["1e-300", "1e-310", "5e-324"])

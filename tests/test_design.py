@@ -174,8 +174,8 @@ def test_quartic_rays_collide_between_the_extremals(quartic):
     from hetclaw.period import invert_half_period
     trace = invert_half_period(quartic, 2.0)
     fan = ray_fan(quartic, 2.0, 0.0, trace, -trace, 9)
-    assert fan.has_interior_event
-    assert fan.extremal_crossings() == ()
+    assert fan.crossings or fan.exits
+    assert all({i, j} != {0, 8} for i, j, _ in fan.crossings)
 
 
 def test_two_ray_fan_never_crosses(quartic):
