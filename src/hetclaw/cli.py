@@ -534,15 +534,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    context = ""
     try:
         config = resolve_config(args)
         # the headers hash the config as given; the runner sees it filled
         write = _Writer(config)
-        EXPERIMENTS[config.experiment].run(MODELS[config.model](),
-                                           _filled(config), write)
+        filled = _filled(config)
+        # a runner's refusal (the step budget's, say) names the settings
+        context = f"experiment {config.experiment!r} with " + " ".join(
+            f"--{key} " + ",".join(map(str, np.atleast_1d(
+                getattr(filled, _FIELDS[key]))))
+            for key in EXPERIMENTS[config.experiment].reads) + ": "
+        EXPERIMENTS[config.experiment].run(MODELS[config.model](), filled,
+                                           write)
     except (HetclawError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__,
-                          "message": str(exc)}))
+                          "message": context + str(exc)}))
         return 1
     print(json.dumps({"experiment": config.experiment,
                       "config": write.stamp["config"],

@@ -20,7 +20,7 @@ import numpy as np
 from .charsol import solution_profile
 from .errors import DomainError, NonMonotoneFeet
 from .flow import integrate_batch, terminal_batch
-from .fvm import DEFAULT_CFL, CellField, Grid1D, evolve
+from .fvm import DEFAULT_CFL, CellField, Grid1D, evolve, l1_distance
 from .model import HamiltonianModel
 from .period import invert_half_period, shock_time
 from .shooting import DEFAULT_SHOOT_TOL
@@ -92,7 +92,7 @@ def profile_from_solution(model: HamiltonianModel, t: float, xs,
     xs = np.asarray(xs, dtype=float)
     ws = solution_profile(model, t, xs, shoot_tol)
     jumps = ()
-    if model.cutoff > 0.0 and t > shock_time(model):
+    if model.separatrix_momentum > 0.0 and t > shock_time(model):
         trace = invert_half_period(model, t)
         jumps = (Jump(0.0, trace, -trace),)
     return Profile(xs, ws, jumps)
@@ -243,9 +243,7 @@ def round_trip(model: HamiltonianModel, t: float, w: Profile,
     centers = grid.centers()
     u0 = CellField(grid, reconstructed.sample(centers))
     result = evolve(model, u0, t, cfl=cfl)
-    inside = (centers >= window[0]) & (centers <= window[1])
-    diff = np.abs(result.final.values[inside] - w.sample(centers[inside]))
-    return float(np.sum(diff) * grid.dx)
+    return l1_distance(result.final, w.sample(centers), window)
 
 
 def design_report(fm: FootprintMap, w: Profile,

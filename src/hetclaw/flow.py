@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EnergyDrift, NonFinite
-from .model import HamiltonianModel, homogeneous
+from .model import HamiltonianModel
 
 DEFAULT_DT = 1e-3
 ENERGY_TOL = 1e-8
@@ -88,8 +88,8 @@ def _budget(steps, orbits: int) -> None:
             > _MAX_ORBIT_STEPS):
         raise DomainError(
             f"march of {orbits} orbits or cells over {steps:.3g} steps "
-            f"exceeds {_MAX_STEPS} steps or {_MAX_ORBIT_STEPS} orbit-steps, "
-            f"counting {_STEP_COST_ORBITS} more orbits per step")
+            f"exceeds {_MAX_STEPS} steps or {_MAX_ORBIT_STEPS:.0e} "
+            f"orbit-steps")
 
 
 def _march(model: HamiltonianModel, q, p, spans, lowest=None):
@@ -181,7 +181,6 @@ class Trajectory:
     times: np.ndarray
     q: np.ndarray
     p: np.ndarray
-    qdot: np.ndarray
     pdot: np.ndarray
     energy: np.ndarray
     energy0: float
@@ -211,7 +210,7 @@ class Trajectory:
                 + h01 * y[idx + 1] + h11 * h * ydot[idx + 1])
 
     def q_at(self, t):
-        return self._dense(self.q, self.qdot, t)
+        return self._dense(self.q, self.p, t)
 
     def p_at(self, t):
         return self._dense(self.p, self.pdot, t)
@@ -242,9 +241,8 @@ def integrate(model: HamiltonianModel, q0: float, p0: float, t: float,
     if t < 0.0:
         times, qa, pa, energy = (a[::-1].copy()
                                  for a in (times, qa, pa, energy))
-    return Trajectory(times=times, q=qa, p=pa, qdot=pa,
-                      pdot=-model.g_prime(qa), energy=energy,
-                      energy0=energy0)
+    return Trajectory(times=times, q=qa, p=pa, pdot=-model.g_prime(qa),
+                      energy=energy, energy0=energy0)
 
 
 def terminal_state(model: HamiltonianModel, q0: float, p0: float, t: float,
@@ -271,8 +269,8 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
     for forward runs, decreasing for backward ones); ``q0`` and ``p0`` are
     1-D and of one size.  Returns arrays of shape (len(record_times),
     n_orbits).  Every ``_REGROUP`` steps the orbits are sorted afresh.  A
-    free one (q >= cutoff and p * h >= 0) sees g' = 0 at every RK4 stage,
-    so a step leaves p and adds to q one increment of p and h alone.  With
+    free one (``model.flies_free(q, p * h)``) sees g' = 0 at every RK4
+    stage, so a step leaves p and adds to q a closed form in p and h.  With
     ``retire``, an orbit whose q has dropped below 0 at any step is never
     stepped again, and a third boolean array flags its stale entries.  The
     rest take the RK4 march.  Every unflagged entry keeps the full march's
@@ -297,7 +295,7 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
     for k, (n, h) in enumerate(spans):
         for start in range(0, n, _REGROUP):
             c = min(_REGROUP, n - start)
-            free = ~gone & (q >= model.cutoff) & (p * h >= 0.0)
+            free = ~gone & model.flies_free(q, p * h)
             moving = np.flatnonzero(~(gone | free))
             if moving.size:
                 low = lowest[moving] if retire else None
@@ -307,9 +305,9 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
                     lowest[moving] = low
                     gone = lowest < 0.0
             if free.any():
-                qf = q[free]
-                [(inc, _)] = _march(homogeneous(), np.zeros_like(qf),
-                                    p[free], [(1, h)])
+                qf, pf = q[free], p[free]
+                # one RK4 step of q from 0 under g' = 0, to its bits
+                inc = 0.0 + (h * (((pf + 2.0 * pf) + 2.0 * pf) + pf)) / 6.0
                 for _ in range(c):
                     qf += inc
                 q[free] = qf

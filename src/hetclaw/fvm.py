@@ -209,11 +209,13 @@ class _March:
         """Step to t_final, yielding (t, dt, mark) after each step.
 
         Steps shorten to land exactly on each mark in (0, t_final], and
-        ``mark`` is the one landed on, or None.
+        ``mark`` is the one landed on, or None.  The landing tolerance,
+        1e-14, shrinks with a horizon below 1.
         """
         pending = [m for m in self.marks if m > 0.0]
         t, top = 0.0, self.top
-        while t < self.t_final - 1e-14:
+        tol = 1e-14 * min(self.t_final, 1.0)
+        while t < self.t_final - tol:
             horizon = pending[0] if pending else self.t_final
             dt = min(_stable_dt(top, self.dx, self.cfl), horizon - t,
                      self.t_final - t)
@@ -221,7 +223,7 @@ class _March:
                           self.half)
             t += dt
             mark = None
-            if pending and t >= pending[0] - 1e-14:
+            if pending and t >= pending[0] - tol:
                 mark = pending.pop(0)
             yield t, dt, mark
 

@@ -10,7 +10,7 @@ the dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -83,7 +83,7 @@ def _zero_chord(d, d_top):
     return np.zeros(np.broadcast(d, d_top).shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianModel:
     """Potential g and its gradient g', the force, its chord slope and the
     flatness radius.
@@ -102,13 +102,14 @@ class HamiltonianModel:
     (g(cutoff - d_top) - g(cutoff - d)) / (d - d_top), or g' where the two
     coincide; it must keep full precision as the points merge and next
     to the cutoff, since the arrival-time quadratures rest on it.
+    A model equals only itself, so caches keyed by it never mix two up.
     """
 
     name: str
-    g: Callable = field(compare=False)
-    g_prime: Callable = field(compare=False)
-    force: Callable = field(compare=False)
-    chord_slope: Callable = field(compare=False)
+    g: Callable
+    g_prime: Callable
+    force: Callable
+    chord_slope: Callable
     cutoff: float
     flat_value: float
 
@@ -136,6 +137,11 @@ class HamiltonianModel:
     def h(self, x, p):
         """Flux value H(x, p) = p**2/2 + g(x)."""
         return 0.5 * p * p + self.g(x)
+
+    def flies_free(self, q, v):
+        """Whether an orbit at q heading v (elementwise) is at or past the
+        cutoff and moving outward, so g' is 0 wherever it goes."""
+        return (q >= self.cutoff) & (v >= 0.0)
 
     def below_flat(self, d):
         """flat - g at depth d >= 0 below the cutoff, exact next to it."""

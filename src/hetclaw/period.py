@@ -273,8 +273,9 @@ def shock_time(model: HamiltonianModel) -> float:
 
     The half-period has an even expansion in p0, so two Richardson levels
     on the halving nodes 0.04, 0.02, 0.01 kill the p0^2 and p0^4 terms.
-    Results are cached, since the shooting, point-evaluation and design
-    layers all ask for the same value.
+    Results are cached per model object, since every half-period
+    inversion and every tagged profile slice asks for it again; shooting
+    never does.
     """
     h = [0.5 * period_quadrature(model, p) for p in (0.04, 0.02, 0.01)]
     r1a = (4.0 * h[1] - h[0]) / 3.0
@@ -282,7 +283,6 @@ def shock_time(model: HamiltonianModel) -> float:
     return (16.0 * r1b - r1a) / 15.0
 
 
-@lru_cache(maxsize=4096)
 def invert_half_period(model: HamiltonianModel, t: float) -> float:
     """Momentum p0 whose orbit first returns to q = 0 at time t.
 

@@ -73,15 +73,6 @@ def arc_encode(q0, p0):
     return np.where(q0 > 0.0, -q0, 2.0 - p0)
 
 
-def free_flight(model: HamiltonianModel, t: float, x):
-    """Whether the orbit reaching x at time t never leaves the flat tail.
-
-    There the datum is exactly (x - 2t, 2) and the solution value is 2.
-    Works elementwise on arrays of positions.
-    """
-    return x - 2.0 * t >= model.cutoff
-
-
 @dataclass(frozen=True)
 class DeltaResult:
     """Converged shooting datum for one (t, x) query.
@@ -140,7 +131,7 @@ def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
     res_out = np.zeros_like(xs)
     p_end_out = np.full_like(xs, 2.0)
 
-    shoot = np.flatnonzero(~free_flight(model, t, xs))
+    shoot = np.flatnonzero(~model.flies_free(q0_out, p0_out))
     x = xs[shoot]
     c, flat = model.cutoff, model.flat_value
     zero = np.zeros_like(x)

@@ -23,16 +23,15 @@ def _finite_minmax(arrays):
     return lo, hi
 
 
-def write_svg(path, curves, title: str = "",
-              header_comment: str = "") -> None:
-    """Write polyline curves to an SVG file.
+def write_svg(path, curves, title: str, header_comment: str) -> None:
+    """Write polyline curves to an SVG file under a header comment.
 
-    Each curve is (xs, ys) or (xs, ys, label); labels stack in the top
-    right corner in their stroke color.
+    Each curve is (xs, ys, label); labels stack in the top right corner
+    in their stroke color.
     """
     width, height = 720, 460
-    curves = [(np.asarray(c[0], dtype=float), np.asarray(c[1], dtype=float),
-               c[2] if len(c) > 2 else "") for c in curves]
+    curves = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float),
+               label) for xs, ys, label in curves]
     if not curves:
         raise ValueError("no curves to plot")
     m = 52
@@ -45,10 +44,9 @@ def write_svg(path, curves, title: str = "",
     def py(y):
         return height - m - (y - y_lo) / (y_hi - y_lo) * (height - 2 * m)
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+    parts = [f"<!-- {header_comment} -->",
+             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">']
-    if header_comment:
-        parts.insert(0, f"<!-- {header_comment} -->")
     parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     parts.append(f'<rect x="{m}" y="{m}" width="{width - 2 * m}" '
                  f'height="{height - 2 * m}" fill="none" stroke="#888"/>')
@@ -67,13 +65,11 @@ def write_svg(path, curves, title: str = "",
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.4"/>')
-        if label:
-            parts.append(f'<text x="{width - m - 4}" y="{m + 14 + 14 * i}" '
-                         f'font-size="12" text-anchor="end" '
-                         f'fill="{color}">{label}</text>')
-    if title:
-        parts.append(f'<text x="{width / 2:.0f}" y="{m - 12}" '
-                     f'font-size="14" text-anchor="middle">{title}</text>')
+        parts.append(f'<text x="{width - m - 4}" y="{m + 14 + 14 * i}" '
+                     f'font-size="12" text-anchor="end" '
+                     f'fill="{color}">{label}</text>')
+    parts.append(f'<text x="{width / 2:.0f}" y="{m - 12}" '
+                 f'font-size="14" text-anchor="middle">{title}</text>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -109,7 +109,7 @@ def test_no_private_constants_from_siblings(fname):
 
 # Exported for the acceptance tests as independent routes to a number the
 # library computes another way; no experiment calls them.
-REFERENCE_ROUTES = {"time_monotonicity_scan", "l1_distance", "period_by_ode"}
+REFERENCE_ROUTES = {"time_monotonicity_scan", "period_by_ode"}
 
 
 def _references(path):

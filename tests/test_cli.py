@@ -372,6 +372,22 @@ def test_step_budget_refusal_is_short_and_names_the_limit(capsys, tmp_path,
     assert len(err["message"]) < 200
 
 
+def test_step_budget_refusal_names_the_run(capsys, tmp_path):
+    """Each value is in range, but together they ask the footprint march
+    for 1.1e9 orbit-steps; the refusal used to name no flag."""
+    out = tmp_path / "o"
+    code = main(["--experiment", "inverse", "--n", "10000", "--tmax", "100",
+                 "--out", str(out)])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert err["message"].startswith(
+        "experiment 'inverse' with --n 10000 --cfl 0.45 --tmax 100.0 "
+        "--tol 1e-09: ")
+    assert "orbit-steps" in err["message"]
+    assert not out.exists()
+
+
 def test_parser_rejects_unknown_experiments():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--experiment", "nonsense"])

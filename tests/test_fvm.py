@@ -165,6 +165,18 @@ def test_march_work_has_a_ceiling(quartic):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("t_final", [1e-12, 1e-13, 1e-14, 1e-15, 1e-30])
+def test_short_horizons_keep_every_snapshot(quartic, t_final):
+    """An absolute 1e-14 tolerance on the march's time used to end a
+    horizon of 1e-14 or less before its first step, with only the t = 0
+    snapshot of the 6 asked."""
+    marks = np.linspace(0.0, t_final, 6)
+    result = evolve(quartic, step_datum(Grid1D(-4.0, 4.0, 100)), t_final,
+                    snapshot_times=marks)
+    assert [t for t, _ in result.snapshots] == list(marks)
+    assert result.steps == 5
+
+
 # ===== Evolution structure =====
 
 @pytest.fixture(scope="module")

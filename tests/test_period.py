@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hetclaw.cli import main
 from hetclaw.errors import DomainError, HetclawError
 from hetclaw.flow import integrate
-from hetclaw.model import quartic_well
+from hetclaw.model import HamiltonianModel, quartic_well
 from hetclaw.period import (
     _BLOCK,
     _flight_time,
@@ -80,6 +80,31 @@ def test_small_amplitude_limit_is_harmonic(quartic):
 
 
 def test_shock_time_extrapolates_the_limit(quartic):
+    assert shock_time(quartic) == pytest.approx(HALF_PI_OVER_SQRT8, abs=1e-11)
+
+
+def _shallow_chord(d, d_top):
+    y, yt = d * (2.0 - d), d_top * (2.0 - d_top)
+    return (2.0 - d - d_top) * (y + yt)
+
+
+def _shallow_g_prime(x):
+    y = 1.0 - x * x
+    return np.where(y > 0.0, 4.0 * x * y, 0.0)
+
+
+def test_shock_time_cache_keys_the_model_object(quartic):
+    """g = 1 - (1 - x^2)^2 shares the quartic's name, cutoff and flat
+    value, but its curvature 4 at the bottom gives half-period pi/2; a
+    cache keyed by those three fields alone handed it the quartic's."""
+    shock_time(quartic)
+    shallow = HamiltonianModel(
+        name="quartic",
+        g=lambda x: 1.0 - np.where(np.abs(x) < 1.0, 1.0 - x * x, 0.0) ** 2,
+        g_prime=_shallow_g_prime,
+        force=lambda x, out: np.negative(_shallow_g_prime(x), out=out),
+        chord_slope=_shallow_chord, cutoff=1.0, flat_value=1.0)
+    assert shock_time(shallow) == pytest.approx(np.pi / 2.0, abs=1e-6)
     assert shock_time(quartic) == pytest.approx(HALF_PI_OVER_SQRT8, abs=1e-11)
 
 
