@@ -8,9 +8,12 @@ seeded and the seed is recorded.
 
 Configuration precedence is defaults < command line flags < JSON config
 file, so a config file pins a run completely even when stray flags are
-present.  ``EXPERIMENTS`` names the settings each experiment reads, with
-their defaults and ranges; a setting it does not read must keep its
-``RunConfig`` default, so no flag is silently ignored.
+present.  A flag and a config entry of one name are read alike, and a
+value that does not read is refused by a ``DomainError`` naming it.
+``EXPERIMENTS`` names the settings each experiment reads, with their
+defaults and ranges, and is the only place a value is checked; a setting
+it does not read must keep its ``RunConfig`` default, so no flag is
+silently ignored.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .charsol import asymptotic_profile, solution_grid
 from .design import MAX_RAYS, design_report, footprint, \
     profile_from_solution, ray_fan
 from .entropy import entropy_sweep, from_snapshots, reversed_shock_solution
-from .errors import DomainError, HetclawError
+from .errors import DomainError, HetclawError, NotFound
 from .flow import integrate
 from .fvm import DEFAULT_CFL, Grid1D, detect_shock_formation, evolve, \
     step_datum
@@ -75,7 +78,7 @@ def config_hash(config: RunConfig) -> str:
 
 
 def _read(key: str, raw, kind=float):
-    """``kind(raw)``, or a DomainError naming the config key.
+    """``kind(raw)``, or a DomainError naming the setting.
 
     A float must be finite and an int exact (2.7 or true is not a count).
     """
@@ -86,8 +89,8 @@ def _read(key: str, raw, kind=float):
     except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not math.isfinite(value):
-        raise DomainError(f"config {key!r} must be a finite "
-                          f"{kind.__name__}, got {raw!r}")
+        raise DomainError(f"--{key} must be a finite {kind.__name__}, "
+                          f"got {raw!r}")
     return value
 
 
@@ -95,21 +98,34 @@ def _parse_times(raw) -> tuple:
     if isinstance(raw, str):
         raw = [piece for piece in raw.split(",") if piece.strip()]
     if not isinstance(raw, (list, tuple)):
-        raise DomainError(f"config 'times' must be a list, got {raw!r}")
+        raise DomainError(f"--times must be a list, got {raw!r}")
     if not 1 <= len(raw) <= MAX_TIMES:
         raise DomainError(f"--times must list 1 to {MAX_TIMES} times, "
                           f"got {len(raw)}")
     return tuple(_read("times", v) for v in raw)
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags with an optional JSON config file (file wins).
+def _value(key: str, raw):
+    """One given flag or config entry, read."""
+    if key == "times":
+        return _parse_times(raw)
+    if key in _FIELDS:
+        return _read(key, raw, int if key in ("n", "seed") else float)
+    if key == "out" and not isinstance(raw, str):
+        raise DomainError(f"--out must be a path string, got {raw!r}")
+    # list membership: an unhashable value fails here, not with TypeError
+    names = {"experiment": sorted(EXPERIMENTS), "model": sorted(MODELS)}
+    if key in names and raw not in names[key]:
+        raise DomainError(f"unknown {key} {raw!r}; choose from {names[key]}")
+    return raw
 
-    Values are read first; then a setting the experiment does not read
-    must hold its default, and one it reads must lie in its range.
-    """
-    merged = {key: getattr(args, key)
-              for key in ("experiment", "model", "out", *_FIELDS)}
+
+def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Merge flags with an optional JSON config file (file wins), read
+    each given value, then check that a setting the experiment does not
+    read holds its default and one it reads lies in its range."""
+    given = {key: getattr(args, key) for key in _HELP
+             if getattr(args, key) is not None}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             try:
@@ -119,42 +135,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                                   f"UTF-8 JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise DomainError("config file must hold one JSON object")
-        unknown = set(overrides) - set(merged)
+        unknown = sorted(set(overrides) - set(_HELP))
         if unknown:
-            raise DomainError(
-                f"unknown config keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(merged)}")
-        merged.update(overrides)
-    if merged["experiment"] is None:
+            raise DomainError(f"unknown config keys {unknown}; "
+                              f"expected a subset of {sorted(_HELP)}")
+        given.update(overrides)
+    if "experiment" not in given:
         raise DomainError("no experiment selected; pass --experiment "
                           "or put \"experiment\" in the config file")
-    # list membership: an unhashable value fails here, not with TypeError
-    if merged["experiment"] not in sorted(EXPERIMENTS):
-        raise DomainError(f"unknown experiment {merged['experiment']!r}; "
-                          f"choose from {sorted(EXPERIMENTS)}")
-    if merged["model"] not in sorted(MODELS):
-        raise DomainError(f"unknown model {merged['model']!r}; "
-                          f"choose from {sorted(MODELS)}")
-    if not isinstance(merged["out"], str):
-        raise DomainError(f"config 'out' must be a path string, "
-                          f"got {merged['out']!r}")
-
-    def optional(key, kind=float):
-        raw = merged[key]
-        return None if raw is None else _read(key, raw, kind)
-
-    config = RunConfig(
-        experiment=merged["experiment"],
-        model=merged["model"],
-        out=merged["out"],
-        n=optional("n", int),
-        cfl=_read("cfl", merged["cfl"]),
-        t_max=optional("tmax"),
-        times=None if merged["times"] is None
-        else _parse_times(merged["times"]),
-        seed=_read("seed", merged["seed"], int),
-        tol=optional("tol"),
-    )
+    config = RunConfig(**{_FIELDS.get(key, key): _value(key, raw)
+                          for key, raw in given.items()})
     reads = EXPERIMENTS[config.experiment].reads
     unset = RunConfig(config.experiment)
     for key, name in _FIELDS.items():
@@ -164,16 +154,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 f"it reads {sorted(reads)}")
     filled = _filled(config)
     for key, flag in reads.items():
-        span = flag.span()
-        if key == "times" and config.times is not None and "tmax" in reads:
-            # a given time past the horizon would go unwritten; the
-            # runner clips only the default times to it
-            flag = flag._replace(high=filled.t_max)
-            span = f"from {flag.low} to --tmax = {filled.t_max}"
         for v in np.atleast_1d(getattr(filled, _FIELDS[key])):
             if not flag.holds(v):
                 raise DomainError(f"experiment {config.experiment!r} needs "
-                                  f"--{key} {span}, got {v}")
+                                  f"--{key} {flag.span()}, got {v}")
     return config
 
 
@@ -265,13 +249,11 @@ def _run_phase_portrait(model: HamiltonianModel, config: RunConfig,
 
 def _run_simulate(model: HamiltonianModel, config: RunConfig,
                   write: _Writer) -> None:
-    t_max = config.t_max
-    # only the default times can pass the horizon
-    snaps = tuple(s for s in config.times if s <= t_max) or (t_max,)
+    times = sorted(set(config.times))
     grid = Grid1D(-4.0, 4.0, config.n)
     x = grid.centers()
 
-    result = evolve(model, step_datum(grid), t_max, config.cfl, snaps)
+    result = evolve(model, step_datum(grid), times[-1], config.cfl, times)
     overlay = asymptotic_profile(model, x)
     units = "t:time,x:position,u:velocity,asymptote:velocity"
     rows = []
@@ -284,8 +266,8 @@ def _run_simulate(model: HamiltonianModel, config: RunConfig,
 
     try:
         t_star = detect_shock_formation(model, step_datum(grid),
-                                        min(2.0, t_max), cfl=config.cfl)
-    except HetclawError:
+                                        min(2.0, times[-1]), cfl=config.cfl)
+    except NotFound:
         t_star = None
 
     write.csv("simulate.csv", units, "t,x,u,asymptote", rows)
@@ -293,7 +275,7 @@ def _run_simulate(model: HamiltonianModel, config: RunConfig,
         "domain": [grid.x_min, grid.x_max],
         "n": config.n,
         "cfl": config.cfl,
-        "snapshot_times": list(snaps),
+        "snapshot_times": times,
         "steps": result.steps,
         "shock_formation_time": t_star,
     })
@@ -303,8 +285,7 @@ def _run_simulate(model: HamiltonianModel, config: RunConfig,
 def _run_exact(model: HamiltonianModel, config: RunConfig,
                write: _Writer) -> None:
     times = tuple(sorted(config.times))
-    # an even cell count keeps the shock x = 0 off the centres
-    xs = Grid1D(-4.0, 4.0, config.n + config.n % 2).centers()
+    xs = Grid1D(-4.0, 4.0, config.n).centers()
     U = solution_grid(model, times, xs)
 
     units = "t:time,x:position,u:velocity"
@@ -343,7 +324,7 @@ def _run_inverse(model: HamiltonianModel, config: RunConfig,
                  write: _Writer) -> None:
     t = config.t_max
     half = max(3.0, 2.0 * t + 1.0)
-    xs = Grid1D(-half, half, config.n + config.n % 2).centers()
+    xs = Grid1D(-half, half, config.n).centers()
     w = profile_from_solution(model, t, xs, config.tol)
 
     fm = footprint(model, t, w)
@@ -409,16 +390,13 @@ def _run_entropy_check(model: HamiltonianModel, config: RunConfig,
 
 def _run_asymptotics(model: HamiltonianModel, config: RunConfig,
                      write: _Writer) -> None:
-    times = tuple(sorted(config.times))
+    # one snapshot per distinct time, as the FVM march lands them
+    times = sorted(set(config.times))
     grid = Grid1D(-6.0, 6.0, config.n)
     x = grid.centers()
     window = np.abs(x) <= 2.5
     xw = x[window]
     core = np.abs(xw) <= 0.95
-    # an odd grid puts a centre on the shock x = 0, which the raster refuses
-    if not core.any() or config.n % 2:
-        raise DomainError("experiment 'asymptotics' needs an even --n with "
-                          f"a cell centre in |x| <= 0.95, got {config.n}")
     result = evolve(model, step_datum(grid), times[-1], config.cfl, times)
 
     exact = solution_grid(model, times, xw, n_orbits=8192)
@@ -451,19 +429,22 @@ def _run_asymptotics(model: HamiltonianModel, config: RunConfig,
 
 class Flag(NamedTuple):
     """A setting's default and its range, from ``low`` to ``high``
-    (``above`` leaves ``low`` out); ``--times`` ranges each time."""
+    (``above`` leaves ``low`` out, ``even`` every odd value);
+    ``--times`` ranges each time."""
 
     default: object
     low: float
     high: float
     above: bool = False
+    even: bool = False
 
     def holds(self, value) -> bool:
         return (self.low < value if self.above else self.low <= value) \
-            and value <= self.high
+            and value <= self.high and not (self.even and value % 2)
 
     def span(self) -> str:
-        return f"{'above' if self.above else 'from'} {self.low} to {self.high}"
+        return ("even, " if self.even else "") + \
+            f"{'above' if self.above else 'from'} {self.low} to {self.high}"
 
 
 class Experiment(NamedTuple):
@@ -475,6 +456,8 @@ class Experiment(NamedTuple):
 
 # Upper ends, measured on a 2-core host: an experiment's largest values,
 # taken together, run in about 30 s or are refused by flow's step budget.
+# An even --n keeps the shock x = 0 off the centres; asymptotics needs 8
+# to have one in its core window |x| <= 0.95.
 MAX_TIMES = 20
 _CFL = Flag(DEFAULT_CFL, 0, 1, True)
 EXPERIMENTS = {
@@ -482,14 +465,14 @@ EXPERIMENTS = {
                                  {"tmax": Flag(8.0, 0, 1000, True)}),
     "simulate": Experiment(_run_simulate, {
         "n": Flag(2000, 4, 20000), "cfl": _CFL,
-        "tmax": Flag(2.5, 0, 100, True),
         "times": Flag((0.5, 1.0, 1.2, 2.5), 0, 100)}),
     "exact": Experiment(_run_exact, {
-        "n": Flag(800, 3, 100000),
+        "n": Flag(800, 4, 100000, even=True),
         "times": Flag((0.5, 1.0, 1.2, 2.5), 0, 100)}),
     "period": Experiment(_run_period, {"n": Flag(60, 3, 3000)}),
     "inverse": Experiment(_run_inverse, {
-        "n": Flag(800, 3, 10000), "cfl": _CFL, "tmax": Flag(2.0, 0, 100, True),
+        "n": Flag(800, 4, 10000, even=True), "cfl": _CFL,
+        "tmax": Flag(2.0, 0, 100, True),
         "tol": Flag(DEFAULT_SHOOT_TOL, 0, 0.1, True)}),
     "rays": Experiment(_run_rays, {
         "n": Flag(9, 2, MAX_RAYS), "tmax": Flag(2.0, 0, 4, True),
@@ -498,35 +481,30 @@ EXPERIMENTS = {
         "n": Flag(600, 4, 20000), "cfl": _CFL, "tmax": Flag(2.5, 0.01, 100),
         "seed": Flag(0, 0, 2**32 - 1)}),
     "asymptotics": Experiment(_run_asymptotics, {
-        "n": Flag(2000, 4, 8000), "cfl": _CFL,
+        "n": Flag(2000, 8, 8000, even=True), "cfl": _CFL,
         "times": Flag((5.0, 10.0, 20.0, 30.0), 0, 60)}),
 }
+# Every flag and config key but --config, with its help text.
+_HELP = {"experiment": f"one of {', '.join(EXPERIMENTS)}",
+         "model": f"potential model, one of {', '.join(MODELS)}",
+         "out": "output directory", "seed": "seed of randomized sweeps",
+         "n": "cells, samples, table rows or rays, per experiment",
+         "cfl": "CFL number of finite volume marches",
+         "tmax": "final time or design horizon",
+         "times": "comma separated output times",
+         "tol": "shooting tolerance, or the rays' crossing tolerance"}
 
 
 # ===== Entry point =====
 
 def build_parser() -> argparse.ArgumentParser:
+    """A parser that only collects each flag's text."""
     parser = argparse.ArgumentParser(
         prog="hetclaw",
         description="Deterministic experiment runner for the "
                     "space-dependent conservation law toolkit.")
-    parser.add_argument("--experiment", choices=sorted(EXPERIMENTS),
-                        help="which experiment to run")
-    parser.add_argument("--model", default="quartic",
-                        choices=sorted(MODELS), help="potential model")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--n", type=int, help="resolution knob "
-                        "(cells, samples, or rays, per experiment)")
-    parser.add_argument("--cfl", type=float, default=DEFAULT_CFL,
-                        help="CFL number for finite volume marches")
-    parser.add_argument("--tmax", type=float,
-                        help="final time or design horizon")
-    parser.add_argument("--times", help="comma separated output times")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps")
-    parser.add_argument("--tol", type=float,
-                        help="shooting tolerance of inverse, exit and "
-                        "crossing tolerance of rays")
+    for key, text in _HELP.items():
+        parser.add_argument(f"--{key}", help=text)
     parser.add_argument("--config",
                         help="JSON file whose entries override flags")
     return parser

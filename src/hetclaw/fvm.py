@@ -156,8 +156,9 @@ class _March:
     """One march of u0 toward t_final at the CFL bound, in place.
 
     Construction checks the inputs, refuses a non-finite datum, and
-    charges the flow's budget the step count at the launch's CFL step, so
-    a march that would run for hours is refused before its first step.
+    charges the flow's budget the step count at the launch's CFL step
+    times the cells it marches, so a march that would run for hours is
+    refused before its first step.
     The field lives in one ghost-padded buffer; the grid's source term is
     evaluated once.
 
@@ -184,12 +185,6 @@ class _March:
         top = _top(u0.values)
         if not math.isfinite(top):
             raise NonFinite(f"datum is not finite (max |u| = {top})")
-        # a cfl far below 1 can underflow the step to 0, or overflow the
-        # step count past any integer
-        dt = _stable_dt(top, grid.dx, cfl)
-        _budget(t_final / dt if dt > 0.0 else math.inf, grid.n)
-        self.t_final, self.cfl, self.dx, self.top = t_final, cfl, grid.dx, top
-        self.marks = sorted({float(s) for s in times})
         source = model.g_prime(grid.centers())
         h = grid.n // 2
         self.half = (grid.x_min == -grid.x_max and grid.n % 2 == 0
@@ -197,6 +192,12 @@ class _March:
                      and np.array_equal(_unfold(u0.values[h:]).view(np.int64),
                                         u0.values.view(np.int64)))
         self.offset = h if self.half else 0
+        # a cfl far below 1 can underflow the step to 0, or overflow the
+        # step count past any integer
+        dt = _stable_dt(top, grid.dx, cfl)
+        _budget(t_final / dt if dt > 0.0 else math.inf, grid.n - self.offset)
+        self.t_final, self.cfl, self.dx, self.top = t_final, cfl, grid.dx, top
+        self.marks = sorted({float(s) for s in times})
         self.source = source[self.offset:]
         # a ghost-padded copy of the marched cells, and four work rows, one
         # per interface: the two one-sided states and their half squares

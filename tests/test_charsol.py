@@ -387,3 +387,12 @@ def test_rejects_nonpositive_time(quartic):
         eval_solution(quartic, 0.0, 0.5)
     with pytest.raises(DomainError):
         eval_solution(quartic, -1.0, 0.5)
+
+
+def test_point_routes_refuse_the_shock_and_backward_times(quartic):
+    with pytest.raises(DomainError, match="shock"):
+        eval_solution(quartic, 1.0, 0.0)
+    with pytest.raises(DomainError, match="shock"):
+        solution_profile(quartic, 1.0, [0.5, 0.0])
+    with pytest.raises(DomainError, match="nondecreasing"):
+        solution_grid(quartic, [1.0, 0.5], [0.5])

@@ -112,6 +112,24 @@ def test_bad_flag_values_fail_with_json(capsys, tmp_path, flags):
     assert re.search(rf"\b{flags[0][2:]}\b", err["message"])
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("experiment", "nonsense"), ("model", "nonsense"), ("n", "abc"),
+    ("n", "2.7"), ("cfl", "x"), ("tmax", "x"), ("times", "1,x"),
+    ("seed", "1.5"), ("tol", "x")])
+def test_unreadable_flag_values_fail_with_json(capsys, tmp_path, flag,
+                                               value):
+    """Each flag but --times used to print argparse's usage and exit 2,
+    while the same value in a config file gave the JSON DomainError."""
+    out = tmp_path / "o"
+    code = main(["--experiment", "period", f"--{flag}", value,
+                 "--out", str(out)])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert re.search(rf"\b{flag}\b", err["message"])
+    assert not out.exists()
+
+
 def test_valid_config_values_resolve_as_before(capsys, tmp_path):
     """Integral floats, numeric strings and lists still read as before."""
     cfg = tmp_path / "run.json"
@@ -197,6 +215,24 @@ def test_config_values_resolve_in_range_or_are_refused_by_name(
             assert all(reads[flag].holds(v) for v in entries), (flag, config)
 
 
+@pytest.mark.parametrize("argv, doc, message", [
+    ([], [{"experiment": "period"}], "one JSON object"),
+    ([], {"n": 4}, "no experiment selected"),
+    (["--n", "4"], None, "no experiment selected")])
+def test_runs_without_one_experiment_are_refused(capsys, tmp_path, argv,
+                                                 doc, message):
+    if doc is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [*argv, "--config", str(cfg)]
+    code = main([*argv, "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert message in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_config_keys_are_rejected(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"experiment": "period", "bogus": 1}))
@@ -238,14 +274,14 @@ def test_infinite_horizon_orbits_fail_with_json(capsys, tmp_path):
     assert err["error"] == "DomainError"
 
 
-@pytest.mark.parametrize("flags", [["--tmax", "inf"], ["--cfl", "0"],
+@pytest.mark.parametrize("flags", [["--times", "inf"], ["--cfl", "0"],
                                    ["--cfl", "1.5"], ["--cfl", "inf"],
-                                   ["--tmax", "1e6"]])
+                                   ["--times", "1e6"]])
 def test_unbounded_simulations_fail_fast_with_json(tmp_path, flags):
-    """The first two inputs used to hang the finite-volume march, the
-    next two wrote a blown-up field, and the last took 5.6e7 steps; run
-    in a child process so a regression fails on the timeout instead of
-    hanging."""
+    """An infinite horizon and --cfl 0 used to hang the finite-volume
+    march, --cfl 1.5 and inf wrote a blown-up field, and a horizon of 1e6
+    took 5.6e7 steps; run in a child process so a regression fails on the
+    timeout instead of hanging."""
     src = os.path.dirname(os.path.dirname(hetclaw.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -289,15 +325,17 @@ def test_empty_time_lists_fail_before_writing(capsys, tmp_path, experiment):
     ("asymptotics", "--n", "4"), ("asymptotics", "--n", "6"),
     ("asymptotics", "--n", "7"), ("asymptotics", "--n", "2001"),
     ("entropy-check", "--seed", "-1"), ("simulate", "--n", "1"),
-    ("entropy-check", "--n", "1"),
+    ("entropy-check", "--n", "1"), ("exact", "--n", "801"),
+    ("inverse", "--n", "801"),
 ])
 def test_unusable_flag_values_are_refused_by_name(capsys, tmp_path,
                                                   experiment, flag, value):
     """exact and inverse --n 1 used to name the derived cell count 2,
     asymptotics --n 4 to fail as a ValueError on a core window with no
     cell centre and an odd --n, after its march, on a centre at the
-    shock, --seed -1 as numpy's ValueError, and simulate and
-    entropy-check --n 1 to name neither the flag nor the experiment."""
+    shock, --seed -1 as numpy's ValueError, simulate and entropy-check
+    --n 1 to name neither the flag nor the experiment, and exact and
+    inverse --n 801 to write 802 samples under a header hashing 801."""
     out = tmp_path / "o"
     code = main(["--experiment", experiment, flag, value, "--out", str(out)])
     err = json.loads(capsys.readouterr().out)
@@ -321,14 +359,13 @@ def _past_each_upper_end():
     ("period", "--n", "100000000"), ("exact", "--n", "100000000"),
     ("entropy-check", "--n", "1000000000"), ("rays", "--n", "1001"),
     ("inverse", "--tmax", "-1"), ("entropy-check", "--tmax", "0"),
-    ("exact", "--times", "-1"), ("simulate", "--times", "3"),
+    ("exact", "--times", "-1"), ("simulate", "--times", "1000"),
     *_past_each_upper_end()])
 def test_out_of_range_values_are_refused_at_once_by_name(
         capsys, tmp_path, experiment, flag, value):
     """period --n 1e8 used to run for days, exact --n 1e7 to end in a raw
     MemoryError, inverse --tmax -1 and entropy-check --tmax 0 to be refused
-    without naming the flag, and simulate --times 3 to drop the time and
-    write t = 2.5 alone."""
+    without naming the flag."""
     out = tmp_path / "o"
     start = time.perf_counter()
     code = main(["--experiment", experiment, flag, value, "--out", str(out)])
@@ -338,23 +375,6 @@ def test_out_of_range_values_are_refused_at_once_by_name(
     assert err["error"] == "DomainError"
     assert flag in err["message"]
     assert not out.exists()
-
-
-def test_simulate_names_both_flags_for_a_time_past_the_horizon(capsys,
-                                                              tmp_path):
-    code = main(["--experiment", "simulate", "--times", "0.5,3",
-                 "--out", str(tmp_path / "o")])
-    message = json.loads(capsys.readouterr().out)["message"]
-    assert code == 1
-    assert "--times" in message and "--tmax" in message
-    assert message.endswith("got 3.0")
-
-
-def test_simulate_clips_only_its_default_times(capsys, tmp_path):
-    run_ok(capsys, "--experiment", "simulate", "--n", "100", "--tmax", "1",
-           "--out", str(tmp_path))
-    doc = json.loads((tmp_path / "simulate.json").read_text())
-    assert doc["snapshot_times"] == [0.5, 1.0]
 
 
 @pytest.mark.parametrize("cfl", ["1e-300", "1e-310", "5e-324"])
@@ -388,9 +408,18 @@ def test_step_budget_refusal_names_the_run(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_parser_rejects_unknown_experiments():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["--experiment", "nonsense"])
+def test_parser_rejects_unknown_experiments(capsys, tmp_path):
+    """The flag used to exit 2 with argparse's usage; it now gives the
+    config entry's refusal, word for word."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"experiment": "nonsense"}))
+    refusals = []
+    for argv in (["--experiment", "nonsense"], ["--config", str(cfg)]):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        refusals.append(json.loads(capsys.readouterr().out))
+    assert refusals[0] == refusals[1]
+    assert refusals[0]["error"] == "DomainError"
+    assert "unknown experiment 'nonsense'" in refusals[0]["message"]
 
 
 # ===== Headers on every artifact =====
@@ -469,6 +498,26 @@ def test_phase_portrait_covers_all_classes(capsys, tmp_path):
     assert max(qs["escaping"]) > 5.0
 
 
+def test_free_phase_portrait_skips_the_missing_separatrix(capsys, tmp_path):
+    """Without a well the separatrix launch is p0 = 0, which is dropped."""
+    run_ok(capsys, "--experiment", "phase-portrait", "--model", "homogeneous",
+           "--out", str(tmp_path))
+    doc = json.loads((tmp_path / "phase_portrait.json").read_text())
+    assert [row["orbit"] for row in doc["orbits"]] == [0, 1, 2, 3, 5, 6]
+    assert {row["class"] for row in doc["orbits"]} == {"escaping"}
+
+
+def test_simulate_marches_to_its_last_time(capsys, tmp_path):
+    """simulate used to stop at --tmax, refusing a later time and clipping
+    its default times to it."""
+    run_ok(capsys, "--experiment", "simulate", "--n", "100", "--times",
+           "3,0.5", "--out", str(tmp_path))
+    doc = json.loads((tmp_path / "simulate.json").read_text())
+    assert doc["snapshot_times"] == [0.5, 3.0]
+    _, body = read_csv_body(tmp_path / "simulate.csv")
+    assert {float(ln.split(",")[0]) for ln in body[1:]} == {0.5, 3.0}
+
+
 def test_simulate_reports_the_formation_time(capsys, tmp_path):
     out = tmp_path / "sim"
     run_ok(capsys, "--experiment", "simulate", "--n", "400", "--out", str(out))
@@ -503,6 +552,19 @@ def test_asymptotics_exact_route_reaches_the_limit(capsys, tmp_path):
     last = doc["deviations_core_window"][-1]
     assert last["t"] == 30.0
     assert last["exact_vs_asymptote"] < 1e-4
+
+
+def test_asymptotics_pairs_each_distinct_time_once(capsys, tmp_path):
+    """A repeated time used to shift the exact rows against the FVM's
+    deduplicated snapshots, reporting t = 1's exact row as t = 2's."""
+    docs = []
+    for times in ("2,1,1", "1,2"):
+        out = tmp_path / times
+        run_ok(capsys, "--experiment", "asymptotics", "--n", "40",
+               "--times", times, "--out", str(out))
+        docs.append(json.loads((out / "asymptotics.json").read_text()))
+    assert docs[0]["deviations_core_window"] == \
+        docs[1]["deviations_core_window"]
 
 
 def test_inverse_reports_a_monotone_footprint(capsys, tmp_path):

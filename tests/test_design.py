@@ -241,3 +241,20 @@ def test_rays_csv_layout(capsys, tmp_path):
     assert lines[3] == "ray,t,q"
     assert len(lines) == 4 + 7 * 801
     assert {ln.split(",")[0] for ln in lines[4:]} == {str(k) for k in range(7)}
+
+
+@pytest.mark.parametrize("xs, ws, jumps, match", [
+    ([0.0, 1.0], [0.0], (), "matching"),
+    ([1.0, 0.0], [0.0, 0.0], (), "increasing"),
+    ([0.0, 1.0], [0.0, np.nan], (), "finite"),
+    ([0.0, 1.0], [0.0, 0.0], (Jump(1.0, 1.0, -1.0),), "collides")])
+def test_profiles_refuse_malformed_samples(xs, ws, jumps, match):
+    with pytest.raises(DomainError, match=match):
+        Profile(np.array(xs), np.array(ws), jumps)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, np.inf])
+def test_footprint_needs_a_positive_finite_horizon(quartic, t):
+    w = Profile(np.array([0.5, 1.0]), np.array([-1.0, -0.5]))
+    with pytest.raises(DomainError, match="horizon"):
+        footprint(quartic, t, w)

@@ -273,3 +273,12 @@ def test_report_serializes(fvm_entropy_solution):
     assert payload["count"] == 3
     assert payload["seed"] == 1
     assert np.isfinite(payload["min_residual"])
+
+
+def test_gridded_solutions_and_sweeps_refuse_bad_shapes(quartic):
+    times, xs = np.array([0.0, 1.0]), np.array([-1.0, 1.0])
+    with pytest.raises(DomainError, match="shape"):
+        GriddedSolution(quartic, times, xs, np.zeros((2, 3)))
+    solution = GriddedSolution(quartic, times, xs, np.zeros((2, 2)))
+    with pytest.raises(DomainError, match="n_tests"):
+        entropy_sweep(solution, 0)

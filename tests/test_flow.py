@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetclaw.errors import DomainError, EnergyDrift, HetclawError
+from hetclaw.errors import DomainError, EnergyDrift, HetclawError, \
+    NonFinite
 from hetclaw.model import MODELS, quartic_well
 from hetclaw.flow import (
     DEFAULT_DT,
@@ -430,3 +431,13 @@ def test_rk4_step_has_one_call_site():
     assert len(sites) == 1, sites
     assert sites[0][0] == "flow.py"
     assert march.lineno < sites[0][1] <= march.end_lineno
+
+
+def test_orbits_that_overflow_are_refused(quartic):
+    """p0 = 1e308 carries q past the largest float within t = 10."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for march in (lambda: integrate(quartic, 0.0, 1e308, 10.0),
+                      lambda: terminal_state(quartic, 0.0, 1e308, 10.0),
+                      lambda: terminal_batch(quartic, [0.0], [1e308], 10.0)):
+            with pytest.raises(NonFinite):
+                march()

@@ -51,6 +51,11 @@ def test_grid_rejects_tiny_cell_counts():
             Grid1D(*bounds, n)
 
 
+def test_fields_match_their_grid():
+    with pytest.raises(DomainError, match="length"):
+        CellField(Grid1D(-1.0, 1.0, 4), np.zeros(5))
+
+
 # ===== Numerical flux =====
 
 def test_flux_selects_the_entropic_state():
@@ -163,6 +168,18 @@ def test_march_work_has_a_ceiling(quartic):
     with pytest.raises(DomainError, match="steps"):
         detect_shock_formation(quartic, u0, 1e6)
     assert time.perf_counter() - start < 1.0
+
+
+def test_march_budget_charges_the_cells_it_marches(quartic):
+    """On [-8, 8] with 8,000 cells a march to t = 60 takes 1.3e5 steps.
+    Charged the whole grid that is 1.2e9 orbit-steps, over the budget;
+    the half route marches 4,000 cells, 6.7e8.  One cell off the mirror
+    makes the datum march whole, and it is refused."""
+    u0 = step_datum(Grid1D(-8.0, 8.0, 8000))
+    assert _March(quartic, u0, 60.0, DEFAULT_CFL).half
+    u0.values[0] = -1.0
+    with pytest.raises(DomainError, match="orbit-steps"):
+        _March(quartic, u0, 60.0, DEFAULT_CFL)
 
 
 @pytest.mark.parametrize("t_final", [1e-12, 1e-13, 1e-14, 1e-15, 1e-30])
@@ -386,6 +403,12 @@ def test_detection_needs_an_upward_crossing(quartic):
         detect_shock_formation(quartic, stationary, 2.0)
     with pytest.raises(NotFound):
         detect_shock_formation(quartic, step_datum(grid), 0.3)
+
+
+def test_detection_needs_a_grid_across_zero(quartic):
+    u0 = step_datum(Grid1D(1.0, 3.0, 40))
+    with pytest.raises(DomainError, match="straddle"):
+        detect_shock_formation(quartic, u0, 1.0)
 
 
 # ===== Distances =====

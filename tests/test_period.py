@@ -242,3 +242,9 @@ def test_quadrature_domain(quartic, p0):
 def test_homogeneous_model_has_no_periods(homog):
     with pytest.raises(DomainError):
         period_quadrature(homog, 1.0)
+
+
+@pytest.mark.parametrize("p0", [0.0, -0.5, math.sqrt(2.0), 3.0])
+def test_period_by_ode_refuses_launches_outside_the_well(quartic, p0):
+    with pytest.raises(DomainError, match="p0"):
+        period_by_ode(quartic, p0)

@@ -6,7 +6,8 @@ import pytest
 
 from hetclaw.errors import DomainError, NotFound
 from hetclaw.flow import integrate_batch, terminal_state
-from hetclaw.shooting import DEFAULT_SHOOT_TOL, arc_encode, delta, delta_batch
+from hetclaw.shooting import DEFAULT_SHOOT_TOL, arc_decode, arc_encode, \
+    delta, delta_batch
 
 
 # ===== Small-time limit =====
@@ -140,3 +141,9 @@ def test_unrepresentable_shots_raise(quartic):
     double precision; the shot raises instead of returning a value."""
     with pytest.raises(NotFound):
         delta(quartic, 1e200, 0.5)
+
+
+@pytest.mark.parametrize("s", [2.0, 3.0, np.array([0.5, 2.0])])
+def test_arc_decode_refuses_parameters_past_the_arc(s):
+    with pytest.raises(DomainError, match="< 2"):
+        arc_decode(s)
