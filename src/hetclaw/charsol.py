@@ -22,8 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .flow import integrate_batch
 from .model import HamiltonianModel
-from .shooting import (DEFAULT_SHOOT_TOL, arc_decode, arc_encode, delta,
-                       delta_batch)
+from .shooting import arc_decode, arc_encode, delta, delta_batch
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .flow import terminal_batch, terminal_state  # noqa: F401
@@ -81,8 +80,7 @@ def asymptotic_profile(model: HamiltonianModel, x):
 
 # ===== Profiles =====
 
-def solution_profile(model: HamiltonianModel, t: float, xs,
-                     shoot_tol: float = DEFAULT_SHOOT_TOL) -> np.ndarray:
+def solution_profile(model: HamiltonianModel, t: float, xs) -> np.ndarray:
     """Vector of solution values u(t, x) over the positions ``xs``.
 
     Positions must avoid 0.  Each distinct |x| is shot once, all in one
@@ -94,7 +92,7 @@ def solution_profile(model: HamiltonianModel, t: float, xs,
     if np.any(xs == 0.0):
         raise DomainError("profile positions must avoid the shock x = 0")
     pos, back = np.unique(np.abs(xs), return_inverse=True)
-    u = delta_batch(model, t, pos, shoot_tol)[3][back]
+    u = delta_batch(model, t, pos)[3][back]
     return np.where(xs < 0.0, -u, u)
 
 

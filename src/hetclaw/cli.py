@@ -39,7 +39,6 @@ from .fvm import DEFAULT_CFL, Grid1D, detect_shock_formation, evolve, \
 from .model import MODELS, HamiltonianModel
 from .period import invert_half_period, period_quadrature, shock_time, \
     turning_point
-from .shooting import DEFAULT_SHOOT_TOL
 from .svgplot import write_svg
 
 
@@ -284,7 +283,7 @@ def _run_simulate(model: HamiltonianModel, config: RunConfig,
 
 def _run_exact(model: HamiltonianModel, config: RunConfig,
                write: _Writer) -> None:
-    times = tuple(sorted(config.times))
+    times = sorted(set(config.times))
     xs = Grid1D(-4.0, 4.0, config.n).centers()
     U = solution_grid(model, times, xs)
 
@@ -325,7 +324,7 @@ def _run_inverse(model: HamiltonianModel, config: RunConfig,
     t = config.t_max
     half = max(3.0, 2.0 * t + 1.0)
     xs = Grid1D(-half, half, config.n).centers()
-    w = profile_from_solution(model, t, xs, config.tol)
+    w = profile_from_solution(model, t, xs)
 
     fm = footprint(model, t, w)
     report = design_report(fm, w, (-half, half), config.cfl)
@@ -472,8 +471,7 @@ EXPERIMENTS = {
     "period": Experiment(_run_period, {"n": Flag(60, 3, 3000)}),
     "inverse": Experiment(_run_inverse, {
         "n": Flag(800, 4, 10000, even=True), "cfl": _CFL,
-        "tmax": Flag(2.0, 0, 100, True),
-        "tol": Flag(DEFAULT_SHOOT_TOL, 0, 0.1, True)}),
+        "tmax": Flag(2.0, 0, 100, True)}),
     "rays": Experiment(_run_rays, {
         "n": Flag(9, 2, MAX_RAYS), "tmax": Flag(2.0, 0, 4, True),
         "tol": Flag(1e-6, 0, 0.1, True)}),
@@ -492,7 +490,7 @@ _HELP = {"experiment": f"one of {', '.join(EXPERIMENTS)}",
          "cfl": "CFL number of finite volume marches",
          "tmax": "final time or design horizon",
          "times": "comma separated output times",
-         "tol": "shooting tolerance, or the rays' crossing tolerance"}
+         "tol": "the rays' exit and crossing tolerance"}
 
 
 # ===== Entry point =====

@@ -23,7 +23,6 @@ from .flow import integrate_batch, terminal_batch
 from .fvm import DEFAULT_CFL, CellField, Grid1D, evolve, l1_distance
 from .model import HamiltonianModel
 from .period import invert_half_period, shock_time
-from .shooting import DEFAULT_SHOOT_TOL
 
 MONOTONE_TOL = 1e-6
 COLLAPSE_TOL = 1e-4
@@ -81,8 +80,7 @@ class Profile:
         return np.interp(np.asarray(x, dtype=float), xp, vp)
 
 
-def profile_from_solution(model: HamiltonianModel, t: float, xs,
-                          shoot_tol: float = DEFAULT_SHOOT_TOL) -> Profile:
+def profile_from_solution(model: HamiltonianModel, t: float, xs) -> Profile:
     """Time slice of the semi-analytic solution as a taggable profile.
 
     Positions must avoid 0; once the standing jump at the origin has
@@ -90,7 +88,7 @@ def profile_from_solution(model: HamiltonianModel, t: float, xs,
     inversion rather than with offset samples.
     """
     xs = np.asarray(xs, dtype=float)
-    ws = solution_profile(model, t, xs, shoot_tol)
+    ws = solution_profile(model, t, xs)
     jumps = ()
     if model.separatrix_momentum > 0.0 and t > shock_time(model):
         trace = invert_half_period(model, t)

@@ -13,8 +13,8 @@ A batch march steps only the orbits that still move: a free one (past
 the cutoff, heading outward) adds one exact increment per step, and a
 retired one (below q = 0, on request) is never stepped again.
 
-Dense output is cubic Hermite on the stored samples, which is enough for
-event (level-crossing) refinement to ~1e-10 in time at the default step.
+A trajectory is its marched samples and nothing else; a level crossing
+between two of them is refined by marching from the earlier one.
 """
 
 from __future__ import annotations
@@ -150,70 +150,40 @@ def _rk4_rows(model: HamiltonianModel, q, p, spans, lowest=None):
         yield q1.copy(), z[0, 1].copy()
 
 
-def _certify(model: HamiltonianModel, q0, p0, q, p):
-    """Raise unless the states (q, p) are finite and keep the launch
-    energy to ``ENERGY_TOL``; return their energies and the launch's.
+def _certify(model: HamiltonianModel, q0, p0, q, p) -> float:
+    """Raise unless the states (q, p) and their energies are finite and
+    keep the launch energy to ``ENERGY_TOL``; return the largest drift.
 
     A non-finite state stays non-finite under the update q + dq, so the
     end state of a march certifies every state before it.
     """
     if not (np.isfinite(q).all() and np.isfinite(p).all()):
         raise NonFinite("orbit left the finite range")
-    e0 = model.h(q0, p0)
-    energy = model.h(q, p)
-    drift = float(np.max(np.abs(energy - e0), initial=0.0))
-    if drift > ENERGY_TOL:
+    drift = float(np.max(np.abs(model.h(q, p) - model.h(q0, p0)),
+                         initial=0.0))
+    if not drift <= ENERGY_TOL:
+        if not math.isfinite(drift):
+            raise NonFinite("orbit energy left the finite range")
         raise EnergyDrift(f"energy drift {drift:.3e} > {ENERGY_TOL:.1e}")
-    return energy, e0
+    return drift
 
 
 # ===== Trajectories =====
 
 @dataclass
 class Trajectory:
-    """Sampled orbit with cubic Hermite dense output.
+    """The samples of one march, in march order.
 
-    ``times`` is strictly increasing regardless of integration direction;
-    a backward run is stored reversed, so ``times[0]`` is the requested
-    terminal time and ``times[-1] == 0``.
+    ``times`` runs from 0 to the terminal time, so a backward run's times
+    decrease; ``drift`` is the largest deviation of a sample's energy from
+    the launch energy.
     """
 
+    model: HamiltonianModel
     times: np.ndarray
     q: np.ndarray
     p: np.ndarray
-    pdot: np.ndarray
-    energy: np.ndarray
-    energy0: float
-
-    @property
-    def drift(self) -> float:
-        """Largest deviation of the sampled energy from its initial value."""
-        return float(np.max(np.abs(self.energy - self.energy0)))
-
-    def _dense(self, y, ydot, t):
-        t = np.asarray(t, dtype=float)
-        if self.times.size == 1:
-            # a zero-duration orbit is its one sample at every time
-            return np.full_like(t, y[0])[()]
-        idx = np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                      0, len(self.times) - 2)
-        t0 = self.times[idx]
-        h = self.times[idx + 1] - t0
-        s = (t - t0) / h
-        s2 = s * s
-        s3 = s2 * s
-        h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-        h10 = s3 - 2.0 * s2 + s
-        h01 = -2.0 * s3 + 3.0 * s2
-        h11 = s3 - s2
-        return (h00 * y[idx] + h10 * h * ydot[idx]
-                + h01 * y[idx + 1] + h11 * h * ydot[idx + 1])
-
-    def q_at(self, t):
-        return self._dense(self.q, self.p, t)
-
-    def p_at(self, t):
-        return self._dense(self.p, self.pdot, t)
+    drift: float
 
 
 def integrate(model: HamiltonianModel, q0: float, p0: float, t: float,
@@ -237,12 +207,7 @@ def integrate(model: HamiltonianModel, q0: float, p0: float, t: float,
     states = [(q0, p0), *_march(model, q0, p0, spans)]
     qa, pa = map(np.array, zip(*states))
     times = np.array([0.0, *(k * h for k in ends)])
-    energy, energy0 = _certify(model, q0, p0, qa, pa)
-    if t < 0.0:
-        times, qa, pa, energy = (a[::-1].copy()
-                                 for a in (times, qa, pa, energy))
-    return Trajectory(times=times, q=qa, p=pa, pdot=-model.g_prime(qa),
-                      energy=energy, energy0=energy0)
+    return Trajectory(model, times, qa, pa, _certify(model, q0, p0, qa, pa))
 
 
 def terminal_state(model: HamiltonianModel, q0: float, p0: float, t: float,
@@ -323,39 +288,33 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
 # ===== Events =====
 
 def crossing_events(traj: Trajectory, level: float = 0.0) -> np.ndarray:
-    """Times where the orbit's position crosses the given level.
+    """Sorted times where the orbit's position crosses the given level.
 
-    Sign changes between stored samples are refined by bisection on the
-    cubic Hermite interpolant down to 1e-10 in time.  Samples landing
-    exactly on the level are reported as crossings too.
+    A sign change between two samples is bisected down to 1e-10 in time;
+    each midpoint is marched afresh from the earlier sample in steps of at
+    most ``DEFAULT_DT``.  Samples landing exactly on the level are
+    reported as crossings too.
     """
     time_tol = 1e-10
     f = traj.q - level
-    times = []
-    for k in range(len(f) - 1):
-        a, b = f[k], f[k + 1]
-        if a == 0.0:
-            times.append(traj.times[k])
-            continue
-        if a * b < 0.0:
-            lo, hi = traj.times[k], traj.times[k + 1]
-            flo = a
-            while hi - lo > time_tol:
-                mid = 0.5 * (lo + hi)
-                fm = float(traj.q_at(mid)) - level
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (flo > 0.0) != (fm > 0.0):
-                    hi = mid
-                else:
-                    lo = mid
-                    flo = fm
-            times.append(0.5 * (lo + hi))
-    if f[-1] == 0.0:
-        times.append(traj.times[-1])
-    out = np.array(sorted(times))
-    if out.size > 1:
-        keep = np.concatenate([[True], np.diff(out) > 10.0 * time_tol])
-        out = out[keep]
-    return out
+    times = traj.times[f == 0.0].tolist()
+    for k in np.flatnonzero(f[:-1] * f[1:] < 0.0):
+        t0, q0, p0 = traj.times[k], float(traj.q[k]), float(traj.p[k])
+        lo, hi = t0, traj.times[k + 1]
+        flo = f[k]
+        while abs(hi - lo) > time_tol:
+            mid = 0.5 * (lo + hi)
+            [(qm, _)] = _march(traj.model, q0, p0,
+                               [_split(mid - t0, DEFAULT_DT)])
+            fm = qm - level
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if (flo > 0.0) != (fm > 0.0):
+                hi = mid
+            else:
+                lo = mid
+                flo = fm
+        times.append(0.5 * (lo + hi))
+    out = np.sort(times)
+    return out[np.diff(out, prepend=-np.inf) > 10.0 * time_tol]

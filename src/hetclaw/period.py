@@ -261,7 +261,9 @@ def period_by_ode(model: HamiltonianModel, p0: float) -> float:
     while horizon <= 64.0:
         traj = integrate(model, 0.0, p0, horizon)
         for t in crossing_events(traj, level=0.0):
-            if t > DEFAULT_DT and traj.p_at(t) > 0.0:
+            # an upward return comes from below: the sample before is < 0
+            before = traj.q[np.searchsorted(traj.times, t) - 1]
+            if t > DEFAULT_DT and before < 0.0:
                 return float(t)
         horizon *= 2.0
     raise NotFound(f"no upward return to q=0 within t=64.0 for p0={p0}")

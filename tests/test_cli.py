@@ -402,8 +402,7 @@ def test_step_budget_refusal_names_the_run(capsys, tmp_path):
     assert code == 1
     assert err["error"] == "DomainError"
     assert err["message"].startswith(
-        "experiment 'inverse' with --n 10000 --cfl 0.45 --tmax 100.0 "
-        "--tol 1e-09: ")
+        "experiment 'inverse' with --n 10000 --cfl 0.45 --tmax 100.0: ")
     assert "orbit-steps" in err["message"]
     assert not out.exists()
 
@@ -539,6 +538,21 @@ def test_exact_rows_cover_requested_times(capsys, tmp_path):
     times = {float(ln.split(",")[0]) for ln in body[1:]}
     assert times == {0.5, 1.5}
     assert len(body) - 1 == 2 * 16
+
+
+def test_exact_writes_each_distinct_time_once(capsys, tmp_path):
+    """A repeated time used to be marched and written twice: --n 8
+    --times 1,1 gave 16 rows at t = 1 and two identical curves."""
+    bodies, curves = [], []
+    for times in ("1,0.5,1", "0.5,1"):
+        out = tmp_path / times
+        run_ok(capsys, "--experiment", "exact", "--n", "8", "--times", times,
+               "--out", str(out))
+        bodies.append(read_csv_body(out / "exact.csv")[1])
+        curves.append((out / "exact.svg").read_text().count("<polyline"))
+    assert bodies[0] == bodies[1]
+    assert len(bodies[0]) - 1 == 2 * 8
+    assert curves == [2, 2]
 
 
 def test_asymptotics_exact_route_reaches_the_limit(capsys, tmp_path):

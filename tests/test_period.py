@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hetclaw.cli import main
 from hetclaw.errors import DomainError, HetclawError
-from hetclaw.flow import integrate
+from hetclaw.flow import terminal_state
 from hetclaw.model import HamiltonianModel, quartic_well
 from hetclaw.period import (
     _BLOCK,
@@ -153,9 +153,8 @@ def test_ode_route_agrees_with_quadrature(quartic):
 def test_orbit_sign_pattern_over_one_period(quartic):
     """Positive on the first half, negative on the second."""
     period = period_quadrature(quartic, 0.9)
-    traj = integrate(quartic, 0.0, 0.9, period)
-    assert traj.q_at(0.25 * period) > 0.0
-    assert traj.q_at(0.75 * period) < 0.0
+    assert terminal_state(quartic, 0.0, 0.9, 0.25 * period)[0] > 0.0
+    assert terminal_state(quartic, 0.0, 0.9, 0.75 * period)[0] < 0.0
 
 
 # ===== Inversion =====
