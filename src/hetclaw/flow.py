@@ -292,12 +292,17 @@ def crossing_events(traj: Trajectory, level: float = 0.0) -> np.ndarray:
 
     A sign change between two samples is bisected down to 1e-10 in time;
     each midpoint is marched afresh from the earlier sample in steps of at
-    most ``DEFAULT_DT``.  Samples landing exactly on the level are
-    reported as crossings too.
+    most ``DEFAULT_DT``.  A run of samples landing exactly on the level
+    counts once, at its first sample, where the orbit changes side across
+    the run or the run touches an end of the trajectory.
     """
     time_tol = 1e-10
     f = traj.q - level
-    times = traj.times[f == 0.0].tolist()
+    edges = np.diff((f == 0.0).astype(np.int8), prepend=0, append=0)
+    first, past = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    ends = (first == 0) | (past == f.size)
+    through = f[first - 1] * f[np.minimum(past, f.size - 1)] < 0.0
+    times = traj.times[first[ends | through]].tolist()
     for k in np.flatnonzero(f[:-1] * f[1:] < 0.0):
         t0, q0, p0 = traj.times[k], float(traj.q[k]), float(traj.p[k])
         lo, hi = t0, traj.times[k + 1]

@@ -14,7 +14,9 @@ Gauss-Legendre on panels graded toward pi/2 then integrates it to
 rounding.  Both arrival-time integrals of the shooting map live here:
 the passage times of an oscillating orbit (``_passage_times``) and the
 flight time of an orbit above the flat level (``_flight_time``), whose
-panels are graded toward its arrival end.  An ODE route (integrate and
+panels are graded toward its arrival end.  A flight between fixed ends
+is planned once (``_flight_plan``), so a root-find over its speed pays
+only for the speed.  An ODE route (integrate and
 detect the first upward return to q = 0) serves as an independent
 cross-check, and a Richardson extrapolation of half-periods toward
 p0 = 0 recovers the infimum, which is the shock-formation time of the
@@ -105,25 +107,41 @@ def _passage_times(model: HamiltonianModel, depth, x):
     return t_out, 2.0 * quarter - t_out
 
 
-def _flight_time(model: HamiltonianModel, v, a, b):
-    """tau(E; a -> b) for arrays with 0 <= a <= b and E = flat + v**2/2.
-
-    ``v`` >= 0 is the speed past the cutoff.  The part inside the cutoff
-    is integrated on panels graded toward its upper end; the flat part is
-    crossed at speed v.
-    """
+def _flight_plan(model: HamiltonianModel, a, b):
+    """The parts of tau(E; a -> b) that do not depend on E, for arrays
+    0 <= a <= b: the width inside the cutoff, 2 (flat - g) at its nodes
+    and the flat tail past the cutoff."""
     c = model.cutoff
     hi = np.minimum(b, c)
     width = hi - np.minimum(a, c)
+    gap = np.empty((width.size, _R_NODES.size))
+    for k in range(0, width.size, _BLOCK):
+        blk = slice(k, k + _BLOCK)
+        d = (c - hi[blk, None]) + width[blk, None] * _R_NODES
+        gap[blk] = 2.0 * model.below_flat(d)
+    return width, gap, np.maximum(b, c) - np.maximum(a, c)
+
+
+def _planned_time(plan, v, rows):
+    """tau(E; a -> b) with E = flat + v**2/2 for the entries ``rows`` of a
+    flight plan, one speed ``v`` >= 0 past the cutoff each.  The part
+    inside the cutoff is integrated on panels graded toward its upper
+    end; the flat part is crossed at speed v."""
+    width, gap, tail = plan
+    width, tail = width[rows], tail[rows]
     inner = np.empty_like(v)
     for k in range(0, v.size, _BLOCK):
         blk = slice(k, k + _BLOCK)
-        d = (c - hi[blk, None]) + width[blk, None] * _R_NODES
-        speed = np.sqrt(v[blk, None] ** 2 + 2.0 * model.below_flat(d))
+        speed = np.sqrt(v[blk, None] ** 2 + gap[rows[blk]])
         # row by row, so an entry's bits do not depend on its block
         inner[blk] = width[blk] * np.vecdot(1.0 / speed, _R_WEIGHTS)
-    tail = np.maximum(b, c) - np.maximum(a, c)
     return inner + np.where(tail > 0.0, tail / v, 0.0)
+
+
+def _flight_time(model: HamiltonianModel, v, a, b):
+    """tau(E; a -> b) for arrays with 0 <= a <= b and E = flat + v**2/2,
+    ``v`` >= 0 being the speed past the cutoff: one plan, evaluated."""
+    return _planned_time(_flight_plan(model, a, b), v, np.arange(v.size))
 
 
 def _half_period(model: HamiltonianModel, depth: float) -> float:
@@ -147,45 +165,54 @@ def _illinois(residual, lo, hi, f_lo, f_hi, force, shoot_tol):
     0.1 shoot_tol (so the momentum is converged at turning points too) or
     its bracket is a few ulps wide.  Returns (z, R, p, miss) at each
     entry's best iterate.
+
+    The state of the active entries is kept compact, aligned with ``idx``;
+    an entry's best iterate is written out when it retires.
     """
     n = lo.size
-    best_z = 0.5 * (lo + hi)
-    best_f = np.full(n, np.inf)
-    best_p = np.zeros(n)
-    best_miss = np.full(n, np.inf)
-    moved = np.zeros(n, dtype=np.int8)      # +1: hi moved last, -1: lo
-    bisect = np.zeros(n, dtype=bool)
+    out = [np.empty(n) for _ in range(4)]
+    ulps = 4.0 * np.finfo(float).eps
     idx = np.arange(n)
+    # per active entry: the best (z, R, p, miss) so far; the bracket, its
+    # end residuals, the force, whether hi or lo moved last and whether
+    # to bisect
+    best = [0.5 * (lo + hi), np.full(n, np.inf), np.zeros(n),
+            np.full(n, np.inf)]
+    no = np.zeros(n, dtype=bool)
+    state = [lo, hi, f_lo, f_hi, force, no, no, no]
     for _ in range(_MAX_ITERATIONS):
         if idx.size == 0:
             break
-        a, b, fa, fb = lo[idx], hi[idx], f_lo[idx], f_hi[idx]
-        z = a - fa * ((b - a) / (fb - fa))
-        z = np.where(bisect[idx] | np.isinf(fb - fa)
-                     | ~((z >= a) & (z <= b)), 0.5 * (a + b), z)
+        a, b, fa, fb, frc, hi_moved, lo_moved, bisect = state
+        w, df = b - a, fb - fa
+        z = a - fa * (w / df)
+        z = np.where(bisect | np.isinf(df) | ~((z >= a) & (z <= b)),
+                     0.5 * (a + b), z)
         f, p = residual(z, idx)
-        miss = np.abs(f) * np.hypot(p, force[idx])
-        better = miss < best_miss[idx]
-        i = idx[better]
-        best_z[i], best_f[i], best_p[i] = z[better], f[better], p[better]
-        best_miss[i] = miss[better]
+        miss = np.abs(f) * np.hypot(p, frc)
+        better = miss < best[3]
+        best = [np.where(better, new, old)
+                for new, old in zip((z, f, p, miss), best)]
 
         up = f > 0.0
+        lo, hi = np.where(up, a, z), np.where(up, z, b)
+        width = hi - lo
         # Illinois: an end kept twice in a row has its residual halved
-        fa = np.where(up & (moved[idx] == 1), 0.5 * fa, fa)
-        fb = np.where(~up & (moved[idx] == -1), 0.5 * fb, fb)
-        lo[idx] = np.where(up, a, z)
-        hi[idx] = np.where(up, z, b)
-        f_lo[idx] = np.where(up, fa, f)
-        f_hi[idx] = np.where(up, f, fb)
-        moved[idx] = np.where(up, 1, -1)
-        width = hi[idx] - lo[idx]
-        bisect[idx] = width > 0.5 * (b - a)
+        state = [lo, hi, np.where(up, np.where(hi_moved, 0.5 * fa, fa), f),
+                 np.where(up, f, np.where(lo_moved, 0.5 * fb, fb)), frc,
+                 up, ~up, width > 0.5 * w]
         done = ((miss <= 0.1 * shoot_tol) | (f == 0.0)
-                | (width <= 4.0 * np.finfo(float).eps
-                   * np.maximum(np.abs(lo[idx]), np.abs(hi[idx]))))
-        idx = idx[~done]
-    return best_z, best_f, best_p, best_miss
+                | (width <= ulps * np.maximum(np.abs(lo), np.abs(hi))))
+        if done.any():
+            for o, s in zip(out, best):
+                o[idx[done]] = s[done]
+            keep = ~done
+            idx = idx[keep]
+            best = [s[keep] for s in best]
+            state = [s[keep] for s in state]
+    for o, s in zip(out, best):
+        o[idx] = s
+    return tuple(out)
 
 
 def _solve(residual, lo: float, hi: float, f_lo: float, f_hi: float) -> float:

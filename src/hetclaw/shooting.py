@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import DomainError, NotFound
 from .model import HamiltonianModel
-from .period import _flight_time, _illinois, _passage_times
+from .period import (_flight_plan, _flight_time, _illinois, _passage_times,
+                     _planned_time)
 
 # Not called here; perfbench/tracing.py wraps these names on this module.
 from .flow import terminal_batch, terminal_state  # noqa: F401
@@ -134,21 +135,22 @@ def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
     shoot = np.flatnonzero(~model.flies_free(q0_out, p0_out))
     x = xs[shoot]
     c, flat = model.cutoff, model.flat_value
-    zero = np.zeros_like(x)
+    rows = np.arange(x.size)
+    # flights from 0 to x: the corner and separatrix orbits and every
+    # escaping iterate share one plan
+    plan = _flight_plan(model, np.zeros_like(x), x)
     v_corner = np.full_like(x, np.sqrt(2.0 * (2.0 - flat)))
-    tau_corner = _flight_time(model, v_corner, zero, x)
+    tau_corner = _planned_time(plan, v_corner, rows)
     tau_sep = np.full_like(x, np.inf)
     inside = (tau_corner <= t) & (x < c)
-    tau_sep[inside] = _flight_time(model, zero[inside], zero[inside],
-                                   x[inside])
+    tau_sep[inside] = _planned_time(plan, np.zeros_like(x[inside]),
+                                     rows[inside])
     half = tau_corner > t
     osc = tau_sep < t
     esc = ~half & ~osc
 
-    def speed(v, xk):
-        depth = np.maximum(c - xk, 0.0)
-        return np.hypot(v, np.sqrt(2.0 * model.below_flat(depth)))
-
+    # the potential's share of the speed at x, sqrt(2 (flat - g(x)))
+    well = np.sqrt(2.0 * model.below_flat(np.maximum(c - x, 0.0)))
     lost = np.zeros_like(xs, dtype=bool)
 
     def solve(mask, residual, lo, hi, f_lo, f_hi):
@@ -161,22 +163,23 @@ def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
         return z
 
     if np.any(half):
-        xh = x[half]
+        xh, well_h = x[half], well[half]
 
         def launch_time(q0, k):
             v = np.sqrt(2.0 * (2.0 - flat + model.g(q0)))
-            return t - _flight_time(model, v, q0, xh[k]), speed(v, xh[k])
+            return (t - _flight_time(model, v, q0, xh[k]),
+                    np.hypot(v, well_h[k]))
 
         q0_out[shoot[half]] = solve(
             half, launch_time, np.zeros_like(xh), np.minimum(xh, c),
             t - tau_corner[half], t - np.maximum(xh - c, 0.0) / 2.0)
 
     if np.any(esc):
-        xe = x[esc]
+        xe, rows_e, well_e = x[esc], rows[esc], well[esc]
 
         def escape_time(v, k):
-            return (t - _flight_time(model, v, np.zeros_like(v), xe[k]),
-                    speed(v, xe[k]))
+            return (t - _planned_time(plan, v, rows_e[k]),
+                    np.hypot(v, well_e[k]))
 
         # past the cutoff tau > (x - c) / v, so v = (x - c) / t is early
         v_lo = np.maximum(xe - c, 0.0) / t
@@ -194,14 +197,15 @@ def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
         # the unknown is minus the turning point's depth below the cutoff,
         # which keeps its relative precision as orbits near the separatrix
         def passage_miss(z, k):
-            d_x = c - xo[k]
-            t_out, t_ret = _passage_times(model, -z, xo[k])
-            momentum = np.sqrt(2.0 * (d_x + z) * model.chord_slope(d_x, -z))
-            return (np.minimum(t - t_out, t_ret - t),
-                    np.copysign(momentum, (t_ret - t) - (t - t_out)))
+            d_x, depth = c - xo[k], -z
+            t_out, t_ret = _passage_times(model, depth, xo[k])
+            momentum = np.sqrt(2.0 * (d_x + z)
+                               * model.chord_slope(d_x, depth))
+            early, late = t - t_out, t_ret - t
+            return np.minimum(early, late), np.copysign(momentum, late - early)
 
         z_x = xo - c
-        z = solve(osc, passage_miss, z_x.copy(), np.zeros_like(xo),
+        z = solve(osc, passage_miss, z_x, np.zeros_like(xo),
                   passage_miss(z_x, np.arange(xo.size))[0], t - tau_sep[osc])
         q0_out[shoot[osc]] = 0.0
         p0_out[shoot[osc]] = np.sqrt(2.0 * (flat - model.below_flat(-z)))

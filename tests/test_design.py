@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hetclaw.design import (
 )
 from hetclaw.errors import DomainError, NonMonotoneFeet
 from hetclaw.flow import terminal_batch
+from hetclaw.period import invert_half_period
 
 
 def l1_between(xs, a, b):
@@ -171,7 +173,6 @@ def test_full_report_pipeline(target_footprint, target_profile):
 # ===== Ray fans =====
 
 def test_quartic_rays_collide_between_the_extremals(quartic):
-    from hetclaw.period import invert_half_period
     trace = invert_half_period(quartic, 2.0)
     fan = ray_fan(quartic, 2.0, 0.0, trace, -trace, 9)
     assert fan.crossings or fan.exits
@@ -179,7 +180,6 @@ def test_quartic_rays_collide_between_the_extremals(quartic):
 
 
 def test_two_ray_fan_never_crosses(quartic):
-    from hetclaw.period import invert_half_period
     trace = invert_half_period(quartic, 2.0)
     fan = ray_fan(quartic, 2.0, 0.0, trace, -trace, 2)
     assert not fan.crossings
@@ -201,6 +201,17 @@ def test_fan_needs_two_rays(quartic):
     for n_rays in (1, 2.5, 1001, True):
         with pytest.raises(DomainError, match="2 to 1000 rays"):
             ray_fan(quartic, 2.0, 0.0, -1.0, 1.0, n_rays)
+
+
+def test_a_fan_past_the_crossing_ceiling_is_refused(quartic):
+    """1,000 rays over t = 12 cross more than 2 million times; the call
+    refuses once its list passes the ceiling instead of growing it until
+    memory runs out (t = 50 used to run a minute into a MemoryError)."""
+    trace = invert_half_period(quartic, 12.0)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="crosses itself more than"):
+        ray_fan(quartic, 12.0, 0.0, trace, -trace, 1000)
+    assert time.perf_counter() - start < 60.0
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, np.inf, np.nan])

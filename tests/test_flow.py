@@ -18,6 +18,7 @@ from hetclaw.errors import DomainError, EnergyDrift, HetclawError, \
 from hetclaw.model import MODELS, quartic_well
 from hetclaw.flow import (
     DEFAULT_DT,
+    Trajectory,
     _march,
     _split,
     crossing_events,
@@ -249,8 +250,9 @@ def test_recorded_march_ends_on_the_scalar_one(q0, p0, t, dt_max):
     assert (traj.q[-1], traj.p[-1]) == ref
 
 
-# A one-orbit batch costs about 40 us a step against 2 us on floats (2-core
-# x86 host), so 40,000 steps at dt_max = 1e-3 take about 1.6 s.
+# A one-orbit batch costs 67-80 us a step against 2.0-2.8 us on floats
+# (2-core x86 host), so 40,000 steps at dt_max = 1e-3 take about 3 s of
+# the 10 s deadline.
 @settings(deadline=10000, max_examples=30)
 @given(*DRAWS)
 def test_batch_march_lands_on_the_scalar_one(q0, p0, t, dt_max):
@@ -287,8 +289,7 @@ def test_free_orbit_never_crosses(quartic):
 def test_crossing_times_sit_on_the_level(q0, p0, t, level):
     """Every crossing time, forward or backward, puts the orbit within
     1e-8 of its level.  The orbit is marched from one crossing to the
-    next, so a rest state on the level, every sample of which is a
-    crossing, costs one march in all."""
+    next; a rest state on the level counts one crossing, at its start."""
     model = quartic_well()
     taus = crossing_events(integrate(model, q0, p0, t), level)
     q, p, s = q0, p0, 0.0
@@ -296,6 +297,24 @@ def test_crossing_times_sit_on_the_level(q0, p0, t, level):
         q, p = terminal_state(model, q, p, tau - s)
         s = tau
         assert abs(q - level) <= 1e-8
+
+
+def test_a_run_on_the_level_counts_once_where_it_crosses(quartic):
+    """A run of on-level samples is one crossing, at its first sample, if
+    the orbit changes side across it or it touches an end; a touch from
+    one side is none."""
+    rest = crossing_events(integrate(quartic, 0.0, 0.0, 2.0))
+    np.testing.assert_array_equal(rest, [0.0])
+
+    times = np.arange(5.0)
+    runs = {(1.0, 0.0, 0.0, 0.0, -1.0): [1.0],
+            (1.0, 0.0, 0.0, 1.0, 1.0): [],
+            (-1.0, 0.0, -1.0, 0.0, 0.0): [3.0],
+            (0.0, 0.0, 1.0, 0.0, 1.0): [0.0],
+            (0.0, 0.0, 0.0, 0.0, 0.0): [0.0]}
+    for q, want in runs.items():
+        traj = Trajectory(quartic, times, np.array(q), np.zeros(5), 0.0)
+        np.testing.assert_array_equal(crossing_events(traj), want)
 
 
 def test_mirror_orbit_has_identical_crossings(quartic):

@@ -15,9 +15,11 @@ from hetclaw.flow import terminal_state
 from hetclaw.model import HamiltonianModel, quartic_well
 from hetclaw.period import (
     _BLOCK,
+    _flight_plan,
     _flight_time,
     _half_period,
     _passage_times,
+    _planned_time,
     invert_half_period,
     period_by_ode,
     period_quadrature,
@@ -122,7 +124,8 @@ def test_period_blows_up_at_the_separatrix(quartic):
 
 def test_a_quadrature_block_is_its_entries_to_the_bit(quartic):
     """Each entry of a multi-block call, ragged tail included, has the
-    bits of its own one-entry call, for both arrival-time integrals."""
+    bits of its own one-entry call, for both arrival-time integrals and
+    for a flight plan evaluated on any subset of its entries."""
     rng = np.random.default_rng(3)
     n = 3 * _BLOCK + 5
     v = rng.uniform(0.05, 1.5, n)
@@ -139,6 +142,19 @@ def test_a_quadrature_block_is_its_entries_to_the_bit(quartic):
         for got, want in zip(passages, _passage_times(quartic, depth[one],
                                                       x[one])):
             assert got[k].view(np.int64) == want[0].view(np.int64)
+
+    # A [0, x] plan evaluated on ragged, shrinking subsets of its entries,
+    # as the root-find does while entries retire, gives the same bits.
+    plan = _flight_plan(quartic, np.zeros(n), b)
+    rows = np.arange(n)
+    while rows.size:
+        speeds = rng.uniform(0.0, 1.5, rows.size)
+        got = _planned_time(plan, speeds, rows)
+        for k, row in enumerate(rows):
+            want = _flight_time(quartic, speeds[k:k + 1], np.zeros(1),
+                                b[row:row + 1])
+            assert got[k].view(np.int64) == want[0].view(np.int64)
+        rows = rows[rng.uniform(size=rows.size) < 0.6]
 
 
 # ===== Independent route =====

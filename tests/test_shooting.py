@@ -1,11 +1,14 @@
 """Backward shooting map: limits, monotonicity and continuity."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from hetclaw.errors import DomainError, NotFound
 from hetclaw.flow import integrate_batch, terminal_state
+from hetclaw.period import invert_half_period, period_quadrature, shock_time
 from hetclaw.shooting import DEFAULT_SHOOT_TOL, arc_decode, arc_encode, \
     delta, delta_batch
 
@@ -101,6 +104,26 @@ def test_a_shot_does_not_depend_on_its_batch(quartic, t):
     for want, rev, dup, one in zip(ref, reversed_, doubled, alone):
         for got in (rev, dup[0::2], dup[1::2], one):
             np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+# sha256 of the engine's outputs below; a change to the shooting map, the
+# arrival-time quadratures or the root-find that moves any bit moves it
+ENGINE_DIGEST = \
+    "c03c612d849040c14d62a142ae8408868fcbd72b07ee22c6c13a7ff2269a2a36"
+
+
+def test_the_engine_keeps_its_bits(quartic):
+    """Shots on every branch from t = 0.3 to 1e4, the shock time, three
+    periods and three half-period inversions hash to the pinned digest."""
+    digest = hashlib.sha256()
+    for t in (0.3, 1.6, 2.4, 30.0, 1e4):
+        for out in delta_batch(quartic, t, BRANCH_XS):
+            digest.update(np.ascontiguousarray(out, dtype=float).tobytes())
+    values = ([shock_time(quartic)]
+              + [period_quadrature(quartic, p) for p in (0.1, 0.9, 1.4142)]
+              + [invert_half_period(quartic, t) for t in (2.0, 5.0, 40.0)])
+    digest.update(np.array(values).tobytes())
+    assert digest.hexdigest() == ENGINE_DIGEST
 
 
 # ===== Continuity =====
