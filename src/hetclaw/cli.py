@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .charsol import asymptotic_profile, solution_grid
-from .design import MAX_RAYS, design_report, footprint, \
+from .design import MAX_RAYS, _standing_traces, design_report, footprint, \
     profile_from_solution, ray_fan
 from .entropy import entropy_sweep, from_snapshots, reversed_shock_solution
 from .errors import DomainError, HetclawError, NotFound
@@ -37,8 +37,7 @@ from .flow import integrate
 from .fvm import DEFAULT_CFL, Grid1D, detect_shock_formation, evolve, \
     step_datum
 from .model import MODELS, HamiltonianModel
-from .period import invert_half_period, period_quadrature, shock_time, \
-    turning_point
+from .period import period_quadrature, shock_time, turning_point
 from .svgplot import write_svg
 
 
@@ -348,11 +347,7 @@ def _run_inverse(model: HamiltonianModel, config: RunConfig,
 def _run_rays(model: HamiltonianModel, config: RunConfig,
               write: _Writer) -> None:
     t = config.t_max
-    if model.separatrix_momentum > 0.0 and t > shock_time(model):
-        trace = invert_half_period(model, t)
-        p_left, p_right = trace, -trace
-    else:
-        p_left, p_right = -2.0, 2.0
+    p_left, p_right = _standing_traces(model, t) or (-2.0, 2.0)
     report = ray_fan(model, t, 0.0, p_left, p_right, config.n,
                      tol=config.tol)
     units = "ray:index,t:time,q:position"

@@ -94,11 +94,18 @@ def profile_from_solution(model: HamiltonianModel, t: float, xs) -> Profile:
     """
     xs = np.asarray(xs, dtype=float)
     ws = solution_profile(model, t, xs)
-    jumps = ()
+    traces = _standing_traces(model, t)
+    return Profile(xs, ws, () if traces is None else (Jump(0.0, *traces),))
+
+
+def _standing_traces(model: HamiltonianModel, t: float):
+    """Traces (w_minus, w_plus) = (p0, -p0) at time t of the jump standing
+    at x = 0, p0 being the momentum whose orbit first returns to 0 at t;
+    None before the shock time and on a model whose well traps nothing."""
     if model.separatrix_momentum > 0.0 and t > shock_time(model):
         trace = invert_half_period(model, t)
-        jumps = (Jump(0.0, trace, -trace),)
-    return Profile(xs, ws, jumps)
+        return trace, -trace
+    return None
 
 
 # ===== Backward footprints =====
@@ -225,9 +232,6 @@ def reconstruct_vertex(fm: FootprintMap) -> Profile:
     for k in range(1, xs.size):
         if xs[k] <= xs[k - 1]:
             xs[k] = xs[k - 1] + 1e-12
-    for j in jumps:
-        if np.any(xs == j.x):
-            xs[xs == j.x] += 1e-12
     return Profile(xs, ws, tuple(jumps))
 
 

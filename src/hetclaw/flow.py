@@ -44,20 +44,20 @@ _REGROUP = 64
 
 # ===== Stepping kernels =====
 
-def rk4_step(g_prime, q, p, h):
-    """One classical RK4 step of the characteristic system.
+def rk4_step(force, q, p, h):
+    """One classical RK4 step of q' = p, p' = force(q), force being -g'.
 
     Works elementwise on floats and arrays alike; ``h`` may be a scalar or
     a per-column array.
     """
     k1q = p
-    k1p = -g_prime(q)
+    k1p = force(q)
     k2q = p + 0.5 * h * k1p
-    k2p = -g_prime(q + 0.5 * h * k1q)
+    k2p = force(q + 0.5 * h * k1q)
     k3q = p + 0.5 * h * k2p
-    k3p = -g_prime(q + 0.5 * h * k2q)
+    k3p = force(q + 0.5 * h * k2q)
     k4q = p + h * k3p
-    k4p = -g_prime(q + h * k3q)
+    k4p = force(q + h * k3q)
     return (q + h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0,
             p + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0)
 
@@ -103,10 +103,10 @@ def _march(model: HamiltonianModel, q, p, spans, lowest=None):
     if isinstance(q, np.ndarray):
         yield from _rk4_rows(model, q, p, spans, lowest)
         return
-    gp = model.g_prime
+    force = model.force
     for n, h in spans:
         for _ in range(n):
-            q, p = rk4_step(gp, q, p, h)
+            q, p = rk4_step(force, q, p, h)
         yield q, p
 
 

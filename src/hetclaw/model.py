@@ -4,7 +4,7 @@ The potential g encodes all of the spatial dependence.  It is required to
 be flat outside a bounded interval [-cutoff, cutoff] so that characteristics
 are straight lines far from the origin.  The default model is a quartic
 well, g(x) = 1 - (1 - x**2)**4 inside [-1, 1] and g = 1 outside, whose
-derivative is a hard-coded closed form; finite differences never drive
+force -g' is a hard-coded closed form; finite differences never drive
 the dynamics.
 """
 
@@ -29,28 +29,20 @@ def _quartic_g(x):
     return x * x * (2.0 - x * x) * (1.0 + y * y) if y > 0.0 else 1.0
 
 
-def _quartic_g_prime(x):
-    # d/dx [1 - (1-x^2)^4] = 8 x (1-x^2)^3 on |x| <= 1, zero outside
-    y = 1.0 - x * x
-    if isinstance(x, np.ndarray):
-        return np.where(y > 0.0, 8.0 * x * y * y * y, 0.0)
-    return 8.0 * x * y * y * y if y > 0.0 else 0.0
-
-
-def _quartic_force(x, out):
-    # -g'(x) into out as ((-8 x) y) y y: under round-to-nearest
-    # (-a) b = -(a b), so each product is the negated one of
-    # _quartic_g_prime's, and -0.0 where y > 0 fails (NaN included) is
-    # its negated zero
+def _quartic_force(x, out=None):
+    # -g'(x) = -8 x (1-x^2)^3 on |x| <= 1 and -0.0 outside (NaN included),
+    # as ((-8 x) y) y y; an array x is written into out when given
+    if not isinstance(x, np.ndarray):
+        y = 1.0 - x * x
+        return -8.0 * x * y * y * y if y > 0.0 else -0.0
     y = np.multiply(x, x)
     np.subtract(1.0, y, out=y)
-    np.multiply(-8.0, x, out=out)
+    out = np.multiply(-8.0, x, out=out)
     out *= y
     out *= y
     out *= y
-    flat = np.greater(y, 0.0)
-    np.logical_not(flat, out=flat)
-    np.copyto(out, -0.0, where=flat)
+    np.copyto(out, -0.0, where=~(y > 0.0))
+    return out
 
 
 def _quartic_chord(d, d_top):
@@ -65,7 +57,7 @@ def _quartic_chord(d, d_top):
 
 
 # Fixed finite probes, over the well and its flat tails, on which a model's
-# force must be -g_prime to the bit and its tails exactly flat.
+# force must write into out what it returns and its tails be exactly flat.
 _FORCE_PROBES = np.linspace(-4.0, 4.0, 401)
 
 
@@ -75,8 +67,10 @@ def _zero(x):
     return 0.0
 
 
-def _zero_force(x, out):
-    out.fill(-0.0)
+def _zero_force(x, out=None):
+    if isinstance(x, np.ndarray):
+        return np.negative(_zero(x), out=out)
+    return -0.0
 
 
 def _zero_chord(d, d_top):
@@ -85,14 +79,14 @@ def _zero_chord(d, d_top):
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianModel:
-    """Potential g and its gradient g', the force, its chord slope and the
-    flatness radius.
+    """Potential g, the force -g', its chord slope and the flatness
+    radius.
 
-    The callables accept floats or numpy arrays, except ``force(x, out)``,
-    which writes -g'(x) for the array x into the float array ``out`` of
-    its shape, equal to -g_prime(x) to the bit; the batch RK4 march reads
-    it.  Construction raises DomainError where the two differ on a fixed
-    grid of probe points, so replacing one means replacing both.
+    The callables accept floats or numpy arrays.  ``force(x, out=None)``
+    returns -g'(x), and writes it into the float array ``out`` of x's
+    shape when given, as the batch RK4 march reads it; :meth:`g_prime`
+    negates it.  Construction raises DomainError where ``force(x, out)``
+    writes other bits than ``force(x)`` returns on fixed probe points.
     ``flat_value`` is the constant value of g outside
     [-cutoff, cutoff]; characteristics with momentum p and position x out
     there move in straight lines.  Construction raises DomainError where a
@@ -107,32 +101,34 @@ class HamiltonianModel:
 
     name: str
     g: Callable
-    g_prime: Callable
     force: Callable
     chord_slope: Callable
     cutoff: float
     flat_value: float
 
     def __post_init__(self):
-        # A model copied with a new g_prime alone would keep the old force,
-        # and its batch marches would follow the old gradient.
-        out = np.empty_like(_FORCE_PROBES)
+        # The batch march reads the force through out, the rest its return.
+        out = np.full_like(_FORCE_PROBES, np.nan)
         self.force(_FORCE_PROBES, out)
-        want = -np.asarray(self.g_prime(_FORCE_PROBES), dtype=float)
-        bad = out.view(np.int64) != want.view(np.int64)
+        force = np.asarray(self.force(_FORCE_PROBES), dtype=float)
+        bad = out.view(np.int64) != force.view(np.int64)
         if np.any(bad):
             raise DomainError(
-                f"model {self.name!r}: force is not -g_prime at "
-                f"x={float(_FORCE_PROBES[bad][0])!r}; replace both together")
+                f"model {self.name!r}: force(x, out) writes other bits than "
+                f"force(x) returns at x={float(_FORCE_PROBES[bad][0])!r}")
         # Free flight moves an orbit past the cutoff in a straight line.
         g = np.asarray(self.g(_FORCE_PROBES), dtype=float)
         bad = ((np.abs(_FORCE_PROBES) > self.cutoff)
-               & ((g != self.flat_value) | (want != 0.0)))
+               & ((g != self.flat_value) | (force != 0.0)))
         if np.any(bad):
             raise DomainError(
                 f"model {self.name!r}: tail is not flat at "
                 f"x={float(_FORCE_PROBES[bad][0])!r}; past the cutoff g must "
                 f"be flat_value and g' zero")
+
+    def g_prime(self, x):
+        """The gradient g'(x), minus the force."""
+        return -self.force(x)
 
     def h(self, x, p):
         """Flux value H(x, p) = p**2/2 + g(x)."""
@@ -159,7 +155,6 @@ def quartic_well() -> HamiltonianModel:
     return HamiltonianModel(
         name="quartic",
         g=_quartic_g,
-        g_prime=_quartic_g_prime,
         force=_quartic_force,
         chord_slope=_quartic_chord,
         cutoff=1.0,
@@ -173,7 +168,6 @@ def homogeneous() -> HamiltonianModel:
     return HamiltonianModel(
         name="homogeneous",
         g=_zero,
-        g_prime=_zero,
         force=_zero_force,
         chord_slope=_zero_chord,
         cutoff=0.0,

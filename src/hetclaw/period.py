@@ -108,18 +108,24 @@ def _passage_times(model: HamiltonianModel, depth, x):
 
 
 def _flight_plan(model: HamiltonianModel, a, b):
-    """The parts of tau(E; a -> b) that do not depend on E, for arrays
-    0 <= a <= b: the width inside the cutoff, 2 (flat - g) at its nodes
-    and the flat tail past the cutoff."""
+    """The parts of tau(E; a -> b) that do not depend on E, for 0 <= a <= b
+    with b an array: per entry the width inside the cutoff, the row of
+    2 (flat - g) at its nodes and the flat tail past the cutoff.  Several
+    flights from one start ``a`` share a row per distinct end, so from 0
+    every b past the cutoff shares one."""
     c = model.cutoff
     hi = np.minimum(b, c)
+    if hi.size > 1 and np.ndim(a) == 0:
+        hi, row = np.unique(hi, return_inverse=True)
+    else:
+        row = np.arange(hi.size)
     width = hi - np.minimum(a, c)
     gap = np.empty((width.size, _R_NODES.size))
     for k in range(0, width.size, _BLOCK):
         blk = slice(k, k + _BLOCK)
         d = (c - hi[blk, None]) + width[blk, None] * _R_NODES
         gap[blk] = 2.0 * model.below_flat(d)
-    return width, gap, np.maximum(b, c) - np.maximum(a, c)
+    return width[row], gap, row, np.maximum(b, c) - np.maximum(a, c)
 
 
 def _planned_time(plan, v, rows):
@@ -127,12 +133,12 @@ def _planned_time(plan, v, rows):
     flight plan, one speed ``v`` >= 0 past the cutoff each.  The part
     inside the cutoff is integrated on panels graded toward its upper
     end; the flat part is crossed at speed v."""
-    width, gap, tail = plan
-    width, tail = width[rows], tail[rows]
+    width, gap, row, tail = plan
+    width, row, tail = width[rows], row[rows], tail[rows]
     inner = np.empty_like(v)
     for k in range(0, v.size, _BLOCK):
         blk = slice(k, k + _BLOCK)
-        speed = np.sqrt(v[blk, None] ** 2 + gap[rows[blk]])
+        speed = np.sqrt(v[blk, None] ** 2 + gap[row[blk]])
         # row by row, so an entry's bits do not depend on its block
         inner[blk] = width[blk] * np.vecdot(1.0 / speed, _R_WEIGHTS)
     return inner + np.where(tail > 0.0, tail / v, 0.0)
@@ -161,7 +167,7 @@ def _illinois(residual, lo, hi, f_lo, f_hi, force, shoot_tol):
     where they are unbounded).  Illinois regula falsi with a bisection
     guard: a step that does not halve the bracket is followed by a
     bisection, as is any step from an infinite end.  An entry stops once
-    its phase-space miss |R| * |(p, force)|, with force = g'(x), drops to
+    its phase-space miss |R| * |(p, force)|, with force = -g'(x), drops to
     0.1 shoot_tol (so the momentum is converged at turning points too) or
     its bracket is a few ulps wide.  Returns (z, R, p, miss) at each
     entry's best iterate.

@@ -138,7 +138,7 @@ def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
     rows = np.arange(x.size)
     # flights from 0 to x: the corner and separatrix orbits and every
     # escaping iterate share one plan
-    plan = _flight_plan(model, np.zeros_like(x), x)
+    plan = _flight_plan(model, 0.0, x)
     v_corner = np.full_like(x, np.sqrt(2.0 * (2.0 - flat)))
     tau_corner = _planned_time(plan, v_corner, rows)
     tau_sep = np.full_like(x, np.inf)
@@ -154,7 +154,7 @@ def delta_batch(model: HamiltonianModel, t: float, xs: np.ndarray,
     lost = np.zeros_like(xs, dtype=bool)
 
     def solve(mask, residual, lo, hi, f_lo, f_hi):
-        force = model.g_prime(x[mask])
+        force = model.force(x[mask])
         z, f, p, miss = _illinois(residual, lo, hi, f_lo, f_hi, force,
                                   shoot_tol)
         res_out[shoot[mask]] = f * np.abs(p)

@@ -170,6 +170,50 @@ def test_full_report_pipeline(target_footprint, target_profile):
     assert payload["round_trip_l1"] < 0.08
 
 
+# ===== Attainability with and without x-dependence =====
+
+# Targets at horizon T = 2 on 801 samples of [-2.5, 2.5]: lines of slope
+# below and above 1/T, the constant included, and a wave steeper than 1/T.
+CONTRAST_T = 2.0
+CONTRAST_XS = np.linspace(-2.5, 2.5, 801)
+ADMITTED_SLOPES = (-1.0, -0.5, 0.0, 0.2, 0.45)
+CONTRAST_TARGETS = {**{f"{a} x": a * CONTRAST_XS
+                       for a in (*ADMITTED_SLOPES, 0.6)},
+                    "sin(3x)/4": np.sin(3.0 * CONTRAST_XS) / 4.0}
+
+
+def _oleinik(ws):
+    """Oleinik's bound w(x) - w(y) <= (x - y)/T for every y < x, which
+    decides attainability for an x-independent flux: w - x/T must not
+    increase."""
+    return bool(np.all(np.diff(ws - CONTRAST_XS / CONTRAST_T) <= 0.0))
+
+
+def test_without_x_dependence_the_feet_decide_as_oleinik(homog):
+    """Straight characteristics put the foot of x at x - T w(x), so the
+    feet are monotone exactly where Oleinik's bound holds."""
+    verdicts = {
+        name: (monotone_test(footprint(homog, CONTRAST_T,
+                                       Profile(CONTRAST_XS, ws))).monotone,
+               _oleinik(ws))
+        for name, ws in CONTRAST_TARGETS.items()}
+    assert all(feet == bound for feet, bound in verdicts.values()), verdicts
+    assert {bound for _, bound in verdicts.values()} == {True, False}
+
+
+@pytest.mark.parametrize("a", ADMITTED_SLOPES)
+def test_the_well_refuses_lines_oleinik_admits(quartic, a):
+    """In the quartic well, orbits of different energies oscillate with
+    different periods, so the backward characteristics of w = a x fold
+    over each other: the target meets the x-independent bound, constant
+    w = 0 included, yet no datum reaches it."""
+    ws = a * CONTRAST_XS
+    assert _oleinik(ws)
+    fm = footprint(quartic, CONTRAST_T, Profile(CONTRAST_XS, ws))
+    with pytest.raises(NonMonotoneFeet):
+        reconstruct_vertex(fm)
+
+
 # ===== Ray fans =====
 
 def test_quartic_rays_collide_between_the_extremals(quartic):

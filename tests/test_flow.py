@@ -367,7 +367,7 @@ def _rk4_step_rows(model, q, p, spans, lowest):
     rows = []
     for n, h in spans:
         for _ in range(n):
-            q, p = rk4_step(model.g_prime, q, p, h)
+            q, p = rk4_step(model.force, q, p, h)
             np.minimum(lowest, q, out=lowest)
         rows.append((q, p, lowest.copy()))
     return rows

@@ -268,13 +268,10 @@ def _reference_march(model, u0, t_final, marks=()):
 
 def _lopsided(model):
     """The model with g' scaled by 1.5 at x > 0, so the source is not odd."""
-    def g_prime(x):
-        return np.where(x > 0.0, 1.5, 1.0) * model.g_prime(x)
-
-    def force(x, out):
-        np.negative(g_prime(x), out=out)
-    return dataclasses.replace(model, name="lopsided", g_prime=g_prime,
-                               force=force)
+    def force(x, out=None):
+        return np.multiply(np.where(x > 0.0, 1.5, 1.0), model.force(x),
+                           out=out)
+    return dataclasses.replace(model, name="lopsided", force=force)
 
 
 def _odd_step(x):
@@ -348,13 +345,10 @@ def test_detection_matches_the_reference(quartic, case):
 def test_a_non_finite_update_stops_the_march(quartic):
     """A source that is NaN at one cell spoils the field on the first
     step; the march refuses there instead of carrying NaN to t_final."""
-    def g_prime(x):
-        return np.where(np.abs(x - 0.5) < 0.01, np.nan, 0.0)
-
-    def force(x, out):
-        np.negative(g_prime(x), out=out)
-    model = dataclasses.replace(quartic, name="spoiled", g_prime=g_prime,
-                                force=force)
+    def force(x, out=None):
+        return np.negative(np.where(np.abs(x - 0.5) < 0.01, np.nan, 0.0),
+                           out=out)
+    model = dataclasses.replace(quartic, name="spoiled", force=force)
     u0 = step_datum(Grid1D(-2.0, 2.0, 400))
     _, _, first, _ = next(_reference_march(model, u0, 1.0))
     assert not np.all(np.isfinite(first))

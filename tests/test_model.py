@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
 from hetclaw.errors import DomainError
+from hetclaw.flow import integrate, integrate_batch
 from hetclaw.model import HamiltonianModel, MODELS
 
 
@@ -59,41 +61,86 @@ def test_curvature_at_origin(quartic):
     assert fd == pytest.approx(8.0, abs=1e-4)
 
 
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_force_is_the_negated_gradient_to_the_bit(name):
-    """The batch march reads -g' from ``force``, so it must be
-    ``-g_prime`` to the bit: signed zeros, the rim, the flat tails,
-    infinities and NaN included."""
-    model = MODELS[name]()
+def _force_probes():
+    """Signed zeros, the rim, the flat tails, infinities, NaN, a grid
+    over the well and uniform draws inside it."""
     edge = [1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 1.0 - 2.0**-53,
             -1.0 + 2.0**-53, 1.0 + 2.0**-52, 5e-324, -5e-324, 1e-200]
     rng = np.random.default_rng(7)
-    x = np.concatenate([edge, np.linspace(-1.5, 1.5, 3001),
-                        rng.uniform(-1.0, 1.0, 1000)])
+    return np.concatenate([edge, np.linspace(-1.5, 1.5, 3001),
+                           rng.uniform(-1.0, 1.0, 1000)])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_force_is_the_negated_gradient_to_the_bit(name):
+    """The scalar march reads the force one float at a time and the batch
+    march through ``out``; both must be the array force to the bit, and
+    g_prime its negation: signed zeros, the rim, the flat tails,
+    infinities and NaN included."""
+    model = MODELS[name]()
+    x = _force_probes()
+    want = model.force(x)
     out = np.full_like(x, 7.0)
     model.force(x, out)
-    want = -model.g_prime(x)
-    np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+    floats = [model.force(float(v)) for v in x]
+    for got in (out, floats):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    np.testing.assert_array_equal(_bits(model.g_prime(x)), _bits(-want))
 
 
-def test_replacing_the_gradient_alone_is_refused(quartic):
-    """A copy with a new g_prime but the old force would march its batch
-    orbits on the old gradient; construction names the first probe where
+def test_a_force_that_writes_other_bits_is_refused(quartic):
+    """The batch march reads the force through ``out`` and everything else
+    through its return value; construction names the first probe where
     the two part."""
-    def g_prime(x):
-        return np.where(x > 0.5, 1.5, 1.0) * quartic.g_prime(x)
+    def force(x, out=None):
+        if out is None:
+            return quartic.force(x)
+        np.multiply(np.where(x > 0.5, 1.5, 1.0), quartic.force(x), out=out)
 
-    with pytest.raises(DomainError, match="'steep': force is not -g_prime") \
-            as err:
-        dataclasses.replace(quartic, name="steep", g_prime=g_prime)
-    x = float(re.search(r"at x=(\S+);", str(err.value)).group(1))
+    with pytest.raises(DomainError, match="'steep': force\\(x, out\\) "
+                       "writes other bits") as err:
+        dataclasses.replace(quartic, name="steep", force=force)
+    x = float(re.search(r"at x=(\S+)$", str(err.value)).group(1))
     assert 0.5 < x < 0.53
 
-    def force(x, out):
-        np.negative(g_prime(x), out=out)
-    steep = dataclasses.replace(quartic, name="steep", g_prime=g_prime,
-                                force=force)
-    assert steep.g_prime(0.75) == 1.5 * quartic.g_prime(0.75)
+
+# sha256 of both models' forces and gradients on the probes and of their
+# scalar and batch marches below; a change to a model's formulas or to
+# either RK4 kernel that moves any bit moves it
+MODEL_DIGEST = \
+    "265a9a06e54a22b1479406a14b434a281c64f3daf7b9746ac50ab236bfd89f99"
+
+
+def test_the_force_and_its_marches_keep_their_bits():
+    """force(x, out), g_prime on arrays and on floats, one scalar
+    trajectory and 300 seeded batch launches (signed zeros and the rim
+    among them) marched forward, backward and with retirement hash to
+    the pinned digest."""
+    x = _force_probes()
+    rng = np.random.default_rng(29)
+    q0 = np.concatenate([[0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 1.0, -1.0],
+                         rng.uniform(-2.5, 2.5, 292)])
+    p0 = np.concatenate([[0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -0.5, 0.5],
+                         rng.uniform(-2.0, 2.0, 292)])
+    digest = hashlib.sha256()
+    for name in sorted(MODELS):
+        model = MODELS[name]()
+        out = np.full_like(x, 7.0)
+        model.force(x, out)
+        traj = integrate(model, 0.0, 1.2, 8.0)
+        parts = [out, model.g_prime(x), [model.g_prime(float(v)) for v in x],
+                 traj.times, traj.q, traj.p, [traj.drift],
+                 *integrate_batch(model, q0, p0, np.linspace(0.0, 2.5, 11)),
+                 *integrate_batch(model, q0, p0, [0.0, -0.7, -1.9]),
+                 *integrate_batch(model, q0, p0, np.linspace(0.0, 3.0, 7),
+                                  retire=True)]
+        for part in parts:
+            digest.update(np.ascontiguousarray(part, dtype=float).tobytes())
+    assert digest.hexdigest() == MODEL_DIGEST
 
 
 # ===== Hamiltonian accessors =====
@@ -203,7 +250,6 @@ def test_unbounded_potential_is_flagged():
     with pytest.raises(DomainError,
                        match="'linear': tail is not flat at x=-4.0"):
         HamiltonianModel(name="linear", g=lambda x: np.abs(np.asarray(x, dtype=float)),
-                         g_prime=lambda x: np.sign(np.asarray(x, dtype=float)),
-                         force=lambda x, out: np.negative(np.sign(x), out=out),
+                         force=lambda x, out=None: np.negative(np.sign(x), out=out),
                          chord_slope=lambda d, d_top: np.ones(np.broadcast(d, d_top).shape),
                          cutoff=1.0, flat_value=1.0)

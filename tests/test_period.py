@@ -90,9 +90,8 @@ def _shallow_chord(d, d_top):
     return (2.0 - d - d_top) * (y + yt)
 
 
-def _shallow_g_prime(x):
-    y = 1.0 - x * x
-    return np.where(y > 0.0, 4.0 * x * y, 0.0)
+def _shallow_force(x, out=None):
+    return np.multiply(-4.0 * x, np.maximum(1.0 - x * x, 0.0), out=out)
 
 
 def test_shock_time_cache_keys_the_model_object(quartic):
@@ -103,8 +102,7 @@ def test_shock_time_cache_keys_the_model_object(quartic):
     shallow = HamiltonianModel(
         name="quartic",
         g=lambda x: 1.0 - np.where(np.abs(x) < 1.0, 1.0 - x * x, 0.0) ** 2,
-        g_prime=_shallow_g_prime,
-        force=lambda x, out: np.negative(_shallow_g_prime(x), out=out),
+        force=_shallow_force,
         chord_slope=_shallow_chord, cutoff=1.0, flat_value=1.0)
     assert shock_time(shallow) == pytest.approx(np.pi / 2.0, abs=1e-6)
     assert shock_time(quartic) == pytest.approx(HALF_PI_OVER_SQRT8, abs=1e-11)
@@ -125,7 +123,8 @@ def test_period_blows_up_at_the_separatrix(quartic):
 def test_a_quadrature_block_is_its_entries_to_the_bit(quartic):
     """Each entry of a multi-block call, ragged tail included, has the
     bits of its own one-entry call, for both arrival-time integrals and
-    for a flight plan evaluated on any subset of its entries."""
+    for a flight plan evaluated on any subset of its entries, entries
+    sharing one row of the plan included."""
     rng = np.random.default_rng(3)
     n = 3 * _BLOCK + 5
     v = rng.uniform(0.05, 1.5, n)
@@ -144,15 +143,19 @@ def test_a_quadrature_block_is_its_entries_to_the_bit(quartic):
             assert got[k].view(np.int64) == want[0].view(np.int64)
 
     # A [0, x] plan evaluated on ragged, shrinking subsets of its entries,
-    # as the root-find does while entries retire, gives the same bits.
-    plan = _flight_plan(quartic, np.zeros(n), b)
-    rows = np.arange(n)
+    # as the root-find does while entries retire, gives the same bits,
+    # also where entries share an end: repeated, at the cutoff or past it.
+    ends = np.concatenate([b, b[::3], [quartic.cutoff, 1.7, 2.9]])
+    plan = _flight_plan(quartic, 0.0, ends)
+    distinct = np.unique(np.minimum(ends, quartic.cutoff)).size
+    assert plan[1].shape[0] == distinct < n
+    rows = np.arange(ends.size)
     while rows.size:
         speeds = rng.uniform(0.0, 1.5, rows.size)
         got = _planned_time(plan, speeds, rows)
         for k, row in enumerate(rows):
             want = _flight_time(quartic, speeds[k:k + 1], np.zeros(1),
-                                b[row:row + 1])
+                                ends[row:row + 1])
             assert got[k].view(np.int64) == want[0].view(np.int64)
         rows = rows[rng.uniform(size=rows.size) < 0.6]
 
