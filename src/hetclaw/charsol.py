@@ -34,7 +34,7 @@ class SolutionSample:
     """One point sample of the semi-analytic solution.
 
     ``p0`` is the momentum component of the arc datum used for the
-    (positive-x) shot; for x < 0 it is the datum of the mirror query.
+    shot at |x|, which x and -x share.
     """
 
     t: float
@@ -49,33 +49,29 @@ def eval_solution(model: HamiltonianModel, t: float,
                   x: float) -> SolutionSample:
     """Solution value u(t, x) for t > 0 and x != 0.
 
-    One shot of the shooting map; x < 0 is handled by odd reflection.
-    The value is the shot's momentum at x on its launch energy shell, so
-    the energy relation holds to machine precision at every sample.
+    One shot of the shooting map at |x|, negated for x < 0 (odd
+    reflection).  The value is the shot's momentum at |x| on its launch
+    energy shell, so the energy relation holds to machine precision at
+    every sample.
     """
     if not (t > 0.0):
         raise DomainError(f"eval_solution needs t > 0, got {t}")
     if x == 0.0:
         raise DomainError("eval_solution is undefined on the shock x = 0")
-    if x < 0.0:
-        mirror = eval_solution(model, t, -x)
-        return SolutionSample(t=t, x=x, u=-mirror.u, p0=mirror.p0)
-
-    datum = delta(model, t, x)
-    return SolutionSample(t=t, x=x, u=datum.p_end, p0=datum.p0)
+    datum = delta(model, t, abs(x))
+    u = -datum.p_end if x < 0.0 else datum.p_end
+    return SolutionSample(t=t, x=x, u=u, p0=datum.p0)
 
 
 def asymptotic_profile(model: HamiltonianModel, x):
     """Stationary limit profile -sgn(x) * sqrt(2 (flat - g(x))).
 
     Vanishes wherever the potential sits at its flat tail value, so for
-    the default model it is supported on [-1, 1].  Accepts floats or
-    arrays.
+    the default model it is supported on [-1, 1].  A float gives an
+    ``np.float64``.
     """
     gap = 2.0 * (model.flat_value - model.g(x))
-    if isinstance(x, np.ndarray):
-        return -np.sign(x) * np.sqrt(np.maximum(gap, 0.0))
-    return -float(np.sign(x)) * float(np.sqrt(max(gap, 0.0)))
+    return -np.sign(x) * np.sqrt(np.maximum(gap, 0.0))
 
 
 # ===== Profiles =====

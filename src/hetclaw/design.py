@@ -225,6 +225,10 @@ def reconstruct_vertex(fm: FootprintMap) -> Profile:
                 keep_x.append(feet[k])
                 keep_w.append(p0[k])
         i = j + 1
+    if len(keep_x) < 2:
+        raise DomainError(f"{n} feet collapse into {len(jumps)} jumps, "
+                          f"leaving {len(keep_x)} samples; sample the "
+                          f"target wider than the collapse")
 
     xs = np.array(keep_x)
     ws = np.array(keep_w)

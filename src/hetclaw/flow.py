@@ -212,11 +212,10 @@ def integrate(model: HamiltonianModel, q0: float, p0: float, t: float,
 
 def terminal_state(model: HamiltonianModel, q0: float, p0: float, t: float,
                    dt_max: float = DEFAULT_DT):
-    """Endpoint (q(t), p(t)) of the flow without storing the path."""
-    q0, p0 = float(q0), float(p0)
-    [(q, p)] = _march(model, q0, p0, [_split(t, dt_max)])
-    _certify(model, q0, p0, q, p)
-    return q, p
+    """Endpoint (q(t), p(t)) of the flow: :func:`integrate` recording only
+    the ends (no march has more than ``_MAX_STEPS`` steps)."""
+    traj = integrate(model, q0, p0, t, dt_max, record_every=_MAX_STEPS)
+    return float(traj.q[-1]), float(traj.p[-1])
 
 
 def terminal_batch(model: HamiltonianModel, q0, p0, t: float,

@@ -81,14 +81,12 @@ def step_datum(grid: Grid1D) -> CellField:
     return CellField(grid, np.where(grid.centers() > 0.0, 2.0, -2.0))
 
 
-def l1_distance(field: CellField, other, window=None) -> float:
-    """L1 distance between a field and an array (or field) of values."""
-    v = other.values if isinstance(other, CellField) else np.asarray(other)
-    diff = np.abs(field.values - v)
-    if window is not None:
-        x = field.grid.centers()
-        diff = diff[(x >= window[0]) & (x <= window[1])]
-    return float(np.sum(diff) * field.grid.dx)
+def l1_distance(field: CellField, values, window) -> float:
+    """L1 distance between a field and an array of values over the cells
+    whose centers lie in the closed ``window``."""
+    x = field.grid.centers()
+    inside = (x >= window[0]) & (x <= window[1])
+    return float(np.sum(np.abs(field.values - values)[inside]) * field.grid.dx)
 
 
 # ===== Scheme =====

@@ -529,6 +529,18 @@ def test_simulate_reports_the_formation_time(capsys, tmp_path):
     assert body[0] == "t,x,u,asymptote"
 
 
+def test_simulate_before_the_shock_reports_no_formation_time(capsys,
+                                                            tmp_path):
+    """A run that ends at t = 0.5 stops short of the shock, so detection
+    finds no jump and the JSON writes null."""
+    run_ok(capsys, "--experiment", "simulate", "--times", "0.5", "--n",
+           "200", "--out", str(tmp_path))
+    doc = json.loads((tmp_path / "simulate.json").read_text())
+    assert doc["shock_formation_time"] is None
+    assert '"shock_formation_time": null' in (
+        tmp_path / "simulate.json").read_text()
+
+
 def test_exact_rows_cover_requested_times(capsys, tmp_path):
     out = tmp_path / "exact"
     run_ok(capsys, "--experiment", "exact", "--n", "16",

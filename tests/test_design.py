@@ -10,11 +10,13 @@ import pytest
 from hetclaw.charsol import asymptotic_profile
 from hetclaw.cli import main
 from hetclaw.design import (
+    FootprintMap,
     Jump,
     Profile,
     design_report,
     footprint,
     monotone_test,
+    profile_from_solution,
     ray_fan,
     reconstruct_vertex,
     round_trip,
@@ -118,6 +120,28 @@ def test_rarefaction_profile_reconstructs_its_step(homog):
     assert jump.w_plus == pytest.approx(1.0, abs=1e-3)
 
 
+def test_tied_feet_are_nudged_apart(quartic):
+    """Feet that decrease by less than the monotone tolerance and carry
+    no momentum sweep stay samples; the tie is nudged to a strictly
+    increasing axis."""
+    fm = FootprintMap(quartic, 1.0, np.arange(4.0), np.zeros(4),
+                      np.array([0.0, 1.0, 1.0 - 1e-9, 2.0]),
+                      np.array([0.5, 0.6, 0.6 + 1e-6, 0.7]))
+    rec = reconstruct_vertex(fm)
+    assert rec.xs.tolist() == [0.0, 1.0, 1.0 + 1e-12, 2.0]
+    assert not rec.jumps
+
+
+def test_a_datum_collapsed_into_its_jumps_is_refused_by_name(quartic):
+    """At T = 2 every sample of [-2.5, 2.5] backtracks to within 1e-9 of
+    the origin, so the vertex would be one tagged jump and no sample."""
+    w = profile_from_solution(quartic, 2.0, np.linspace(-2.5, 2.5, 200))
+    fm = footprint(quartic, 2.0, w)
+    with pytest.raises(DomainError, match=r"202 feet collapse into 1 jumps"
+                                          r".*wider than the collapse"):
+        reconstruct_vertex(fm)
+
+
 def test_shocked_profile_opens_a_positive_gap(homog):
     """A decreasing jump erases data: its feet straddle a cone whose
     width is the horizon times the jump size."""
@@ -149,16 +173,24 @@ def test_round_trip_of_the_rarefaction(homog):
 
 
 def test_round_trip_of_the_stationary_profile(quartic):
+    """With its jump at 0 tagged, the steady profile U is attainable at
+    every horizon, as a steady state must be.  The gap between the
+    extremal feet widens towards 2 with T (1.10 at T = 0.5, 1.96 at
+    T = 10); the round trip's L1 error grows from 0.0036 to 0.0168, the
+    split scheme's O(dx) imbalance building up."""
     xs = np.linspace(-3.0, 3.0, 1201)
     xs = xs[xs != 0.0]
     w = Profile(xs, asymptotic_profile(quartic, xs),
                 jumps=(Jump(0.0, np.sqrt(2.0), -np.sqrt(2.0)),))
-    fm = footprint(quartic, 1.0, w)
-    report = monotone_test(fm)
-    assert report.monotone
-    assert report.gap_collapse[0][1] > 1.0
-    rec = reconstruct_vertex(fm)
-    assert round_trip(quartic, 1.0, w, reconstructed=rec) < 0.05
+    gaps = []
+    for t in (0.5, 1.0, 2.0, 5.0, 10.0):
+        fm = footprint(quartic, t, w)
+        report = monotone_test(fm)
+        assert report.monotone, t
+        gaps.append(report.gap_collapse[0][1])
+        rec = reconstruct_vertex(fm)
+        assert round_trip(quartic, t, w, reconstructed=rec) < 0.025, t
+    assert 1.0 < gaps[0] and np.all(np.diff(gaps) > 0.0) and gaps[-1] < 2.0
 
 
 def test_full_report_pipeline(target_footprint, target_profile):
@@ -206,12 +238,30 @@ def test_the_well_refuses_lines_oleinik_admits(quartic, a):
     """In the quartic well, orbits of different energies oscillate with
     different periods, so the backward characteristics of w = a x fold
     over each other: the target meets the x-independent bound, constant
-    w = 0 included, yet no datum reaches it."""
+    w = 0 included, yet no datum reaches it.  The design report stops
+    after the monotone test, with no vertex and no round trip."""
     ws = a * CONTRAST_XS
     assert _oleinik(ws)
-    fm = footprint(quartic, CONTRAST_T, Profile(CONTRAST_XS, ws))
+    w = Profile(CONTRAST_XS, ws)
+    fm = footprint(quartic, CONTRAST_T, w)
     with pytest.raises(NonMonotoneFeet):
         reconstruct_vertex(fm)
+    report = design_report(fm, w)
+    assert not report.monotone
+    assert report.reconstructed is None and report.round_trip_l1 is None
+    assert report.as_dict()["reconstructed_samples"] is None
+
+
+@pytest.mark.parametrize("a", ADMITTED_SLOPES)
+def test_lines_oleinik_admits_are_reached_without_x_dependence(homog, a):
+    """Forward confirmation of the contrast: on the homogeneous model the
+    vertex of w = a x evolves back onto w over the sampled interval (L1
+    0.0089 at a = -1, 0 at a = 0, 0.0083 at a = 0.45)."""
+    w = Profile(CONTRAST_XS, a * CONTRAST_XS)
+    window = (CONTRAST_XS[0], CONTRAST_XS[-1])
+    report = design_report(footprint(homog, CONTRAST_T, w), w, window)
+    assert report.monotone and report.reconstructed is not None
+    assert report.round_trip_l1 < 0.02
 
 
 # ===== Ray fans =====

@@ -374,10 +374,11 @@ def test_l1_contraction_on_random_pairs(quartic):
         base = a[0] * np.sin(2 * x) + a[1] * np.cos(x)
         u0 = CellField(grid, base)
         v0 = CellField(grid, base + (a[2] + a[3] * np.sin(x)) * window)
-        before = l1_distance(u0, v0.values)
+        before = l1_distance(u0, v0.values, (grid.x_min, grid.x_max))
         ru = evolve(quartic, u0, 0.3)
         rv = evolve(quartic, v0, 0.3)
-        after = l1_distance(ru.final, rv.final.values)
+        after = l1_distance(ru.final, rv.final.values,
+                            (grid.x_min, grid.x_max))
         assert after <= before + 1e-2
 
 
@@ -410,5 +411,5 @@ def test_detection_needs_a_grid_across_zero(quartic):
 def test_l1_distance_windows():
     grid = Grid1D(-2.0, 2.0, 400)
     u = CellField(grid, np.ones(400))
-    assert l1_distance(u, np.zeros(400)) == pytest.approx(4.0)
+    assert l1_distance(u, np.zeros(400), (-2.0, 2.0)) == pytest.approx(4.0)
     assert l1_distance(u, np.zeros(400), window=(-1.0, 1.0)) == pytest.approx(2.0)
