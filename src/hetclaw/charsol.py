@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .flow import integrate_batch
+from .flow import _record_budget, integrate_batch
 from .model import HamiltonianModel
 from .shooting import arc_decode, arc_encode, delta, delta_batch
 
@@ -184,7 +184,9 @@ def solution_grid(model: HamiltonianModel, times, xs,
     Times and positions must be finite 1-D arrays; positions must avoid
     0; times must be nondecreasing and start at or after 0; ``n_orbits``
     must be a positive integer.  Row t = 0 is the step datum itself, and
-    no positions give a grid with no columns.
+    no positions give a grid with no columns.  Every time records the
+    orbits and the positions, so more than ``flow._MAX_RECORD`` values
+    over them are refused before the march.
     """
     times = np.asarray(times, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -209,6 +211,9 @@ def solution_grid(model: HamiltonianModel, times, xs,
         [[0.0], times])
     x_max = float(np.max(np.abs(xs)))
     q0, p0 = _arc_batch(model, x_max, n_orbits)
+    _record_budget(record.size, q0.size + xs.size,
+                   f"a grid of {record.size} times x ({q0.size} orbits + "
+                   f"{xs.size} positions)")
     Q, P, dead = integrate_batch(model, q0, p0, record, retire=True)
     if record.size != times.size:
         Q, P, dead = Q[1:], P[1:], dead[1:]

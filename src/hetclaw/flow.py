@@ -40,6 +40,11 @@ _MAX_ORBIT_STEPS = 10**9
 _STEP_COST_ORBITS = 1000
 # steps between two sortings of a batch into free, moving and retired orbits
 _REGROUP = 64
+# ceiling on the values one call records, rows x values per row: 40 MB of
+# doubles; the CLI's largest records are 2.2e6 (exact's 21 rows of 100,000
+# positions and 4,609 orbits) and 2.0e6 (entropy-check's 101 snapshots of
+# 20,000 cells)
+_MAX_RECORD = 5 * 10**6
 
 
 # ===== Stepping kernels =====
@@ -90,6 +95,14 @@ def _budget(steps, orbits: int) -> None:
             f"march of {orbits} orbits or cells over {steps:.3g} steps "
             f"exceeds {_MAX_STEPS} steps or {_MAX_ORBIT_STEPS:.0e} "
             f"orbit-steps")
+
+
+def _record_budget(rows: int, width: int, what: str) -> None:
+    """Refuse, before it is allocated, a record of ``rows`` rows of
+    ``width`` values each that holds more than _MAX_RECORD values."""
+    if rows * width > _MAX_RECORD:
+        raise DomainError(f"{what} would record {rows * width:.3g} values, "
+                          f"over the ceiling of {_MAX_RECORD:.0e}")
 
 
 def _march(model: HamiltonianModel, q, p, spans, lowest=None):

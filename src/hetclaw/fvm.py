@@ -25,10 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonFinite, NotFound
-from .flow import _budget
+from .flow import _budget, _record_budget
 from .model import HamiltonianModel
 
 DEFAULT_CFL = 0.45
+# steps between two measurements of the cells a march can change
+_REWINDOW = 16
 
 
 # ===== Grid and fields =====
@@ -143,6 +145,21 @@ def _update(ext, work, dt: float, dx: float, source, half: bool) -> float:
     return top
 
 
+def _run(u, inert) -> int:
+    """Length of the leading run of cells of u that equal u[0] bit for bit
+    and whose source is +0.0 (``inert``): a step leaves every bit of them
+    between equal neighbours.  Those give a flux difference of +0.0, and
+    u - (+0.0) = u for every u, -0.0 included; a source of -0.0 would turn
+    a -0.0 cell into +0.0.  A flux that overflows is no identity."""
+    v = float(u[0])
+    if not math.isfinite(0.5 * v * v):
+        return 0
+    same = u.view(np.int64) == u[:1].view(np.int64)
+    same &= inert
+    k = int(same.argmin())
+    return u.size if same[k] else k
+
+
 def _unfold(right) -> np.ndarray:
     """The whole odd field from its right half.  The left half is
     0.0 - the mirror, so a zero comes out +0.0 on both sides, as the
@@ -197,12 +214,14 @@ class _March:
         self.t_final, self.cfl, self.dx, self.top = t_final, cfl, grid.dx, top
         self.marks = sorted({float(s) for s in times})
         self.source = source[self.offset:]
-        # a ghost-padded copy of the marched cells, and four work rows, one
-        # per interface: the two one-sided states and their half squares
+        self.inert = self.source.view(np.int64) == 0
+        # a ghost-padded copy of the marched cells, and room for four work
+        # rows, one per interface: the two one-sided states and their half
+        # squares
         cells = u0.values[self.offset:]
         self.ext = np.empty(cells.size + 2)
         self.ext[1:-1] = cells
-        self.work = np.empty((4, cells.size + 1))
+        self.work = np.empty(4 * (cells.size + 1))
 
     def __iter__(self):
         """Step to t_final, yielding (t, dt, mark) after each step.
@@ -210,21 +229,56 @@ class _March:
         Steps shorten to land exactly on each mark in (0, t_final], and
         ``mark`` is the one landed on, or None.  The landing tolerance,
         1e-14, shrinks with a horizon below 1.
+
+        Each step updates only the window of cells that can change
+        (``_window``), measured every _REWINDOW steps until it covers the
+        grid; every other cell keeps its bits under a full step, so every
+        step and its dt are the full march's.
         """
         pending = [m for m in self.marks if m > 0.0]
         t, top = 0.0, self.top
         tol = 1e-14 * min(self.t_final, 1.0)
+        n = self.ext.size - 2
+        lo, hi, rest, steps = 0, n, 0.0, 0
         while t < self.t_final - tol:
+            if steps % _REWINDOW == 0 and (steps == 0 or hi - lo < n):
+                lo, hi, rest = self._window()
             horizon = pending[0] if pending else self.t_final
             dt = min(_stable_dt(top, self.dx, self.cfl), horizon - t,
                      self.t_final - t)
-            top = _update(self.ext, self.work, dt, self.dx, self.source,
-                          self.half)
+            top = rest
+            if lo < hi:
+                work = self.work[:4 * (hi - lo + 1)].reshape(4, -1)
+                top = max(_update(self.ext[lo:hi + 2], work, dt, self.dx,
+                                  self.source[lo:hi], self.half), rest)
             t += dt
+            steps += 1
             mark = None
             if pending and t >= pending[0] - tol:
                 mark = pending.pop(0)
             yield t, dt, mark
+
+    def _window(self):
+        """(lo, hi, rest): the marched cells [lo, hi) that can change within
+        the next _REWINDOW steps, and max |u| over the cells outside them.
+
+        A leading or trailing run of cells that a step leaves as they are
+        (``_run``) stays put until a change reaches it, and a change moves
+        at most one cell per step.  So the window is everything else
+        widened by _REWINDOW + 1 cells on each side; the zero-gradient
+        ghost an edge of it writes into the next run cell is that cell's
+        own value.  A half march keeps lo = 0, its left ghost being -u[0].
+        """
+        u = self.ext[1:-1]
+        n, margin = u.size, _REWINDOW + 1
+        lead = 0 if self.half else _run(u, self.inert)
+        if lead == n:
+            return 0, 0, abs(float(u[0]))
+        trail = _run(u[::-1], self.inert[::-1])
+        lo, hi = max(lead - margin, 0), min(n - trail + margin, n)
+        rest = max(abs(float(u[0])) if lo > 0 else 0.0,
+                   abs(float(u[-1])) if hi < n else 0.0)
+        return lo, hi, rest
 
     def values(self) -> np.ndarray:
         """The whole field now, as a fresh array."""
@@ -249,8 +303,15 @@ class EvolveResult:
 
 def evolve(model: HamiltonianModel, u0: CellField, t_final: float,
            cfl: float = DEFAULT_CFL, snapshot_times=()) -> EvolveResult:
-    """March to t_final, shortening steps to hit snapshots exactly."""
+    """March to t_final, shortening steps to hit snapshots exactly.
+
+    Each distinct snapshot time keeps the whole field, so more than
+    ``flow._MAX_RECORD`` values over them are refused before the first
+    step."""
     march = _March(model, u0, t_final, cfl, snapshot_times)
+    _record_budget(len(march.marks), u0.grid.n,
+                   f"snapshots at {len(march.marks)} distinct times of "
+                   f"{u0.grid.n} cells")
     snaps = []
     if march.marks and march.marks[0] == 0.0:
         snaps.append((0.0, u0.values.copy()))

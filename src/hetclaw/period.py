@@ -48,6 +48,24 @@ _OCTAVES = np.concatenate(([0.0], 0.5 ** np.arange(60, -1, -1)))
 
 _BASE_EDGES = 0.5 * math.pi - 0.5 * math.pi * _OCTAVES[::-1]
 
+
+def _panel_rows(lo, hi):
+    """Per panel [lo, hi] of theta: its half width, then the sines and the
+    cosines of its nodes' half-angles psi from pi/2, in one row of 33."""
+    half = 0.5 * (hi - lo)
+    theta = (lo + half)[..., None] + half[..., None] * _GL_NODES
+    hpsi = 0.5 * (0.5 * np.pi - theta)
+    return np.concatenate([half[..., None], np.sin(hpsi), np.cos(hpsi)],
+                          axis=-1)
+
+
+# The rows of the base panels, which no passage changes: a call computes
+# fresh ones only for the two halves of the panel that theta_x splits.
+_BASE_ROWS = _panel_rows(_BASE_EDGES[:-1], _BASE_EDGES[1:])
+_PANELS = np.arange(_BASE_ROWS.shape[0] + 1)
+# a split panel's edges E[m], theta_x, E[m + 1] from E[m + (0, 0, 1)]
+_SPLIT_EDGES = np.array([0, 0, 1])
+
 # Gauss-Legendre on [0, 1] in the octave panels, in the distance r from
 # the arrival end of a flight.  Near the separatrix the integrand peaks
 # there on the scale eps**(1/4), and each panel resolves one octave of
@@ -83,27 +101,35 @@ def _passage_times(model: HamiltonianModel, depth, x):
     q_turn = model.cutoff - depth
     theta_x = np.arctan2(x, np.sqrt(np.maximum(model.cutoff - x - depth, 0.0)
                                     * (q_turn + x)))
+    # the base panel m that theta_x splits, E[m] <= theta_x < E[m + 1]
+    # (the last one at theta_x = pi/2), and its halves' rows
+    split = np.searchsorted(_BASE_EDGES[1:-1], theta_x, side="right")
+    edges = _BASE_EDGES[split[:, None] + _SPLIT_EDGES]
+    edges[:, 1] = theta_x
+    halves = _panel_rows(edges[:, :-1], edges[:, 1:])
     t_out = np.empty_like(depth)
     quarter = np.empty_like(depth)
     for k in range(0, depth.size, _BLOCK):
         blk = slice(k, k + _BLOCK)
-        split = theta_x[blk, None]
-        edges = np.sort(np.concatenate(
-            [np.broadcast_to(_BASE_EDGES, (split.size, _BASE_EDGES.size)),
-             split], axis=1), axis=1)
-        lo, hi = edges[:, :-1], edges[:, 1:]
-        half = 0.5 * (hi - lo)
-        theta = (lo + half)[..., None] + half[..., None] * _GL_NODES
-        hpsi = 0.5 * (0.5 * np.pi - theta)
+        # the panels in order, the split one replaced by its halves
+        at = split[blk]
+        rows = np.empty((at.size, _PANELS.size, _BASE_ROWS.shape[1]))
+        for i, m in enumerate(at.tolist()):
+            rows[i, :m] = _BASE_ROWS[:m]
+            rows[i, m:m + 2] = halves[k + i]
+            rows[i, m + 2:] = _BASE_ROWS[m + 1:]
+        half, sin_h, cos_h = rows[..., 0], rows[..., 1:17], rows[..., 17:]
         qt = q_turn[blk, None, None]
-        sin_h = np.sin(hpsi)
         slope = model.chord_slope(depth[blk, None, None]
                                   + 2.0 * qt * sin_h * sin_h,
                                   depth[blk, None, None])
-        vals = np.cos(hpsi) * np.sqrt(qt / slope)
+        vals = cos_h * np.sqrt(qt / slope)
         panels = half * (vals @ _GL_WEIGHTS)
         quarter[blk] = panels.sum(axis=1)
-        t_out[blk] = np.where(hi <= split, panels, 0.0).sum(axis=1)
+        # tau_out takes the panels up to m's lower half; the upper half
+        # ends past theta_x, or has no width at theta_x = pi/2
+        t_out[blk] = np.where(_PANELS <= at[:, None], panels,
+                              0.0).sum(axis=1)
     return t_out, 2.0 * quarter - t_out
 
 
@@ -172,53 +198,59 @@ def _illinois(residual, lo, hi, f_lo, f_hi, force, shoot_tol):
     its bracket is a few ulps wide.  Returns (z, R, p, miss) at each
     entry's best iterate.
 
-    The state of the active entries is kept compact, aligned with ``idx``;
-    an entry's best iterate is written out when it retires.
+    The state of the active entries is kept compact, aligned with ``idx``,
+    in one local array per quantity; an entry's best iterate is written
+    out when it retires.
     """
     n = lo.size
-    out = [np.empty(n) for _ in range(4)]
+    z_out, f_out, p_out, miss_out = (np.empty(n) for _ in range(4))
     ulps = 4.0 * np.finfo(float).eps
     idx = np.arange(n)
     # per active entry: the best (z, R, p, miss) so far; the bracket, its
-    # end residuals, the force, whether hi or lo moved last and whether
-    # to bisect
-    best = [0.5 * (lo + hi), np.full(n, np.inf), np.zeros(n),
-            np.full(n, np.inf)]
-    no = np.zeros(n, dtype=bool)
-    state = [lo, hi, f_lo, f_hi, force, no, no, no]
+    # end residuals and the force; the factors, 0.5 or 1.0, that halve an
+    # end's residual where the other end moved last; whether to bisect
+    best_z, best_f = 0.5 * (lo + hi), np.full(n, np.inf)
+    best_p, best_miss = np.zeros(n), np.full(n, np.inf)
+    a, b, fa, fb, frc = lo, hi, f_lo, f_hi, force
+    keep_a, keep_b = np.ones(n), np.ones(n)
+    bisect = np.zeros(n, dtype=bool)
     for _ in range(_MAX_ITERATIONS):
         if idx.size == 0:
             break
-        a, b, fa, fb, frc, hi_moved, lo_moved, bisect = state
         w, df = b - a, fb - fa
         z = a - fa * (w / df)
         z = np.where(bisect | np.isinf(df) | ~((z >= a) & (z <= b)),
                      0.5 * (a + b), z)
         f, p = residual(z, idx)
         miss = np.abs(f) * np.hypot(p, frc)
-        better = miss < best[3]
-        best = [np.where(better, new, old)
-                for new, old in zip((z, f, p, miss), best)]
+        better = miss < best_miss
+        best_z = np.where(better, z, best_z)
+        best_f = np.where(better, f, best_f)
+        best_p = np.where(better, p, best_p)
+        best_miss = np.where(better, miss, best_miss)
 
         up = f > 0.0
-        lo, hi = np.where(up, a, z), np.where(up, z, b)
-        width = hi - lo
         # Illinois: an end kept twice in a row has its residual halved
-        state = [lo, hi, np.where(up, np.where(hi_moved, 0.5 * fa, fa), f),
-                 np.where(up, f, np.where(lo_moved, 0.5 * fb, fb)), frc,
-                 up, ~up, width > 0.5 * w]
+        fa = np.where(up, fa * keep_a, f)
+        fb = np.where(up, f, fb * keep_b)
+        a, b = np.where(up, a, z), np.where(up, z, b)
+        keep_a, keep_b = np.where(up, 0.5, 1.0), np.where(up, 1.0, 0.5)
+        width = b - a
+        bisect = width > 0.5 * w
         done = ((miss <= 0.1 * shoot_tol) | (f == 0.0)
-                | (width <= ulps * np.maximum(np.abs(lo), np.abs(hi))))
+                | (width <= ulps * np.maximum(np.abs(a), np.abs(b))))
         if done.any():
-            for o, s in zip(out, best):
-                o[idx[done]] = s[done]
-            keep = ~done
-            idx = idx[keep]
-            best = [s[keep] for s in best]
-            state = [s[keep] for s in state]
-    for o, s in zip(out, best):
-        o[idx] = s
-    return tuple(out)
+            gone = idx[done]
+            z_out[gone], f_out[gone] = best_z[done], best_f[done]
+            p_out[gone], miss_out[gone] = best_p[done], best_miss[done]
+            stay = ~done
+            (idx, best_z, best_f, best_p, best_miss, a, b, fa, fb, frc,
+             keep_a, keep_b, bisect) = (
+                v[stay] for v in (idx, best_z, best_f, best_p, best_miss,
+                                  a, b, fa, fb, frc, keep_a, keep_b, bisect))
+    z_out[idx], f_out[idx] = best_z, best_f
+    p_out[idx], miss_out[idx] = best_p, best_miss
+    return z_out, f_out, p_out, miss_out
 
 
 def _solve(residual, lo: float, hi: float, f_lo: float, f_hi: float) -> float:

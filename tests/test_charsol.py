@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,6 +348,24 @@ def test_grid_march_work_has_a_ceiling(quartic, n_orbits, times):
     with pytest.raises(DomainError, match="steps"):
         solution_grid(quartic, times, np.array([0.5]), n_orbits=n_orbits)
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_grid_past_the_record_ceiling_is_refused_before_it_allocates(
+        quartic):
+    """A million repeated zero times take no step, so the step budget
+    charges them nothing, yet each would record a row of every orbit and
+    position.  The call is refused, naming both sizes, having allocated
+    no more than its input's temporaries."""
+    times = np.zeros(10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=re.escape(
+                "1000000 times x (145 orbits + 1 positions)")):
+            solution_grid(quartic, times, np.array([0.5]), n_orbits=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * times.nbytes
 
 
 def test_grid_of_no_positions_has_no_columns(quartic):

@@ -18,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 import hetclaw
 from hetclaw.cli import _FIELDS, EXPERIMENTS, MAX_TIMES, RunConfig, \
     build_parser, config_hash, main, resolve_config
+from hetclaw.charsol import _arc_batch
 from hetclaw.errors import DomainError
+from hetclaw.flow import _MAX_RECORD
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 # A value other than the RunConfig default for each experiment setting.
@@ -405,6 +407,23 @@ def test_step_budget_refusal_names_the_run(capsys, tmp_path):
         "experiment 'inverse' with --n 10000 --cfl 0.45 --tmax 100.0: ")
     assert "orbit-steps" in err["message"]
     assert not out.exists()
+
+
+def test_the_record_ceiling_admits_every_setting(quartic):
+    """The largest records the flags allow stay under flow's ceiling on
+    recorded values: entropy-check's 101 snapshots of --n cells, the
+    --times snapshots of simulate and asymptotics, and the rasters of
+    exact and asymptotics, a row of orbits and positions per time."""
+    largest = {name: exp.reads["n"].high for name, exp in EXPERIMENTS.items()
+               if "n" in exp.reads}
+    rows = MAX_TIMES + 1
+    orbits = {n: _arc_batch(quartic, 6.0, n)[0].size for n in (4096, 8192)}
+    records = [101 * largest["entropy-check"],
+               MAX_TIMES * largest["simulate"],
+               MAX_TIMES * largest["asymptotics"],
+               rows * (orbits[4096] + largest["exact"]),
+               rows * (orbits[8192] + largest["asymptotics"])]
+    assert max(records) <= _MAX_RECORD
 
 
 def test_parser_rejects_unknown_experiments(capsys, tmp_path):

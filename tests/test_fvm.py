@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hetclaw import fvm
 from hetclaw.charsol import asymptotic_profile, solution_grid
+from hetclaw.design import footprint, profile_from_solution, reconstruct_vertex
 from hetclaw.errors import DomainError, NonFinite, NotFound
 from hetclaw.fvm import (
     DEFAULT_CFL,
@@ -21,6 +25,7 @@ from hetclaw.fvm import (
     step_datum,
     _March,
 )
+from hetclaw.model import homogeneous, quartic_well
 
 SQRT6 = np.sqrt(6.0)
 
@@ -182,6 +187,25 @@ def test_march_budget_charges_the_cells_it_marches(quartic):
         _March(quartic, u0, 60.0, DEFAULT_CFL)
 
 
+def test_snapshots_past_the_record_ceiling_are_refused_before_the_march(
+        quartic):
+    """2,000 distinct snapshots of 4,000 cells would keep 8e6 values, 64 MB.
+    The march, about 3,000 steps, is well inside the step budget, so the
+    ceiling on recorded values is what refuses it, before any step."""
+    u0 = step_datum(Grid1D(-3.0, 3.0, 4000))
+    marks = np.linspace(0.0, 1.0, 2000)
+    _March(quartic, u0, 1.0, DEFAULT_CFL, marks)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError,
+                           match="2000 distinct times of 4000 cells"):
+            evolve(quartic, u0, 1.0, snapshot_times=marks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 @pytest.mark.parametrize("t_final", [1e-12, 1e-13, 1e-14, 1e-15, 1e-30])
 def test_short_horizons_keep_every_snapshot(quartic, t_final):
     """An absolute 1e-14 tolerance on the march's time used to end a
@@ -274,9 +298,44 @@ def _lopsided(model):
     return dataclasses.replace(model, name="lopsided", force=force)
 
 
+def _signed_zero_tail(model):
+    """The model with g' = -0.0, not +0.0, on its flat tail x > cutoff:
+    there a -0.0 cell turns +0.0 in one step."""
+    def force(x, out=None):
+        return np.add(model.force(x),
+                      np.where(x > model.cutoff, 0.0, -0.0), out=out)
+    return dataclasses.replace(model, name="signed-zero-tail", force=force)
+
+
 def _odd_step(x):
     return np.where(x > 0.0, 2.0, -2.0)
 
+
+def _signed_zeros(x):
+    """A bump on |x| < 1.5 in a far field of signed zeros: -0.0 on
+    x < -2.5, -0.0 and +0.0 by turns from cell to cell up to the bump,
+    +0.0 on 1.5 < x < 2.5 and -0.0 on x > 2.5."""
+    by_turns = np.where(np.arange(x.size) % 2, 0.0, -0.0)
+    zeros = np.where(x < -2.5, -0.0, np.where(
+        x < 0.0, by_turns, np.where(x < 2.5, 0.0, -0.0)))
+    return np.where(np.abs(x) < 1.5, np.cos(x) + 0.5 * x, zeros)
+
+
+@functools.lru_cache(maxsize=1)
+def _vertex():
+    """The vertex reconstruction of the solution's slice at t = 1.6."""
+    model = quartic_well()
+    xs = Grid1D(-3.0, 3.0, 200).centers()
+    return reconstruct_vertex(footprint(
+        model, 1.6, profile_from_solution(model, 1.6, xs)))
+
+
+def _round_trip_datum(x):
+    return _vertex().sample(x)
+
+
+# round_trip's grid at t = 1.6: the window [-3, 3] widened by 2 t + 1
+ROUND_TRIP_GRID = Grid1D(-7.2, 7.2, 1200)
 
 # (model transform, grid, datum, horizon, marks, marches half the grid)
 REFERENCE_CASES = {
@@ -294,6 +353,17 @@ REFERENCE_CASES = {
                         (0.5,), False),
     "lopsided-source": (_lopsided, Grid1D(-2.0, 2.0, 400), _odd_step, 1.5,
                         (0.7,), False),
+    # most cells of a wide grid stay constant, and the march skips them
+    "wide-step": (None, Grid1D(-10.0, 10.0, 2000), _odd_step, 2.5,
+                  (0.5, 1.2, 2.5), True),
+    "round-trip-datum": (None, ROUND_TRIP_GRID, _round_trip_datum, 1.6,
+                         (0.4, 1.6), False),
+    "signed-zero-runs": (_signed_zero_tail, Grid1D(-4.0, 4.0, 800),
+                         _signed_zeros, 1.5, (0.05, 0.6), False),
+    "constant-homogeneous": (lambda _: homogeneous(),
+                             Grid1D(-2.0, 2.0, 400),
+                             lambda x: np.full_like(x, 1.5), 1.0, (0.5,),
+                             False),
 }
 
 
@@ -322,7 +392,8 @@ def test_march_matches_the_reference_to_the_bit(quartic, case):
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
-@pytest.mark.parametrize("case", ["step-datum", "lopsided-source"])
+@pytest.mark.parametrize("case", ["step-datum", "lopsided-source",
+                                  "wide-step"])
 def test_detection_matches_the_reference(quartic, case):
     transform, grid, datum, horizon, _, _ = REFERENCE_CASES[case]
     model = transform(quartic) if transform else quartic
@@ -342,9 +413,31 @@ def test_detection_matches_the_reference(quartic, case):
                                   jump_threshold=threshold) == expected
 
 
+def test_the_march_updates_only_the_cells_that_can_change(quartic,
+                                                         monkeypatch):
+    """A round trip's datum is constant toward both ends of its widened
+    grid, and there the update is the identity to the bit: the cells the
+    march updates total under half of its steps x cells."""
+    updated = []
+    update = fvm._update
+
+    def counting(ext, *args):
+        updated.append(ext.size - 2)
+        return update(ext, *args)
+
+    monkeypatch.setattr(fvm, "_update", counting)
+    grid = ROUND_TRIP_GRID
+    u0 = CellField(grid, _round_trip_datum(grid.centers()))
+    steps = evolve(quartic, u0, 1.6).steps
+    assert len(updated) == steps
+    assert sum(updated) < 0.5 * steps * grid.n
+
+
 def test_a_non_finite_update_stops_the_march(quartic):
     """A source that is NaN at one cell spoils the field on the first
-    step; the march refuses there instead of carrying NaN to t_final."""
+    step; the march refuses there instead of carrying NaN to t_final.
+    So does a constant field whose flux overflows, although equal
+    neighbours would otherwise leave it as it is."""
     def force(x, out=None):
         return np.negative(np.where(np.abs(x - 0.5) < 0.01, np.nan, 0.0),
                            out=out)
@@ -356,6 +449,13 @@ def test_a_non_finite_update_stops_the_march(quartic):
         evolve(model, u0, 1.0)
     with pytest.raises(NonFinite):
         detect_shock_formation(model, u0, 1.0)
+
+    huge = CellField(Grid1D(-2.0, 2.0, 400), np.full(400, 1e160))
+    with np.errstate(over="ignore", invalid="ignore"):
+        flux = godunov_flux(huge.values, huge.values)
+        assert np.all(np.isnan(flux[1:] - flux[:-1]))
+        with pytest.raises(NonFinite):
+            evolve(homogeneous(), huge, 1e-160)
 
 
 # ===== Contraction =====

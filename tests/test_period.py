@@ -14,7 +14,10 @@ from hetclaw.errors import DomainError, HetclawError
 from hetclaw.flow import terminal_state
 from hetclaw.model import HamiltonianModel, quartic_well
 from hetclaw.period import (
+    _BASE_EDGES,
     _BLOCK,
+    _GL_NODES,
+    _GL_WEIGHTS,
     _flight_plan,
     _flight_time,
     _half_period,
@@ -158,6 +161,92 @@ def test_a_quadrature_block_is_its_entries_to_the_bit(quartic):
                                 ends[row:row + 1])
             assert got[k].view(np.int64) == want[0].view(np.int64)
         rows = rows[rng.uniform(size=rows.size) < 0.6]
+
+
+def _passage_reference(model, depth, x):
+    """The passage quadrature as first written: every block sorts theta_x
+    into the base edges and takes the sines and cosines of all 62 panels'
+    nodes afresh."""
+    q_turn = model.cutoff - depth
+    theta_x = np.arctan2(x, np.sqrt(np.maximum(model.cutoff - x - depth, 0.0)
+                                    * (q_turn + x)))
+    t_out = np.empty_like(depth)
+    quarter = np.empty_like(depth)
+    for k in range(0, depth.size, _BLOCK):
+        blk = slice(k, k + _BLOCK)
+        split = theta_x[blk, None]
+        edges = np.sort(np.concatenate(
+            [np.broadcast_to(_BASE_EDGES, (split.size, _BASE_EDGES.size)),
+             split], axis=1), axis=1)
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        half = 0.5 * (hi - lo)
+        theta = (lo + half)[..., None] + half[..., None] * _GL_NODES
+        hpsi = 0.5 * (0.5 * np.pi - theta)
+        qt = q_turn[blk, None, None]
+        sin_h = np.sin(hpsi)
+        slope = model.chord_slope(depth[blk, None, None]
+                                  + 2.0 * qt * sin_h * sin_h,
+                                  depth[blk, None, None])
+        vals = np.cos(hpsi) * np.sqrt(qt / slope)
+        panels = half * (vals @ _GL_WEIGHTS)
+        quarter[blk] = panels.sum(axis=1)
+        t_out[blk] = np.where(hi <= split, panels, 0.0).sum(axis=1)
+    return t_out, 2.0 * quarter - t_out
+
+
+def _theta_x(model, depth, x):
+    return np.arctan2(x, np.sqrt(np.maximum(model.cutoff - x - depth, 0.0)
+                                 * (model.cutoff - depth + x)))
+
+
+def _on_base_edges(model):
+    """(depth, x) pairs whose theta_x falls exactly on an inner base edge
+    below pi/2 (the top ones round to pi/2), found by stepping x ulp by
+    ulp around q_turn sin(edge)."""
+    inner = _BASE_EDGES[1:-1]
+    depths, xs = [], []
+    for depth in (1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
+        for edge in inner[inner < 0.5 * np.pi]:
+            x0 = (model.cutoff - depth) * np.sin(edge)
+            x = x0 + np.arange(-64, 65) * np.spacing(x0)
+            hit = np.flatnonzero(_theta_x(model, np.full(x.size, depth), x)
+                                 == edge)
+            if hit.size:
+                depths.append(depth)
+                xs.append(x[hit[0]])
+    return np.array(depths), np.array(xs)
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 17])
+def test_spliced_panels_keep_the_bits_of_the_fresh_ones(quartic, size):
+    """The library splices the split panel's two halves into constant rows
+    of the base panels; the result equals, to the bit, the formula that
+    recomputes every panel, on random orbits and positions, on theta_x =
+    pi/2 (turning at x), exactly on base edges and next to 0."""
+    rng = np.random.default_rng(size)
+    edge_depth, edge_x = _on_base_edges(quartic)
+    assert edge_x.size >= 17
+    take = rng.choice(edge_x.size, size, replace=False)
+    random_depth = 10.0 ** rng.uniform(-12.0, -0.01, 3 * size)
+    # turning at x, twice; at 0 and next to it; near the separatrix
+    depth = np.concatenate([random_depth, [0.25, 0.5, 0.3, 0.3, 1e-9],
+                            edge_depth[take]])
+    x = np.concatenate([rng.uniform(0.0, 1.0, 3 * size)
+                        * (quartic.cutoff - random_depth),
+                        [0.75, 0.5, 0.0, 1e-300, 1e-12], edge_x[take]])
+    rng.shuffle(order := np.arange(depth.size))
+    depth, x = depth[order], x[order]
+    theta = _theta_x(quartic, depth, x)
+    assert np.any(theta == 0.5 * np.pi) and np.any(theta == 0.0)
+    assert np.sum(np.isin(theta, _BASE_EDGES[1:-1])
+                  & (theta < 0.5 * np.pi)) >= size
+    for k in range(0, depth.size, size):
+        part = slice(k, k + size)
+        got = _passage_times(quartic, depth[part], x[part])
+        want = _passage_reference(quartic, depth[part], x[part])
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.view(np.int64),
+                                          w.view(np.int64))
 
 
 # ===== Independent route =====
