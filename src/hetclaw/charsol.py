@@ -179,14 +179,16 @@ def solution_grid(model: HamiltonianModel, times, xs,
     and the value is the momentum on the interpolated launch energy's
     shell at x, with the sign of the neighbouring orbits.  Between two
     orbits on opposite sides of a turning point the momentum itself is
-    interpolated.  Odd reflection fills x < 0.  No shooting is involved,
-    so the raster is an independent check of the point route.
+    interpolated.  Odd reflection negates the x < 0 columns in place.
+    No shooting is involved, so the raster is an independent check of
+    the point route.
     Times and positions must be finite 1-D arrays; positions must avoid
     0; times must be nondecreasing and start at or after 0; ``n_orbits``
     must be a positive integer.  Row t = 0 is the step datum itself, and
-    no positions give a grid with no columns.  Every time records the
-    orbits and the positions, so more than ``flow._MAX_RECORD`` values
-    over them are refused before the march.
+    no positions give a grid with no columns.  The call holds the orbit
+    records and the output once each, and temporaries of one row: every
+    time records the orbits and the positions, so more than
+    ``flow._MAX_RECORD`` values over them are refused before the march.
     """
     times = np.asarray(times, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -240,4 +242,4 @@ def solution_grid(model: HamiltonianModel, times, xs,
         k = np.clip(np.searchsorted(qs, pos), 1, qs.size - 1)
         turning = ps[k - 1] * ps[k] < 0.0
         U[i] = np.where(turning, p_lin, np.copysign(shell, p_lin))
-    return np.where(xs[None, :] < 0.0, -U, U)
+    return np.negative(U, out=U, where=xs[None, :] < 0.0)

@@ -313,6 +313,27 @@ class RayFanReport:
         }
 
 
+def _crossings_after(rays, i: int, times, tol: float):
+    """Crossings of ray i with every later ray, pair by pair in j, then
+    in time: the later rays' indices and the crossing times inside
+    (times[0], times[-1]).
+
+    One call holds one block of differences and one scratch block, for
+    |d| and then the sign-change product; both go when it returns.
+    """
+    d = rays[i] - rays[i + 1:]
+    w = np.abs(d)
+    clear = w > tol
+    swap = np.multiply(d[:, :-1], d[:, 1:], out=w[:, :-1]) < 0.0
+    swap &= clear[:, :-1]
+    swap &= clear[:, 1:]
+    j, k = np.nonzero(swap)
+    frac = d[j, k] / (d[j, k] - d[j, k + 1])
+    s = times[k] + frac * (times[k + 1] - times[k])
+    inside = (times[0] < s) & (s < times[-1])
+    return j[inside] + i + 1, s[inside]
+
+
 def ray_fan(model: HamiltonianModel, t: float, x0: float,
             p_left: float, p_right: float, n_rays: int,
             tol: float = 1e-6) -> RayFanReport:
@@ -337,25 +358,15 @@ def ray_fan(model: HamiltonianModel, t: float, x0: float,
     lam = np.linspace(0.0, 1.0, n_rays)
     momenta = (1.0 - lam) * p_left + lam * p_right
     record = np.linspace(0.0, -t, 801)
-    q, _ = integrate_batch(model, np.full(n_rays, float(x0)), momenta,
-                           record)
-    positions = q[::-1]
+    positions = integrate_batch(model, np.full(n_rays, float(x0)), momenta,
+                                record)[0][::-1]
     times = t + record[::-1]
 
     rays = positions.T.copy()
     crossings = []
     for i in range(n_rays - 1):
-        # ray i against every later ray j, pair by pair in j, then in time
-        d = rays[i] - rays[i + 1:]
-        clear = np.abs(d) > tol
-        j, k = np.nonzero((d[:, :-1] * d[:, 1:] < 0.0)
-                          & clear[:, :-1] & clear[:, 1:])
-        frac = d[j, k] / (d[j, k] - d[j, k + 1])
-        s = times[k] + frac * (times[k + 1] - times[k])
-        inside = (0.0 < s) & (s < t)
-        crossings.extend(zip(itertools.repeat(i),
-                             (j[inside] + i + 1).tolist(),
-                             s[inside].tolist()))
+        j, s = _crossings_after(rays, i, times, tol)
+        crossings.extend(zip(itertools.repeat(i), j.tolist(), s.tolist()))
         if len(crossings) > _MAX_CROSSINGS:
             raise DomainError(f"the fan crosses itself more than "
                               f"{_MAX_CROSSINGS} times; use fewer rays or "

@@ -209,12 +209,17 @@ def entropy_residual(solution: GriddedSolution, phi: TestFunction,
     wa_t = wt[i0:i1] * _bump_slope(xi_t) / phi.rt
     wb = wx[j0:j1] * _bump(xi_x)
     wb_x = wx[j0:j1] * _bump_slope(xi_x) / phi.rx
+    # two support blocks carry the three integrands: ``work`` holds
+    # u - k, |u - k|, then u² - k²; ``sign`` holds sgn(u - k), then
+    # sgn(u - k) (u² - k²)/2, so the source term reads it first
     u_in = u[i0:i1, j0:j1]
-    diff = u_in - k
-    sign = np.sign(diff)
-    total = float(wa_t @ np.abs(diff) @ wb
-                  + wa @ (sign * 0.5 * (u_in * u_in - k * k)) @ wb_x
-                  - wa @ sign @ (wb * solution.model.g_prime(xs[j0:j1])))
+    work = np.subtract(u_in, k)
+    sign = np.sign(work)
+    flux_t = wa_t @ np.abs(work, out=work) @ wb
+    source = wa @ sign @ (wb * solution.model.g_prime(xs[j0:j1]))
+    np.subtract(np.multiply(u_in, u_in, out=work), k * k, out=work)
+    np.multiply(np.multiply(sign, 0.5, out=sign), work, out=sign)
+    total = float((flux_t + wa @ sign @ wb_x) - source)
     if times[0] == 0.0:
         total += float(np.dot(np.abs(u[0] - k) * phi.value(0.0, xs), wx))
     return total
@@ -236,7 +241,7 @@ class EntropyReport:
     residuals: np.ndarray
     floors: np.ndarray
     phis: tuple
-    seed: int | None
+    seed: int
     flags: list = field(default_factory=list)
 
     @property
@@ -270,9 +275,13 @@ def entropy_sweep(solution: GriddedSolution, n_tests: int,
     uniformly; test-function centers and radii are drawn so the support
     always sits inside the sampled rectangle (touching t = 0 is allowed
     when the grid starts there, activating the initial term).
+    ``n_tests`` must be an integer >= 1 and ``seed`` an integer >= 0.
     """
-    if n_tests < 1:
-        raise DomainError(f"n_tests must be >= 1, got {n_tests}")
+    if not (isinstance(n_tests, (int, np.integer)) and n_tests >= 1):
+        raise DomainError(
+            f"n_tests must be an integer >= 1, got {n_tests!r}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     times, xs = solution.times, solution.xs
     span_t = times[-1] - times[0]

@@ -41,9 +41,13 @@ _STEP_COST_ORBITS = 1000
 # steps between two sortings of a batch into free, moving and retired orbits
 _REGROUP = 64
 # ceiling on the values one call records, rows x values per row: 40 MB of
-# doubles; the CLI's largest records are 2.2e6 (exact's 21 rows of 100,000
-# positions and 4,609 orbits) and 2.0e6 (entropy-check's 101 snapshots of
-# 20,000 cells)
+# doubles.  A call holds each record once, plus temporaries of one row:
+# solution_grid charges times x (orbits + positions) for its two orbit
+# records and its output, and evolve distinct marks x cells for its
+# snapshots.  The CLI's largest records are 2.2e6
+# (exact's 21 rows of 100,000 positions and 4,609 orbits; its raster peaks
+# at 1.7 times its 16 MB output) and 2.0e6 (entropy-check's 101 snapshots
+# of 20,000 cells)
 _MAX_RECORD = 5 * 10**6
 
 
@@ -242,12 +246,13 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
                     dt_max: float = DEFAULT_DT, retire: bool = False):
     """March a batch of orbits, recording states at the given times.
 
-    ``record_times`` must start at 0 and be strictly monotone (increasing
-    for forward runs, decreasing for backward ones); ``q0`` and ``p0`` are
-    1-D and of one size.  Returns arrays of shape (len(record_times),
-    n_orbits).  Every ``_REGROUP`` steps the orbits are sorted afresh.  A
-    free one (``model.flies_free(q, p * h)``) sees g' = 0 at every RK4
-    stage, so a step leaves p and adds to q a closed form in p and h.  With
+    ``record_times`` must start at 0 and keep one direction: nondecreasing
+    for forward runs, nonincreasing for backward ones, a repeated time
+    recording the same state twice; ``q0`` and ``p0`` are 1-D and of one
+    size.  Returns arrays of shape (len(record_times), n_orbits).  Every
+    ``_REGROUP`` steps the orbits are sorted afresh.  A free one
+    (``model.flies_free(q, p * h)``) sees g' = 0 at every RK4 stage, so a
+    step leaves p and adds to q a closed form in p and h.  With
     ``retire``, an orbit whose q has dropped below 0 at any step is never
     stepped again, and a third boolean array flags its stale entries.  The
     rest take the RK4 march.  Every unflagged entry keeps the full march's
@@ -256,6 +261,13 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
     rt = np.asarray(record_times, dtype=float)
     if not rt.size or rt[0] != 0.0:
         raise DomainError("record_times must start at 0")
+    gaps = np.diff(rt)
+    # the first nonzero gap sets the direction (none: 0.0, nothing turns)
+    ahead = np.sum(gaps[gaps != 0.0][:1])
+    back = np.flatnonzero(ahead * gaps < 0.0)
+    if back.size:
+        raise DomainError(f"record_times must keep one direction; "
+                          f"{rt[back[0] + 1]} turns back")
     q = np.array(q0, dtype=float, copy=True)
     p = np.array(p0, dtype=float, copy=True)
     if q.ndim != 1 or q.shape != p.shape:
@@ -267,7 +279,7 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
     lowest = q.copy() if retire else None
     gone = np.zeros(q.size, dtype=bool)
     # the leading zero duration takes no step, so row 0 is the launch
-    spans = [_split(span, dt_max) for span in [0.0, *np.diff(rt)]]
+    spans = [_split(span, dt_max) for span in [0.0, *gaps]]
     _budget(sum(n for n, _ in spans), q.size)
     for k, (n, h) in enumerate(spans):
         for start in range(0, n, _REGROUP):

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetclaw.charsol import (
     _arc_batch,
@@ -18,7 +20,7 @@ from hetclaw.charsol import (
     time_monotonicity_scan,
 )
 from hetclaw.design import Jump, profile_from_solution
-from hetclaw.errors import DomainError, EnergyDrift
+from hetclaw.errors import DomainError, EnergyDrift, HetclawError
 from hetclaw.flow import DEFAULT_DT, _march, _split, integrate_batch
 from hetclaw.fvm import Grid1D
 from hetclaw.model import MODELS
@@ -366,6 +368,50 @@ def test_a_grid_past_the_record_ceiling_is_refused_before_it_allocates(
     finally:
         tracemalloc.stop()
     assert peak < 2 * times.nbytes
+
+
+def test_a_grid_holds_its_output_once(quartic):
+    """20 times x 100,000 positions, the largest raster ``exact`` asks
+    for: the output (16 MB) is allocated once and reflected in place, so
+    the peak stays under twice the output.  Building the reflection with
+    np.where held two more full grids and peaked at 3.5 outputs."""
+    times = np.linspace(0.125, 2.5, 20)
+    xs = Grid1D(-4.0, 4.0, 100_000).centers()
+    tracemalloc.start()
+    try:
+        U = solution_grid(quartic, times, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert U.shape == (20, 100_000)
+    assert peak < 2 * U.nbytes
+
+
+@settings(derandomize=True, database=None, deadline=5000, max_examples=50)
+@given(st.lists(st.floats(0.0, 5.0), max_size=6),
+       st.lists(st.tuples(st.floats(0.001, 4.0), st.booleans()),
+                min_size=1, max_size=12),
+       st.booleans(), st.integers(1, 512))
+def test_grid_is_finite_and_odd_or_refused(quartic, times, signed, mirror,
+                                           n_orbits):
+    """Any nondecreasing times in [0, 5], positions in +-[0.001, 4] (a
+    mirrored set included) and 1 to 512 orbits give a finite grid of one
+    row per time and one column per position, odd in x to the bit, or a
+    HetclawError."""
+    times = sorted(times)
+    xs = np.array([x if keep else -x for x, keep in signed])
+    if mirror:
+        xs = np.concatenate([xs, -xs])
+    try:
+        U = solution_grid(quartic, times, xs, n_orbits=n_orbits)
+    except HetclawError:
+        return
+    assert U.shape == (len(times), xs.size)
+    assert np.all(np.isfinite(U))
+    bits = U.view(np.int64)
+    flipped = (-U).view(np.int64)
+    for j, k in zip(*np.nonzero(xs[:, None] == -xs[None, :])):
+        assert np.array_equal(bits[:, j], flipped[:, k])
 
 
 def test_grid_of_no_positions_has_no_columns(quartic):

@@ -1,6 +1,8 @@
 """Quantized entropy inequality: residual signs, floors and convergence."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,17 @@ from hetclaw.charsol import asymptotic_profile, solution_grid
 from hetclaw.entropy import (
     GriddedSolution,
     TestFunction,
+    _bump,
+    _bump_slope,
+    _cell_weights,
     entropy_residual,
     entropy_sweep,
+    from_snapshots,
     residual_floor,
     reversed_shock_solution,
 )
 from hetclaw.errors import DomainError, SupportNotCovered
+from hetclaw.fvm import Grid1D, evolve, step_datum
 
 
 def full_grid_residual(solution, phi, k):
@@ -273,6 +280,84 @@ def test_report_serializes(fvm_entropy_solution):
     assert payload["count"] == 3
     assert payload["seed"] == 1
     assert np.isfinite(payload["min_residual"])
+
+
+def support_residual(solution, phi, k):
+    """The support-restricted residual with each integrand in its own
+    blocks (six support blocks at once): the reference for the two
+    reused blocks of entropy_residual."""
+    times, xs, u = solution.times, solution.xs, solution.values
+    i0 = np.searchsorted(times, phi.t0 - phi.rt, side="right")
+    i1 = np.searchsorted(times, phi.t0 + phi.rt, side="left")
+    j0 = np.searchsorted(xs, phi.x0 - phi.rx, side="right")
+    j1 = np.searchsorted(xs, phi.x0 + phi.rx, side="left")
+    wt = _cell_weights(times)
+    wx = _cell_weights(xs)
+    xi_t = (times[i0:i1] - phi.t0) / phi.rt
+    xi_x = (xs[j0:j1] - phi.x0) / phi.rx
+    wa = wt[i0:i1] * _bump(xi_t)
+    wa_t = wt[i0:i1] * _bump_slope(xi_t) / phi.rt
+    wb = wx[j0:j1] * _bump(xi_x)
+    wb_x = wx[j0:j1] * _bump_slope(xi_x) / phi.rx
+    u_in = u[i0:i1, j0:j1]
+    diff = u_in - k
+    sign = np.sign(diff)
+    total = float(wa_t @ np.abs(diff) @ wb
+                  + wa @ (sign * 0.5 * (u_in * u_in - k * k)) @ wb_x
+                  - wa @ sign @ (wb * solution.model.g_prime(xs[j0:j1])))
+    if times[0] == 0.0:
+        total += float(np.dot(np.abs(u[0] - k) * phi.value(0.0, xs), wx))
+    return total
+
+
+@pytest.mark.parametrize("t", [2.3, 2.7])
+def test_raster_and_residuals_keep_their_bits(quartic, t):
+    """On the cross-check's inputs (101 marks to t, 4,000 cells of
+    [-3, 3], 4,096 orbits), the in-place reflection equals np.where over
+    the raster of |x|, and every residual of a 50-test sweep on the FVM
+    and the orbit grids equals support_residual, all to the bit."""
+    grid = Grid1D(-3.0, 3.0, 4000)
+    x = grid.centers()
+    marks = np.linspace(0.0, t, 101)
+    u = solution_grid(quartic, marks, x, n_orbits=4096)
+    u_abs = solution_grid(quartic, marks, np.abs(x), n_orbits=4096)
+    assert u.tobytes() == np.where(x < 0.0, -u_abs, u_abs).tobytes()
+
+    result = evolve(quartic, step_datum(grid), t, snapshot_times=marks)
+    for seed, solution in enumerate(
+            (from_snapshots(quartic, x, result.snapshots),
+             GriddedSolution(quartic, marks, x, u))):
+        report = entropy_sweep(solution, 50, seed=seed)
+        ref = [support_residual(solution, phi, k)
+               for phi, k in zip(report.phis, report.k_values)]
+        assert report.residuals.tobytes() == np.array(ref).tobytes()
+
+
+def test_a_sweep_holds_two_support_blocks(quartic):
+    """On a 101 x 20,000 grid a support spans up to 70% of each axis,
+    so two blocks of it stay under 1.25 grids above the input; six
+    blocks, one per integrand, used to peak at 1.66 grids."""
+    solution = reversed_shock_solution(quartic, np.linspace(0.0, 2.5, 101),
+                                       Grid1D(-3.0, 3.0, 20_000).centers())
+    tracemalloc.start()
+    try:
+        entropy_sweep(solution, 50, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * solution.values.nbytes
+
+
+@pytest.mark.parametrize("n_tests, seed, name", [
+    (2.5, 0, "n_tests"), ("3", 0, "n_tests"), (None, 0, "n_tests"),
+    (3, -1, "seed"), (3, 1.5, "seed"), (3, None, "seed"),
+])
+def test_sweeps_refuse_counts_and_seeds_that_are_not_integers(
+        fvm_entropy_solution, n_tests, seed, name):
+    """Each used to escape as a raw TypeError or ValueError, or, for a
+    seed of None, to draw an unrecorded one."""
+    with pytest.raises(DomainError, match=name):
+        entropy_sweep(fvm_entropy_solution, n_tests, seed=seed)
 
 
 def test_gridded_solutions_and_sweeps_refuse_bad_shapes(quartic):

@@ -154,6 +154,27 @@ def test_record_times_must_start_at_zero(quartic):
         integrate_batch(quartic, np.array([0.0]), np.array([1.0]), [])
 
 
+@pytest.mark.parametrize("record_times, turn", [
+    ([0.0, 1.0, 0.5], "0.5"),
+    ([0.0, 0.0, -1.0, -1.0, -0.25, -2.0], "-0.25"),
+])
+def test_record_times_keep_one_direction(quartic, record_times, turn):
+    """[0, 1, 0.5] used to march forward, then back, without a word."""
+    with pytest.raises(DomainError, match=f"{turn} turns back"):
+        integrate_batch(quartic, np.array([0.1]), np.array([1.0]),
+                        record_times)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_repeated_record_times_record_one_state_twice(quartic, sign):
+    q0, p0 = np.array([0.1, 0.6]), np.array([1.0, -0.3])
+    times = sign * np.array([0.0, 0.5, 0.5, 1.25, 1.25])
+    Q, P = integrate_batch(quartic, q0, p0, times)
+    Qd, Pd = integrate_batch(quartic, q0, p0, times[[0, 1, 3]])
+    assert Q.tobytes() == Qd[[0, 1, 1, 2, 2]].tobytes()
+    assert P.tobytes() == Pd[[0, 1, 1, 2, 2]].tobytes()
+
+
 @pytest.mark.parametrize("q0, p0", [
     (np.zeros(3), np.ones(4)),
     (np.zeros((2, 2)), np.ones((2, 2))),
