@@ -9,7 +9,7 @@ design (``design``).  ``cli`` ties them into reproducible experiments.
 """
 
 from .charsol import (asymptotic_profile, eval_solution, solution_grid,
-                      solution_profile, time_monotonicity_scan)
+                      solution_profile)
 from .design import (Jump, Profile, design_report, footprint,
                      profile_from_solution, ray_fan, reconstruct_vertex,
                      round_trip)
@@ -73,6 +73,5 @@ __all__ = [
     "step_datum",
     "terminal_batch",
     "terminal_state",
-    "time_monotonicity_scan",
     "turning_point",
 ]

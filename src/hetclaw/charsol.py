@@ -7,10 +7,9 @@ the step datum (2 for x > 0, -2 for x < 0) everywhere off the standing
 shock at x = 0.
 
 The module also evaluates the stationary limit profile
--sgn(x) * sqrt(2 (flat - g(x))) and the long-time monotonicity
-diagnostics, and it can rasterize the solution onto a space-time grid by
-marching one batch of arc orbits forward instead of shooting per grid
-node.
+-sgn(x) * sqrt(2 (flat - g(x))), and it can rasterize the solution onto
+a space-time grid by marching one batch of arc orbits forward instead of
+shooting per grid node.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _count
 from .flow import _record_budget, integrate_batch
 from .model import HamiltonianModel
 from .shooting import arc_decode, arc_encode, delta, delta_batch
@@ -92,49 +91,6 @@ def solution_profile(model: HamiltonianModel, t: float, xs) -> np.ndarray:
     return np.where(xs < 0.0, -u, u)
 
 
-# ===== Long-time diagnostics =====
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Decay diagnostics of t -> u(t, x) at fixed x inside the well."""
-
-    x: float
-    t_values: np.ndarray
-    u_values: np.ndarray
-    bound: float
-    tol: float
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def time_monotonicity_scan(model: HamiltonianModel, x: float, t_grid,
-                           tol: float = 1e-6) -> MonotonicityReport:
-    """Check that u(t, x) never increases along ``t_grid`` at fixed x.
-
-    Also checks the strict upper bound sqrt(2 (flat - g(x))) at every
-    sample.  Violations are reported, not raised.
-    """
-    t_vals = np.asarray(sorted(float(t) for t in t_grid))
-    u_vals = np.array([eval_solution(model, t, x).u
-                       for t in t_vals])
-    bound = abs(asymptotic_profile(model, x))
-    violations = []
-    for i in range(1, len(t_vals)):
-        if u_vals[i] > u_vals[i - 1] + tol:
-            violations.append(
-                ("increase", float(t_vals[i - 1]), float(t_vals[i]),
-                 float(u_vals[i] - u_vals[i - 1])))
-    for i, uv in enumerate(u_vals):
-        if uv >= bound:
-            violations.append(("bound", float(t_vals[i]), float(uv), bound))
-    return MonotonicityReport(x=float(x), t_values=t_vals, u_values=u_vals,
-                              bound=bound, tol=tol,
-                              violations=tuple(violations))
-
-
 # ===== Space-time rasterizer =====
 
 def _arc_batch(model: HamiltonianModel, x_max: float, n_orbits: int):
@@ -203,9 +159,7 @@ def solution_grid(model: HamiltonianModel, times, xs,
         raise DomainError("grid positions must avoid the shock x = 0")
     if times.size and (np.any(np.diff(times) < 0.0) or times[0] < 0.0):
         raise DomainError("grid times must be nondecreasing and >= 0")
-    if not (isinstance(n_orbits, (int, np.integer)) and n_orbits >= 1):
-        raise DomainError(
-            f"n_orbits must be an integer >= 1, got {n_orbits}")
+    _count("n_orbits", n_orbits, 1)
     if not xs.size:
         return np.empty((times.size, 0))
 

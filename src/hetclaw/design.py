@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charsol import solution_profile
-from .errors import DomainError, NonMonotoneFeet
+from .errors import DomainError, NonMonotoneFeet, _count
 from .flow import integrate_batch, terminal_batch
 from .fvm import DEFAULT_CFL, CellField, Grid1D, evolve, l1_distance
 from .model import HamiltonianModel
@@ -72,6 +72,8 @@ class Profile:
             if np.any(xs == j.x):
                 raise DomainError(f"jump at x={j.x} collides with a sample; "
                                   "tag it or sample it, not both")
+            if sum(k.x == j.x for k in self.jumps) > 1:
+                raise DomainError(f"two jumps are tagged at x={j.x}")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ws", ws)
 
@@ -239,9 +241,8 @@ def reconstruct_vertex(fm: FootprintMap) -> Profile:
     return Profile(xs, ws, tuple(jumps))
 
 
-def round_trip(model: HamiltonianModel, t: float, w: Profile,
-               window: tuple = (-3.0, 3.0), cfl: float = DEFAULT_CFL, *,
-               reconstructed: Profile) -> float:
+def round_trip(model: HamiltonianModel, t: float, w: Profile, window: tuple,
+               cfl: float = DEFAULT_CFL, *, reconstructed: Profile) -> float:
     """L1 distance on the window between evolve(reconstructed, t) and w.
 
     The finite-volume domain, 4000 cells, is the window widened by the
@@ -257,8 +258,7 @@ def round_trip(model: HamiltonianModel, t: float, w: Profile,
     return l1_distance(result.final, w.sample(centers), window)
 
 
-def design_report(fm: FootprintMap, w: Profile,
-                  window: tuple = (-3.0, 3.0),
+def design_report(fm: FootprintMap, w: Profile, window: tuple,
                   cfl: float = DEFAULT_CFL) -> DesignReport:
     """Pipeline past the footprint ``fm`` of ``w``: monotone test, vertex,
     round trip on the footprint's model and horizon."""
@@ -351,10 +351,7 @@ def ray_fan(model: HamiltonianModel, t: float, x0: float,
     """
     if not 0.0 < t < np.inf:
         raise DomainError(f"horizon must be positive and finite, got {t}")
-    if not (isinstance(n_rays, (int, np.integer))
-            and 2 <= n_rays <= MAX_RAYS):
-        raise DomainError(f"need an integer count of 2 to {MAX_RAYS} "
-                          f"rays, got {n_rays!r}")
+    _count("n_rays", n_rays, 2, MAX_RAYS)
     lam = np.linspace(0.0, 1.0, n_rays)
     momenta = (1.0 - lam) * p_left + lam * p_right
     record = np.linspace(0.0, -t, 801)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charsol import asymptotic_profile
-from .errors import DomainError, SupportNotCovered
+from .errors import DomainError, NonFinite, SupportNotCovered, _count
 from .model import HamiltonianModel
 
 # Calibrated on exact constant and stationary-jump states: their measured
@@ -79,9 +79,10 @@ class TestFunction:
     rx: float
 
     def __post_init__(self):
-        if self.rt <= 0.0 or self.rx <= 0.0:
-            raise DomainError(f"radii must be positive, got ({self.rt}, "
-                              f"{self.rx})")
+        if not (all(map(math.isfinite, (self.t0, self.x0, self.rt, self.rx)))
+                and self.rt > 0.0 and self.rx > 0.0):
+            raise DomainError(f"{self} needs a finite centre and finite "
+                              f"positive radii")
 
     def value(self, t, x):
         return _bump((np.asarray(t) - self.t0) / self.rt) * \
@@ -130,6 +131,10 @@ class GriddedSolution:
         if values.shape != (times.size, xs.size):
             raise DomainError(f"values shape {values.shape} does not match "
                               f"axes ({times.size}, {xs.size})")
+        for name, axis in (("times", times), ("positions", xs),
+                           ("values", values)):
+            if not np.isfinite(axis).all():
+                raise DomainError(f"gridded {name} must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", values)
@@ -183,8 +188,11 @@ def entropy_residual(solution: GriddedSolution, phi: TestFunction,
 
     Nonnegative up to discretization error for entropy solutions; see
     ``residual_floor`` for the error budget.  The initial term is active
-    whenever the grid starts at t = 0.
+    whenever the grid starts at t = 0.  ``k`` must be finite; a sum that
+    overflows raises ``NonFinite``.
     """
+    if not math.isfinite(k):
+        raise DomainError(f"entropy constant k must be finite, got {k}")
     times, xs, u = solution.times, solution.xs, solution.values
     t_lo = max(phi.t0 - phi.rt, 0.0)
     if (t_lo < times[0] - 1e-12 or phi.t0 + phi.rt > times[-1] + 1e-12
@@ -222,6 +230,8 @@ def entropy_residual(solution: GriddedSolution, phi: TestFunction,
     total = float((flux_t + wa @ sign @ wb_x) - source)
     if times[0] == 0.0:
         total += float(np.dot(np.abs(u[0] - k) * phi.value(0.0, xs), wx))
+    if not math.isfinite(total):
+        raise NonFinite(f"entropy residual at k={k} is {total}")
     return total
 
 
@@ -277,11 +287,8 @@ def entropy_sweep(solution: GriddedSolution, n_tests: int,
     when the grid starts there, activating the initial term).
     ``n_tests`` must be an integer >= 1 and ``seed`` an integer >= 0.
     """
-    if not (isinstance(n_tests, (int, np.integer)) and n_tests >= 1):
-        raise DomainError(
-            f"n_tests must be an integer >= 1, got {n_tests!r}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    _count("n_tests", n_tests, 1)
+    _count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     times, xs = solution.times, solution.xs
     span_t = times[-1] - times[0]

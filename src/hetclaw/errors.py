@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one count check."""
+
+import math
+from numbers import Integral
 
 
 class HetclawError(Exception):
@@ -31,3 +34,13 @@ class NonMonotoneFeet(HetclawError):
 
 class SupportNotCovered(HetclawError):
     """A test function's support sticks out of the sampled grid."""
+
+
+def _count(name: str, value, lowest: int, highest: float = math.inf) -> None:
+    """Refuse, by name, a ``value`` that is not an integer from ``lowest``
+    to ``highest``; a bool is not a count."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or not lowest <= value <= highest):
+        span = (f">= {lowest}" if highest == math.inf
+                else f"from {lowest} to {highest}")
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")

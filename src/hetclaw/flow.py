@@ -1,8 +1,8 @@
 """Characteristic (Hamiltonian) flow of q' = p, p' = -g'(q).
 
-Every orbit is marched by one fixed-step classical RK4 loop, ``_march``,
-in equal steps that divide each span exactly; a batch runs the same
-operations in place on preallocated rows, to the same bits.  Determinism
+A float orbit is marched by one fixed-step classical RK4 loop, ``_march``,
+in equal steps that divide each span exactly; ``_rk4_rows`` runs the
+same operations on a batch, in place, to the same bits.  Determinism
 matters more here than adaptive cleverness: the forward raster, the
 footprints and the ray fans build on this flow and need bit-reproducible
 outputs.  One certificate, ``_certify``, gauges accuracy by energy
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EnergyDrift, NonFinite
+from .errors import DomainError, EnergyDrift, NonFinite, _count
 from .model import HamiltonianModel
 
 DEFAULT_DT = 1e-3
@@ -109,17 +109,10 @@ def _record_budget(rows: int, width: int, what: str) -> None:
                           f"over the ceiling of {_MAX_RECORD:.0e}")
 
 
-def _march(model: HamiltonianModel, q, p, spans, lowest=None):
-    """Yield (q, p) at the end of each span of one fixed-step RK4 march.
-
-    A span is an (n, h) pair of n steps of size h, as :func:`_split` cuts
-    it.  Floats take :func:`rk4_step`; 1-D arrays take :func:`_rk4_rows`,
-    which lands on the same bits.  With ``lowest`` (arrays only, shaped
-    like q) the running minimum of q is folded into it after every step.
-    """
-    if isinstance(q, np.ndarray):
-        yield from _rk4_rows(model, q, p, spans, lowest)
-        return
+def _march(model: HamiltonianModel, q: float, p: float, spans):
+    """Yield the float state (q, p) at the end of each span of one
+    fixed-step RK4 march; a span is an (n, h) pair of n steps of size h,
+    as :func:`_split` cuts it."""
     force = model.force
     for n, h in spans:
         for _ in range(n):
@@ -128,12 +121,13 @@ def _march(model: HamiltonianModel, q, p, spans, lowest=None):
 
 
 def _rk4_rows(model: HamiltonianModel, q, p, spans, lowest=None):
-    """The array path of :func:`_march`: rk4_step's IEEE operations, in
-    its order and on its operands, on preallocated rows.
+    """:func:`_march` on 1-D arrays, on preallocated rows; with
+    ``lowest`` (shaped like q) the running minimum of q is folded into it
+    after every step.  Each yielded pair is a fresh copy.
 
     Stage block i holds [q_i; p_i; -g'(q_i)], so rows 0:2 are the stage
     state and rows 1:3 its slope (k_q is the stage's p); block 0's state
-    is the march's own.  Each yielded pair is a fresh copy.
+    is the march's own.  The operations are rk4_step's, in its order.
     """
     z = np.empty((4, 3, q.size))
     z[0, 0], z[0, 1] = q, p
@@ -214,9 +208,7 @@ def integrate(model: HamiltonianModel, q0: float, p0: float, t: float,
         dt_max: step-size bound (the actual step divides t exactly).
         record_every: keep every k-th sample (endpoints always kept).
     """
-    if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
-        raise DomainError(
-            f"record_every must be an integer >= 1, got {record_every}")
+    _count("record_every", record_every, 1)
     q0, p0 = float(q0), float(p0)
     n, h = _split(t, dt_max)
     ends = [*range(record_every, n, record_every), n] if n else []
@@ -275,7 +267,7 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
                           f"shapes {q.shape} and {p.shape}")
     Q = np.empty((len(rt), q.size))
     P = np.empty_like(Q)
-    retired = np.zeros(Q.shape, dtype=bool)
+    retired = np.zeros(Q.shape, dtype=bool) if retire else None
     lowest = q.copy() if retire else None
     gone = np.zeros(q.size, dtype=bool)
     # the leading zero duration takes no step, so row 0 is the launch
@@ -288,7 +280,7 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
             moving = np.flatnonzero(~(gone | free))
             if moving.size:
                 low = lowest[moving] if retire else None
-                [(q[moving], p[moving])] = _march(
+                [(q[moving], p[moving])] = _rk4_rows(
                     model, q[moving], p[moving], [(c, h)], low)
                 if retire:
                     lowest[moving] = low
@@ -302,11 +294,10 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
                 q[free] = qf
         Q[k] = q
         P[k] = p
-        retired[k] = gone
+        if retire:
+            retired[k] = gone
     _certify(model, Q[0], P[0], q, p)
-    if retire:
-        return Q, P, retired
-    return Q, P
+    return (Q, P, retired) if retire else (Q, P)
 
 
 # ===== Events =====

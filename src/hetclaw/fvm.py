@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonFinite, NotFound
+from .errors import DomainError, NonFinite, NotFound, _count
 from .flow import _budget, _record_budget
 from .model import HamiltonianModel
 
@@ -44,8 +44,7 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 4):
-            raise DomainError(f"grid needs an integer n >= 4, got {self.n}")
+        _count("grid n", self.n, 4)
         if not (math.isfinite(self.x_max - self.x_min)
                 and self.x_max > self.x_min):
             raise DomainError("grid needs x_max > x_min a finite width apart, "

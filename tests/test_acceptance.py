@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hetclaw.charsol import asymptotic_profile, eval_solution, solution_grid, time_monotonicity_scan
+from hetclaw.charsol import asymptotic_profile, eval_solution, solution_grid
 from hetclaw.design import Jump, Profile, footprint, monotone_test, ray_fan, reconstruct_vertex, round_trip
 from hetclaw.entropy import entropy_sweep, reversed_shock_solution
 from hetclaw.flow import integrate, terminal_state
@@ -84,12 +84,14 @@ def test_criterion_3_monotone_decay_inside_the_well(quartic):
     worst_x, details = None, []
     all_ok = True
     for x in (0.25, 0.5, 0.75):
-        report = time_monotonicity_scan(quartic, x, range(3, 31), tol=1e-6)
+        u = np.array([eval_solution(quartic, float(t), x).u
+                      for t in range(3, 31)])
         bound = np.sqrt(2.0 * (1.0 - quartic.g(x)))
-        below = bool(np.all(report.u_values < bound))
-        all_ok = all_ok and report.ok and below
-        details.append(f"x={x}: monotone={report.ok} below_bound={below}")
-        if not (report.ok and below):
+        monotone = bool(np.all(u[1:] <= u[:-1] + 1e-6))
+        below = bool(np.all(u < bound))
+        all_ok = all_ok and monotone and below
+        details.append(f"x={x}: monotone={monotone} below_bound={below}")
+        if not (monotone and below):
             worst_x = x
     verdict(3, all_ok, "; ".join(details))
     assert all_ok, f"decay scan failed at x={worst_x}"
@@ -168,7 +170,8 @@ def test_criterion_7_inverse_design(quartic, homog, target_profile,
     dense = np.linspace(-3.0, 3.0, 4001)
     step_err = float(np.trapezoid(
         np.abs(rec.sample(dense) - np.where(dense < 0.0, -2.0, 2.0)), dense))
-    trip = round_trip(quartic, 2.0, target_profile, reconstructed=rec)
+    trip = round_trip(quartic, 2.0, target_profile, (-3.0, 3.0),
+                      reconstructed=rec)
 
     xs = np.linspace(-3.0, 3.0, 301)
     smooth = Profile(xs, 0.3 * np.sin(xs))

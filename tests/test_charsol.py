@@ -17,11 +17,10 @@ from hetclaw.charsol import (
     eval_solution,
     solution_grid,
     solution_profile,
-    time_monotonicity_scan,
 )
 from hetclaw.design import Jump, profile_from_solution
 from hetclaw.errors import DomainError, EnergyDrift, HetclawError
-from hetclaw.flow import DEFAULT_DT, _march, _split, integrate_batch
+from hetclaw.flow import DEFAULT_DT, _rk4_rows, _split, integrate_batch
 from hetclaw.fvm import Grid1D
 from hetclaw.model import MODELS
 from hetclaw.period import invert_half_period
@@ -155,10 +154,12 @@ def test_pointwise_attraction_is_monotone(quartic):
 
 
 def test_monotone_decay_scan(quartic):
-    report = time_monotonicity_scan(quartic, 0.5, range(3, 31, 3))
-    assert report.ok
-    assert report.bound == pytest.approx(0.7954951288348661, abs=1e-12)
-    assert np.all(report.u_values < report.bound)
+    u = np.array([eval_solution(quartic, float(t), 0.5).u
+                  for t in range(3, 31, 3)])
+    bound = abs(asymptotic_profile(quartic, 0.5))
+    assert np.all(u[1:] <= u[:-1] + 1e-6)
+    assert bound == pytest.approx(0.7954951288348661, abs=1e-12)
+    assert np.all(u < bound)
 
 
 # ===== Standing jump =====
@@ -309,7 +310,7 @@ def test_retiring_march_keeps_the_kernel_bits(name, record):
     spans = [_split(s, DEFAULT_DT) for s in [0.0, *np.diff(record)]]
     lowest = q0.copy()
     KQ, KP, MN = [], [], []
-    for q, p in _march(model, q0.copy(), p0.copy(), spans, lowest):
+    for q, p in _rk4_rows(model, q0.copy(), p0.copy(), spans, lowest):
         KQ.append(q)
         KP.append(p)
         MN.append(lowest.copy())
@@ -420,9 +421,10 @@ def test_grid_of_no_positions_has_no_columns(quartic):
     assert grid.shape == (2, 0)
 
 
-@pytest.mark.parametrize("n_orbits", [100.5, 0, -8])
+@pytest.mark.parametrize("n_orbits", [100.5, 0, -8, True])
 def test_grid_orbit_count_must_be_a_positive_integer(quartic, n_orbits):
-    """A fractional count used to escape as a raw TypeError."""
+    """A fractional count used to escape as a raw TypeError, and True
+    used to rasterize from one orbit."""
     with pytest.raises(DomainError, match="n_orbits"):
         solution_grid(quartic, [1.0], np.array([0.5]), n_orbits=n_orbits)
 

@@ -19,7 +19,7 @@ from hetclaw.entropy import (
     residual_floor,
     reversed_shock_solution,
 )
-from hetclaw.errors import DomainError, SupportNotCovered
+from hetclaw.errors import DomainError, NonFinite, SupportNotCovered
 from hetclaw.fvm import Grid1D, evolve, step_datum
 
 
@@ -97,6 +97,17 @@ def test_bump_norms():
 def test_bump_requires_positive_radii():
     with pytest.raises(DomainError):
         TestFunction(1.0, 0.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("t0, x0, rt, rx", [
+    (np.nan, 0.0, 0.1, 0.1), (1.0, np.inf, 0.1, 0.1),
+    (1.0, 0.0, np.nan, 0.1), (1.0, 0.0, 0.1, np.inf),
+])
+def test_test_functions_refuse_non_finite_centres_and_radii(t0, x0, rt, rx):
+    """A NaN centre used to give a residual of 0.0, and a NaN radius
+    passed the positivity check."""
+    with pytest.raises(DomainError, match="finite"):
+        TestFunction(t0, x0, rt, rx)
 
 
 # ===== Exact cancellations =====
@@ -351,13 +362,44 @@ def test_a_sweep_holds_two_support_blocks(quartic):
 @pytest.mark.parametrize("n_tests, seed, name", [
     (2.5, 0, "n_tests"), ("3", 0, "n_tests"), (None, 0, "n_tests"),
     (3, -1, "seed"), (3, 1.5, "seed"), (3, None, "seed"),
+    (True, 0, "n_tests"), (3, False, "seed"),
 ])
 def test_sweeps_refuse_counts_and_seeds_that_are_not_integers(
         fvm_entropy_solution, n_tests, seed, name):
     """Each used to escape as a raw TypeError or ValueError, or, for a
-    seed of None, to draw an unrecorded one."""
+    seed of None, to draw an unrecorded one; a bool used to run as 1 or
+    0."""
     with pytest.raises(DomainError, match=name):
         entropy_sweep(fvm_entropy_solution, n_tests, seed=seed)
+
+
+@pytest.mark.parametrize("axis", ["times", "positions", "values"])
+def test_gridded_solutions_refuse_non_finite_entries(quartic, axis):
+    """A NaN block in the values used to pass a sweep: NaN residuals are
+    never below their floor, so the report read ok."""
+    grid = {"times": np.linspace(0.0, 1.0, 11),
+            "positions": np.linspace(-1.0, 1.0, 21),
+            "values": np.zeros((11, 21))}
+    if axis == "values":
+        grid[axis][3:6, 5:9] = np.nan
+    else:
+        grid[axis][-1] = np.inf
+    with pytest.raises(DomainError, match=f"gridded {axis} must be finite"):
+        GriddedSolution(quartic, grid["times"], grid["positions"],
+                        grid["values"])
+
+
+def test_residuals_refuse_non_finite_levels_and_sums(homog):
+    """A level of nan or inf used to give a NaN residual; 1e200 squares
+    past the largest float, and its sum is refused as it comes out."""
+    sol = constant_solution(homog, 0.7, np.linspace(0.5, 1.5, 21),
+                            np.linspace(-2.0, 2.0, 101))
+    phi = TestFunction(1.0, 0.0, 0.3, 1.0)
+    for k in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="k must be finite"):
+            entropy_residual(sol, phi, k)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
+        entropy_residual(sol, phi, 1e200)
 
 
 def test_gridded_solutions_and_sweeps_refuse_bad_shapes(quartic):

@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from hetclaw.flow import (
     DEFAULT_DT,
     ENERGY_TOL,
     Trajectory,
-    _march,
+    _rk4_rows,
     _split,
     crossing_events,
     integrate,
@@ -203,7 +204,7 @@ BAD_INPUTS = [("dt_max", v) for v in (0.0, -0.5, np.nan, np.inf, 1e-9)]
 @pytest.mark.parametrize(
     "marcher, name, value",
     [(m, n, v) for m in MARCHERS for n, v in BAD_INPUTS]
-    + [("integrate", "record_every", v) for v in (0, -3, 2.5)])
+    + [("integrate", "record_every", v) for v in (0, -3, 2.5, True)])
 def test_bad_flow_inputs_are_domain_errors(quartic, marcher, name, value):
     with pytest.raises(DomainError, match=name):
         MARCHERS[marcher](quartic, **{name: value})
@@ -377,6 +378,21 @@ def test_batch_running_minimum_sees_between_record_dips(quartic):
     assert retired.tolist() == [[False], [True]]
 
 
+def test_a_march_without_retirement_holds_its_record_once(quartic):
+    """Without ``retire`` no flag array is built: 1,000 orbits over 801
+    record times peak at about 1.02 records (Q and P, 12.8 MB), where
+    the flags nobody read took it to 1.08."""
+    q0 = np.linspace(-2.0, 2.0, 1000)
+    p0 = np.linspace(1.5, -1.5, 1000)
+    tracemalloc.start()
+    try:
+        Q, P = integrate_batch(quartic, q0, p0, np.linspace(0.0, 2.0, 801))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * (Q.nbytes + P.nbytes)
+
+
 def test_terminal_batch_is_the_last_recorded_row(quartic):
     q0 = np.array([0.0, 0.2, 1.5, -0.4])
     p0 = np.array([1.0, -0.5, 2.0, 0.3])
@@ -408,7 +424,7 @@ def _rk4_step_rows(model, q, p, spans, lowest):
 def test_array_march_is_rk4_step_to_the_bit(name, spans):
     """An array march runs in place on its own rows, yet each span's end
     is a plain rk4_step loop's to the bit, and so is the running minimum.
-    The kernel-bit tests of the batch marchers take ``_march`` as their
+    The kernel-bit tests of the batch marchers take ``_rk4_rows`` as their
     reference; this ties it to rk4_step.  The launches sit on the rim
     q = +-1, past it and at p = +-0."""
     model = MODELS[name]()
@@ -420,7 +436,8 @@ def test_array_march_is_rk4_step_to_the_bit(name, spans):
                          np.linspace(1.4, -1.4, 25)])
     lowest = q0.copy()
     got = [(q, p, lowest.copy())
-           for q, p in _march(model, q0.copy(), p0.copy(), spans, lowest)]
+           for q, p in _rk4_rows(model, q0.copy(), p0.copy(), spans,
+                                 lowest)]
     want = _rk4_step_rows(model, q0.copy(), p0.copy(), spans, q0.copy())
     assert len(got) == len(want) == len(spans)
     for row, ref in zip(got, want):
@@ -435,7 +452,7 @@ def _kernel_rows(model, q0, p0, record):
     """The bare RK4 kernel over integrate_batch's spans, every orbit
     stepped every step."""
     spans = [_split(s, DEFAULT_DT) for s in [0.0, *np.diff(record)]]
-    rows = list(_march(model, q0.copy(), p0.copy(), spans))
+    rows = list(_rk4_rows(model, q0.copy(), p0.copy(), spans))
     return (np.array([q for q, _ in rows]), np.array([p for _, p in rows]))
 
 
@@ -467,7 +484,7 @@ def test_batch_march_keeps_the_kernel_bits(quartic, record):
 
 
 def test_rk4_step_has_one_call_site():
-    """Every orbit in the package is marched by ``flow._march``."""
+    """Every float orbit in the package is marched by ``flow._march``."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src",
                        "hetclaw")
     sites = []
