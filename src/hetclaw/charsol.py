@@ -174,7 +174,9 @@ def solution_grid(model: HamiltonianModel, times, xs,
     if record.size != times.size:
         Q, P, dead = Q[1:], P[1:], dead[1:]
 
-    pos = np.abs(xs)
+    # each distinct |x| is interpolated once, in sorted order, and every
+    # position reads its value back
+    pos, back = np.unique(np.abs(xs), return_inverse=True)
     g_pos = model.g(pos)
     s0 = arc_encode(q0, p0)
     U = np.empty((times.size, xs.size))
@@ -182,18 +184,21 @@ def solution_grid(model: HamiltonianModel, times, xs,
         if t == 0.0:
             U[i] = 2.0
             continue
-        alive = ~dead[i]
-        order = np.argsort(Q[i, alive])
-        qs = Q[i, alive][order]
-        ps = P[i, alive][order]
+        live = np.flatnonzero(~dead[i])
+        qa = Q[i, live]
+        order = np.argsort(qa)
+        qs = qa[order]
+        order = live[order]
+        ps = P[i, order]
         # the launch point varies smoothly along the alive orbits, so it
         # is interpolated and its energy read at x; only across a turning
         # point, where the shell's square root is not smooth, does the
         # momentum itself interpolate better
-        a, b = arc_decode(np.interp(pos, qs, s0[alive][order]))
+        a, b = arc_decode(np.interp(pos, qs, s0[order]))
         shell = np.sqrt(np.maximum(2.0 * (model.h(a, b) - g_pos), 0.0))
         p_lin = np.interp(pos, qs, ps)
         k = np.clip(np.searchsorted(qs, pos), 1, qs.size - 1)
         turning = ps[k - 1] * ps[k] < 0.0
-        U[i] = np.where(turning, p_lin, np.copysign(shell, p_lin))
+        np.take(np.where(turning, p_lin, np.copysign(shell, p_lin)), back,
+                out=U[i])
     return np.negative(U, out=U, where=xs[None, :] < 0.0)

@@ -34,6 +34,8 @@ MAX_RAYS = 1000
 # as with the square of the ray count; the CLI's largest fan, 1,000 rays
 # to t = 4, reports about 1.2 million.
 _MAX_CROSSINGS = 2_000_000
+# offset of a tagged jump's one-sided side points from its x
+_SIDE = 1e-12
 
 
 # ===== Profiles =====
@@ -53,6 +55,9 @@ class Profile:
 
     Discontinuities are carried as explicit tags rather than as steep
     sample pairs, so downstream code can launch both one-sided values.
+    A tag's side points, at x -+ 1e-12, must fall strictly between the
+    samples and the other tags' side points, so that ``sample`` reads a
+    monotone axis.
     """
 
     xs: np.ndarray
@@ -69,11 +74,15 @@ class Profile:
         if not (np.isfinite(xs).all() and np.isfinite(ws).all()):
             raise DomainError("profile samples must be finite")
         for j in self.jumps:
-            if np.any(xs == j.x):
+            if np.any((xs >= j.x - _SIDE) & (xs <= j.x + _SIDE)):
                 raise DomainError(f"jump at x={j.x} collides with a sample; "
                                   "tag it or sample it, not both")
-            if sum(k.x == j.x for k in self.jumps) > 1:
-                raise DomainError(f"two jumps are tagged at x={j.x}")
+        tags = sorted(j.x for j in self.jumps)
+        for a, b in zip(tags, tags[1:]):
+            if b - _SIDE <= a + _SIDE:
+                raise DomainError(f"two jumps are tagged at x={a} and x={b}, "
+                                  f"closer than their side points x -+ "
+                                  f"{_SIDE}")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ws", ws)
 
@@ -82,7 +91,7 @@ class Profile:
         xp, vp = self.xs, self.ws
         for j in self.jumps:
             k = np.searchsorted(xp, j.x)
-            xp = np.insert(xp, k, (j.x - 1e-12, j.x + 1e-12))
+            xp = np.insert(xp, k, (j.x - _SIDE, j.x + _SIDE))
             vp = np.insert(vp, k, (j.w_minus, j.w_plus))
         return np.interp(np.asarray(x, dtype=float), xp, vp)
 

@@ -106,19 +106,34 @@ class TestFunction:
 
 # ===== Gridded solutions =====
 
+def _cell_weights(z: np.ndarray) -> np.ndarray:
+    """Lengths of the cells owned by each node (midpoints as fences)."""
+    mids = 0.5 * (z[1:] + z[:-1])
+    left = np.concatenate([[z[0]], mids])
+    right = np.concatenate([mids, [z[-1]]])
+    return right - left
+
+
 @dataclass(frozen=True)
 class GriddedSolution:
     """Solution values sampled on a rectangular space-time grid.
 
     ``values[i, j]`` is u(times[i], xs[j]).  Both axes must be strictly
     increasing; when ``times[0] == 0`` the first row doubles as the
-    initial datum for the initial term of the inequality.
+    initial datum for the initial term of the inequality.  What every
+    residual reads of the axes alone is computed once, here: the cell
+    weights of both axes, g' at the positions and ``spacing``, the
+    largest time gap and the largest space gap.
     """
 
     model: HamiltonianModel
     times: np.ndarray
     xs: np.ndarray
     values: np.ndarray
+    spacing: tuple = field(init=False, repr=False, compare=False)
+    _wt: np.ndarray = field(init=False, repr=False, compare=False)
+    _wx: np.ndarray = field(init=False, repr=False, compare=False)
+    _g_prime: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -126,7 +141,8 @@ class GriddedSolution:
         values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or xs.ndim != 1 or times.size < 2 or xs.size < 2:
             raise DomainError("need 1-D time and space axes with >= 2 nodes")
-        if np.any(np.diff(times) <= 0.0) or np.any(np.diff(xs) <= 0.0):
+        gaps = np.diff(times), np.diff(xs)
+        if np.any(gaps[0] <= 0.0) or np.any(gaps[1] <= 0.0):
             raise DomainError("grid axes must be strictly increasing")
         if values.shape != (times.size, xs.size):
             raise DomainError(f"values shape {values.shape} does not match "
@@ -135,15 +151,12 @@ class GriddedSolution:
                            ("values", values)):
             if not np.isfinite(axis).all():
                 raise DomainError(f"gridded {name} must be finite")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def spacing(self) -> tuple[float, float]:
-        """Largest time gap and largest space gap."""
-        return (float(np.max(np.diff(self.times))),
-                float(np.max(np.diff(self.xs))))
+        for name, value in (
+                ("times", times), ("xs", xs), ("values", values),
+                ("spacing", tuple(float(np.max(gap)) for gap in gaps)),
+                ("_wt", _cell_weights(times)), ("_wx", _cell_weights(xs)),
+                ("_g_prime", self.model.g_prime(xs))):
+            object.__setattr__(self, name, value)
 
 
 def from_snapshots(model: HamiltonianModel, centers,
@@ -174,14 +187,6 @@ def reversed_shock_solution(model: HamiltonianModel, times,
 
 # ===== Residual quadrature =====
 
-def _cell_weights(z: np.ndarray) -> np.ndarray:
-    """Lengths of the cells owned by each node (midpoints as fences)."""
-    mids = 0.5 * (z[1:] + z[:-1])
-    left = np.concatenate([[z[0]], mids])
-    right = np.concatenate([mids, [z[-1]]])
-    return right - left
-
-
 def entropy_residual(solution: GriddedSolution, phi: TestFunction,
                      k: float) -> float:
     """Quadrature of the entropy inequality's left-hand side.
@@ -209,8 +214,7 @@ def entropy_residual(solution: GriddedSolution, phi: TestFunction,
     i1 = np.searchsorted(times, phi.t0 + phi.rt, side="left")
     j0 = np.searchsorted(xs, phi.x0 - phi.rx, side="right")
     j1 = np.searchsorted(xs, phi.x0 + phi.rx, side="left")
-    wt = _cell_weights(times)
-    wx = _cell_weights(xs)
+    wt, wx = solution._wt, solution._wx
     xi_t = (times[i0:i1] - phi.t0) / phi.rt
     xi_x = (xs[j0:j1] - phi.x0) / phi.rx
     wa = wt[i0:i1] * _bump(xi_t)
@@ -224,7 +228,7 @@ def entropy_residual(solution: GriddedSolution, phi: TestFunction,
     work = np.subtract(u_in, k)
     sign = np.sign(work)
     flux_t = wa_t @ np.abs(work, out=work) @ wb
-    source = wa @ sign @ (wb * solution.model.g_prime(xs[j0:j1]))
+    source = wa @ sign @ (wb * solution._g_prime[j0:j1])
     np.subtract(np.multiply(u_in, u_in, out=work), k * k, out=work)
     np.multiply(np.multiply(sign, 0.5, out=sign), work, out=sign)
     total = float((flux_t + wa @ sign @ wb_x) - source)

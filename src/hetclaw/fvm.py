@@ -106,15 +106,28 @@ def godunov_flux(u_left, u_right):
 
 def _top(u) -> float:
     """max |u|, NaN when u holds a NaN and inf when it holds an inf."""
-    return float(max(u.max(), -u.min()))
+    return float(max(np.maximum.reduce(u), -np.minimum.reduce(u)))
 
 
 def _stable_dt(top: float, dx: float, cfl: float) -> float:
     return cfl * dx / max(top, 1.0)
 
 
-def _update(ext, work, dt: float, dx: float, source, half: bool) -> float:
-    """One forward-Euler step of the cells ext[1:-1], in place.
+def _operands(ext, work, source) -> tuple:
+    """The views one step of ``_update`` reads and writes over the
+    ghost-padded window ``ext``: its cells, the states either side of
+    each interface, four work rows shaped (4, interfaces) and the
+    window's source.  A window keeps them for all of its steps."""
+    sides, squares = work[:2], work[2:]
+    flux = squares[0]
+    return (ext[1:-1], ext[:-1], ext[1:], sides, sides[0], sides[1],
+            squares, flux, squares[1], flux[1:], flux[:-1], sides[0, :-1],
+            source)
+
+
+def _update(ext, operands, dt: float, dx: float, half: bool) -> float:
+    """One forward-Euler step of the cells ext[1:-1], in place, through
+    the window's ``_operands``.
 
     Zero-gradient ghosts, except that a half march's left ghost is the
     mirror cell -u[0].  Each operation is the one the plain formula
@@ -123,17 +136,16 @@ def _update(ext, work, dt: float, dx: float, source, half: bool) -> float:
     to the bit.  Returns max |u| of the new field and raises NonFinite
     when that is not finite.
     """
-    u = ext[1:-1]
+    (u, left, right, sides, plus, minus, squares, flux, other, above, below,
+     change, source) = operands
     ext[0] = -u[0] if half else u[0]
     ext[-1] = u[-1]
-    sides, squares = work[:2], work[2:]
-    np.maximum(ext[:-1], 0.0, out=sides[0])
-    np.minimum(ext[1:], 0.0, out=sides[1])
+    np.maximum(left, 0.0, out=plus)
+    np.minimum(right, 0.0, out=minus)
     np.multiply(sides, 0.5, out=squares)
     squares *= sides
-    flux = np.maximum(squares[0], squares[1], out=squares[0])
-    change = sides[0, :-1]
-    np.subtract(flux[1:], flux[:-1], out=change)
+    np.maximum(flux, other, out=flux)
+    np.subtract(above, below, out=change)
     change *= dt / dx
     u -= change
     np.multiply(source, dt, out=change)
@@ -232,7 +244,8 @@ class _March:
         Each step updates only the window of cells that can change
         (``_window``), measured every _REWINDOW steps until it covers the
         grid; every other cell keeps its bits under a full step, so every
-        step and its dt are the full march's.
+        step and its dt are the full march's.  A window's operand views
+        are built when it is measured, not per step.
         """
         pending = [m for m in self.marks if m > 0.0]
         t, top = 0.0, self.top
@@ -242,14 +255,17 @@ class _March:
         while t < self.t_final - tol:
             if steps % _REWINDOW == 0 and (steps == 0 or hi - lo < n):
                 lo, hi, rest = self._window()
+                ext = self.ext[lo:hi + 2]
+                operands = _operands(
+                    ext, self.work[:4 * (hi - lo + 1)].reshape(4, -1),
+                    self.source[lo:hi])
             horizon = pending[0] if pending else self.t_final
             dt = min(_stable_dt(top, self.dx, self.cfl), horizon - t,
                      self.t_final - t)
             top = rest
             if lo < hi:
-                work = self.work[:4 * (hi - lo + 1)].reshape(4, -1)
-                top = max(_update(self.ext[lo:hi + 2], work, dt, self.dx,
-                                  self.source[lo:hi], self.half), rest)
+                top = max(_update(ext, operands, dt, self.dx, self.half),
+                          rest)
             t += dt
             steps += 1
             mark = None

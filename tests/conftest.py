@@ -2,6 +2,10 @@
 
 Everything here is deterministic, so session scope is safe and keeps the
 slow pieces (profile shooting, entropy grids) to a single build each.
+Every hypothesis property draws the same examples on every run and keeps
+no example database, so a run neither depends on nor writes
+``.hypothesis/``; a test's own settings name only its deadline and
+example count.
 """
 from __future__ import annotations
 
@@ -9,12 +13,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hetclaw.design import FootprintMap, Profile, footprint, profile_from_solution
 from hetclaw.charsol import solution_grid
 from hetclaw.entropy import GriddedSolution, from_snapshots
 from hetclaw.fvm import Grid1D, evolve, step_datum
 from hetclaw.model import HamiltonianModel, homogeneous, quartic_well
+
+settings.register_profile("fixed-draws", derandomize=True, database=None)
+settings.load_profile("fixed-draws")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 import time
 import tracemalloc
@@ -24,7 +25,7 @@ from hetclaw.flow import DEFAULT_DT, _rk4_rows, _split, integrate_batch
 from hetclaw.fvm import Grid1D
 from hetclaw.model import MODELS
 from hetclaw.period import invert_half_period
-from hetclaw.shooting import DEFAULT_SHOOT_TOL, delta
+from hetclaw.shooting import DEFAULT_SHOOT_TOL, arc_decode, arc_encode, delta
 
 SQRT2 = np.sqrt(2.0)
 
@@ -263,6 +264,62 @@ def test_grid_route_stays_on_the_energy_shell(quartic, t, xs, tol):
                                   abs=tol)
 
 
+@settings(deadline=None, max_examples=3)
+@given(st.integers(0, 2**32 - 1))
+def test_grid_route_meets_the_point_route_on_drawn_points(quartic, seed):
+    """t log-uniform on [0.2, 30] and |x| uniform on [0.001, 3], with
+    random signs, repeated positions and no order: the raster stays
+    within 5e-5 of the shooting route (1.25e-5 measured over that
+    rectangle)."""
+    rng = np.random.default_rng(seed)
+    t = math.exp(rng.uniform(math.log(0.2), math.log(30.0)))
+    xs = rng.uniform(0.001, 3.0, 24) * rng.choice([-1.0, 1.0], 24)
+    xs = rng.permutation(np.concatenate([xs, rng.choice(xs, 6)]))
+    np.testing.assert_allclose(solution_grid(quartic, (t,), xs)[0],
+                               solution_profile(quartic, t, xs),
+                               rtol=0.0, atol=5e-5)
+
+
+def _row_loop_grid(model, times, xs, n_orbits):
+    """solution_grid's rows as first written, for times from 0: every
+    position interpolated in its own order, and the alive orbits
+    gathered by mask for each array."""
+    q0, p0 = _arc_batch(model, float(np.max(np.abs(xs))), n_orbits)
+    Q, P, dead = integrate_batch(model, q0, p0, times, retire=True)
+    pos = np.abs(xs)
+    g_pos = model.g(pos)
+    s0 = arc_encode(q0, p0)
+    U = np.empty((times.size, xs.size))
+    for i, t in enumerate(times):
+        if t == 0.0:
+            U[i] = 2.0
+            continue
+        alive = ~dead[i]
+        order = np.argsort(Q[i, alive])
+        qs = Q[i, alive][order]
+        ps = P[i, alive][order]
+        a, b = arc_decode(np.interp(pos, qs, s0[alive][order]))
+        shell = np.sqrt(np.maximum(2.0 * (model.h(a, b) - g_pos), 0.0))
+        p_lin = np.interp(pos, qs, ps)
+        k = np.clip(np.searchsorted(qs, pos), 1, qs.size - 1)
+        turning = ps[k - 1] * ps[k] < 0.0
+        U[i] = np.where(turning, p_lin, np.copysign(shell, p_lin))
+    return np.negative(U, out=U, where=xs[None, :] < 0.0)
+
+
+def test_grid_rows_keep_the_row_loop_bits(quartic):
+    """Interpolating each distinct |x| once, in sorted order, and
+    gathering the alive orbits once by index give the row loop's bits on
+    shuffled positions that repeat and are not mirrored."""
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(0.001, 3.0, 300) * rng.choice([-1.0, 1.0], 300)
+    xs = rng.permutation(np.concatenate([xs, xs[:40], xs[:5]]))
+    times = np.array([0.0, 0.4, 1.3, 2.6, 7.0])
+    got = solution_grid(quartic, times, xs, n_orbits=2048)
+    want = _row_loop_grid(quartic, times, xs, 2048)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_homogeneous_routes_give_the_rarefaction_fan(homog):
     """With g = 0 the solution is the fan u = x / t inside |x| < 2t and
     the datum outside; the shooting route solves it in closed form and
@@ -388,7 +445,7 @@ def test_a_grid_holds_its_output_once(quartic):
     assert peak < 2 * U.nbytes
 
 
-@settings(derandomize=True, database=None, deadline=5000, max_examples=50)
+@settings(deadline=5000, max_examples=50)
 @given(st.lists(st.floats(0.0, 5.0), max_size=6),
        st.lists(st.tuples(st.floats(0.001, 4.0), st.booleans()),
                 min_size=1, max_size=12),

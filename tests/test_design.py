@@ -374,13 +374,33 @@ def test_rays_csv_layout(capsys, tmp_path):
     ([0.0, 1.0], [0.0, np.nan], (), "finite"),
     ([0.0, 1.0], [0.0, 0.0], (Jump(1.0, 1.0, -1.0),), "collides"),
     ([-0.5, 0.5], [0.5, -0.5], (Jump(0.0, 0.5, -0.5), Jump(0.0, 0.2, -0.2)),
-     "two jumps are tagged at x=0.0")])
+     "two jumps are tagged at x=0.0"),
+    ([-0.5, 0.5], [0.5, -0.5], (Jump(1e-12, 0.2, -0.2), Jump(0.0, 0.5, -0.5)),
+     "two jumps are tagged at x=0.0 and x=1e-12"),
+    ([-0.5, 5e-13], [0.5, -0.5], (Jump(0.0, 0.5, -0.5),), "collides")])
 def test_profiles_refuse_malformed_samples(xs, ws, jumps, match):
     """Two jumps at one x used to share the footprint pair (1, 2), and
     ``sample`` interpolated on an axis that is not monotone, giving +-0.02
-    at x = -+1e-13, neither jump's side value."""
+    at x = -+1e-13, neither jump's side value.  So did jumps or a sample
+    closer than a tag's side points at x -+ 1e-12: the jumps at 0 and
+    1e-12 below sampled 0.0 at x = 0, none of their side values."""
     with pytest.raises(DomainError, match=match):
         Profile(np.array(xs), np.array(ws), jumps)
+
+
+def test_jumps_apart_sample_on_a_monotone_axis():
+    """Jumps 1e-4 apart each keep their side values, and the profile
+    between them falls as its samples and tags do."""
+    w = Profile(np.array([-0.5, 0.5]), np.array([0.5, -0.5]),
+                (Jump(1e-4, 0.2, 0.1), Jump(0.0, 0.4, 0.3)))
+    x = np.concatenate([np.linspace(-0.5, 0.5, 2001),
+                        [-1e-12, 1e-12, 1e-4 - 1e-12, 1e-4 + 1e-12]])
+    x.sort()
+    u = w.sample(x)
+    assert np.all(np.diff(u) <= 0.0)
+    np.testing.assert_allclose(w.sample([-1e-12, 1e-12, 1e-4 - 1e-12,
+                                         1e-4 + 1e-12]),
+                               [0.4, 0.3, 0.2, 0.1], rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, np.inf])

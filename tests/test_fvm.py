@@ -9,11 +9,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetclaw import fvm
 from hetclaw.charsol import asymptotic_profile, solution_grid
 from hetclaw.design import footprint, profile_from_solution, reconstruct_vertex
-from hetclaw.errors import DomainError, NonFinite, NotFound
+from hetclaw.errors import DomainError, HetclawError, NonFinite, NotFound
 from hetclaw.fvm import (
     DEFAULT_CFL,
     CellField,
@@ -270,13 +272,15 @@ def test_invariant_region_bound(staged_run):
 
 # ===== Reference march =====
 
-def _reference_march(model, u0, t_final, marks=()):
+def _reference_march(model, u0, t_final, marks=(), tol=1e-14):
     """The scheme as first written: fresh arrays every step, zero-gradient
-    ghosts on both sides, the whole grid.  Yields (t, dt, u, mark)."""
+    ghosts on both sides, the whole grid.  Yields (t, dt, u, mark).
+    ``tol`` is the landing tolerance; the march's own shrinks with a
+    horizon below 1."""
     u, dx = u0.values, u0.grid.dx
     source = model.g_prime(u0.grid.centers())
     t, pending = 0.0, sorted(m for m in marks if m > 0.0)
-    while t < t_final - 1e-14:
+    while t < t_final - tol:
         horizon = pending[0] if pending else t_final
         dt = min(DEFAULT_CFL * dx / max(float(np.max(np.abs(u))), 1.0),
                  horizon - t, t_final - t)
@@ -285,7 +289,7 @@ def _reference_march(model, u0, t_final, marks=()):
         u = u - (dt / dx) * (flux[1:] - flux[:-1]) - dt * source
         t += dt
         mark = None
-        if pending and t >= pending[0] - 1e-14:
+        if pending and t >= pending[0] - tol:
             mark = pending.pop(0)
         yield t, dt, u, mark
 
@@ -431,6 +435,66 @@ def test_the_march_updates_only_the_cells_that_can_change(quartic,
     steps = evolve(quartic, u0, 1.6).steps
     assert len(updated) == steps
     assert sum(updated) < 0.5 * steps * grid.n
+
+
+def _drawn_datum(kind, x, seed):
+    """A datum random in +-3, the step datum, or a random one odd to the
+    bit: u[i] = -u[n-1-i], with +0.0 where the two halves meet."""
+    if kind == "step":
+        return _odd_step(x)
+    w = np.random.default_rng(seed).uniform(-3.0, 3.0, x.size)
+    return w if kind == "random" else 0.5 * (w - w[::-1])
+
+
+def test_drawn_marches_match_the_reference_to_the_bit(quartic, monkeypatch):
+    """On drawn grids, data, horizons and marks, ``evolve`` equals the
+    plain march to the bit, or refuses a mark past its horizon with a
+    HetclawError before the first step.  The draws include half marches
+    and windows measured anew while narrower than the grid, where the
+    window's operand views are rebuilt."""
+    windows, halves = [], []
+    measure = _March._window
+
+    def recording(self):
+        window = measure(self)
+        windows[-1].add(window[:2])
+        return window
+
+    monkeypatch.setattr(_March, "_window", recording)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.booleans(), st.integers(4, 600), st.floats(-5.0, 1.0),
+           st.floats(1.0, 8.0), st.sampled_from(["random", "step", "odd"]),
+           st.integers(0, 2**32 - 1), st.floats(0.0, 2.0),
+           st.lists(st.floats(0.0, 1.1), max_size=5))
+    def check(symmetric, n, left, width, kind, seed, t_final, fractions):
+        grid = (Grid1D(-0.5 * width, 0.5 * width, n) if symmetric
+                else Grid1D(left, left + width, n))
+        u0 = CellField(grid, _drawn_datum(kind, grid.centers(), seed))
+        marks = sorted({f * t_final for f in fractions})
+        if marks and marks[-1] > t_final:
+            with pytest.raises(HetclawError):
+                evolve(quartic, u0, t_final, snapshot_times=marks)
+            return
+        windows.append(set())
+        halves.append(_March(quartic, u0, t_final, DEFAULT_CFL).half)
+        result = evolve(quartic, u0, t_final, snapshot_times=marks)
+        steps = list(_reference_march(quartic, u0, t_final, marks,
+                                      tol=1e-14 * min(t_final, 1.0)))
+        expected = [(m, u) for _, _, u, m in steps if m is not None]
+        if 0.0 in marks:
+            expected.insert(0, (0.0, u0.values))
+        assert result.steps == len(steps)
+        final = steps[-1][2] if steps else u0.values
+        np.testing.assert_array_equal(_bits(result.final.values),
+                                      _bits(final))
+        assert [t for t, _ in result.snapshots] == [t for t, _ in expected]
+        for (_, got), (_, want) in zip(result.snapshots, expected):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    check()
+    assert any(halves) and not all(halves)
+    assert any(len(seen) > 1 for seen in windows)
 
 
 def test_a_non_finite_update_stops_the_march(quartic):
