@@ -32,10 +32,11 @@ ENERGY_TOL = 1e-8
 # ceiling on the steps of one march: about 20 s of scalar marching
 _MAX_STEPS = 10**7
 # ceiling on a batch march's steps x (orbits + _STEP_COST_ORBITS): 3.3x the
-# asymptotics raster (9,217 orbits over 30,000 steps), about 20 s at ~20 ns
-# per orbit-step of the in-place kernel (2-core x86 host); a step's fixed
-# numpy cost (~30-40 us) is charged as 1,000 orbits, so a narrow batch is
-# bounded by about 35 s
+# asymptotics raster (9,217 orbits over 30,000 steps), about 19 s at the
+# in-place kernel's 18-21 ns per orbit-step (9,217 to 20,000 orbits, 2-core
+# x86 host); a step's fixed numpy cost (29-34 us for one orbit) is charged
+# as 1,000 orbits, so a narrow batch is bounded by about 30 s.  A mirrored
+# batch marches half its orbits and is charged for all of them.
 _MAX_ORBIT_STEPS = 10**9
 _STEP_COST_ORBITS = 1000
 # steps between two sortings of a batch into free, moving and retired orbits
@@ -125,40 +126,50 @@ def _rk4_rows(model: HamiltonianModel, q, p, spans, lowest=None):
     ``lowest`` (shaped like q) the running minimum of q is folded into it
     after every step.  Each yielded pair is a fresh copy.
 
-    Stage block i holds [q_i; p_i; -g'(q_i)], so rows 0:2 are the stage
-    state and rows 1:3 its slope (k_q is the stage's p); block 0's state
-    is the march's own.  The operations are rk4_step's, in its order.
+    The stages' positions, momenta and forces fill three (4, n) blocks,
+    whose row 0 holds the march's own state.  A stage's position needs
+    only the momentum before it, so the force takes two calls per step,
+    each on two contiguous rows: at [q1; q2], then at [q3; q4].  The
+    operations are rk4_step's, in its order.
     """
-    z = np.empty((4, 3, q.size))
-    z[0, 0], z[0, 1] = q, p
-    y, q1, f1 = z[0, :2], z[0, 0], z[0, 2]
-    k1, k2, k3, k4 = z[:, 1:]
-    acc = np.empty((2, q.size))
+    qs, ps, fs = (np.empty((4, q.size)) for _ in range(3))
+    qs[0], ps[0] = q, p
+    q1, q2, q3, q4 = qs
+    p1, p2, p3, p4 = ps
+    f3 = fs[2]
+    first, last = (qs[:2], fs[:2]), (qs[2:], fs[2:])
+    f12, p23 = fs[:2], ps[1:3]
+    # y + h * (((k1 + 2 k2) + 2 k3) + k4) / 6, summed in k2's row: q's
+    # slopes are the stage momenta, p's the stage forces
+    sums = [(q1, p23, p1, p2, p3, p4), (p1, fs[1:3], *fs)]
     force = model.force
     for n, h in spans:
         a = 0.5 * h
-        # blocks 1-3: (stage state, its q and force rows, the slope and
-        # the step that lead to it from y)
-        stages = [(z[i, :2], z[i, 0], z[i, 2], z[i - 1, 1:], c)
-                  for i, c in ((1, a), (2, a), (3, h))]
         for _ in range(n):
-            force(q1, f1)
-            for state, qi, fi, slope, c in stages:
-                np.multiply(c, slope, out=state)
-                np.add(y, state, out=state)
-                force(qi, fi)
-            # y + h * (((k1 + 2 k2) + 2 k3) + k4) / 6
-            np.multiply(2.0, k2, out=acc)
-            np.add(k1, acc, out=acc)
-            np.multiply(2.0, k3, out=k3)
-            np.add(acc, k3, out=acc)
-            np.add(acc, k4, out=acc)
-            np.multiply(h, acc, out=acc)
-            np.divide(acc, 6.0, out=acc)
-            np.add(y, acc, out=y)
+            np.multiply(a, p1, out=q2)
+            np.add(q1, q2, out=q2)
+            force(*first)
+            np.multiply(a, f12, out=p23)
+            np.add(p1, p2, out=p2)
+            np.add(p1, p3, out=p3)
+            np.multiply(a, p2, out=q3)
+            np.add(q1, q3, out=q3)
+            np.multiply(h, p3, out=q4)
+            np.add(q1, q4, out=q4)
+            force(*last)
+            np.multiply(h, f3, out=p4)
+            np.add(p1, p4, out=p4)
+            for y, middle, k1, k2, k3, k4 in sums:
+                np.multiply(2.0, middle, out=middle)
+                np.add(k1, k2, out=k2)
+                np.add(k2, k3, out=k2)
+                np.add(k2, k4, out=k2)
+                np.multiply(h, k2, out=k2)
+                np.divide(k2, 6.0, out=k2)
+                np.add(y, k2, out=y)
             if lowest is not None:
                 np.minimum(lowest, q1, out=lowest)
-        yield q1.copy(), z[0, 1].copy()
+        yield q1.copy(), p1.copy()
 
 
 def _certify(model: HamiltonianModel, q0, p0, q, p) -> float:
@@ -234,6 +245,27 @@ def terminal_batch(model: HamiltonianModel, q0, p0, t: float,
     return Q[-1], P[-1]
 
 
+def _mirror(model: HamiltonianModel, q, p) -> int:
+    """The number of leading orbits that mirror the trailing ones:
+    q.size // 2 where the force is odd (``model.odd``) and 0.0 - q[::-1]
+    and 0.0 - p[::-1] are q and p to the bit, else 0.
+
+    Under an odd force RK4's operations commute with negation, but for
+    the sign of a zero that a sum yields.  A sum is -0.0 only where both
+    terms are, and every state update adds to the state, so a state is
+    -0.0 only after a -0.0.  A mirror pair holds no -0.0 (0.0 - x never
+    is), so the left orbit of a pair marches to 0.0 - its right
+    partner, to the bit.
+    """
+    if not model.odd:
+        return 0
+    for a in (q, p):
+        if not np.array_equal((0.0 - a[::-1]).view(np.int64),
+                              a.view(np.int64)):
+            return 0
+    return q.size // 2
+
+
 def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
                     dt_max: float = DEFAULT_DT, retire: bool = False):
     """March a batch of orbits, recording states at the given times.
@@ -247,8 +279,9 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
     step leaves p and adds to q a closed form in p and h.  With
     ``retire``, an orbit whose q has dropped below 0 at any step is never
     stepped again, and a third boolean array flags its stale entries.  The
-    rest take the RK4 march.  Every unflagged entry keeps the full march's
-    bits.
+    rest take the RK4 march.  Without ``retire``, a batch of mirror pairs
+    (see :func:`_mirror`) marches only its right half and unfolds the left
+    one.  Every unflagged entry keeps the full march's bits.
     """
     rt = np.asarray(record_times, dtype=float)
     if not rt.size or rt[0] != 0.0:
@@ -268,11 +301,13 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
     Q = np.empty((len(rt), q.size))
     P = np.empty_like(Q)
     retired = np.zeros(Q.shape, dtype=bool) if retire else None
-    lowest = q.copy() if retire else None
-    gone = np.zeros(q.size, dtype=bool)
     # the leading zero duration takes no step, so row 0 is the launch
     spans = [_split(span, dt_max) for span in [0.0, *gaps]]
     _budget(sum(n for n, _ in spans), q.size)
+    m = 0 if retire else _mirror(model, q, p)
+    q, p = q[m:], p[m:]
+    lowest = q.copy() if retire else None
+    gone = np.zeros(q.size, dtype=bool)
     for k, (n, h) in enumerate(spans):
         for start in range(0, n, _REGROUP):
             c = min(_REGROUP, n - start)
@@ -292,11 +327,15 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
                 for _ in range(c):
                     qf += inc
                 q[free] = qf
-        Q[k] = q
-        P[k] = p
+        Q[k, m:] = q
+        P[k, m:] = p
         if retire:
             retired[k] = gone
-    _certify(model, Q[0], P[0], q, p)
+    if m:
+        # the left half is 0.0 - the right one reversed, as fvm._unfold
+        np.subtract(0.0, Q[:, :-m - 1:-1], out=Q[:, :m])
+        np.subtract(0.0, P[:, :-m - 1:-1], out=P[:, :m])
+    _certify(model, Q[0], P[0], Q[-1], P[-1])
     return (Q, P, retired) if retire else (Q, P)
 
 

@@ -10,7 +10,7 @@ the dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -84,7 +84,8 @@ class HamiltonianModel:
 
     The callables accept floats or numpy arrays.  ``force(x, out=None)``
     returns -g'(x), and writes it into the float array ``out`` of x's
-    shape when given, as the batch RK4 march reads it; :meth:`g_prime`
+    shape when given, as the batch RK4 march reads it on blocks of two
+    rows; :meth:`g_prime`
     negates it.  Construction raises DomainError where ``force(x, out)``
     writes other bits than ``force(x)`` returns on fixed probe points.
     ``flat_value`` is the constant value of g outside
@@ -96,6 +97,9 @@ class HamiltonianModel:
     (g(cutoff - d_top) - g(cutoff - d)) / (d - d_top), or g' where the two
     coincide; it must keep full precision as the points merge and next
     to the cutoff, since the arrival-time quadratures rest on it.
+    Construction raises DomainError where g(-x) != g(x) on a probe.
+    ``odd`` tells whether force(-x) == -force(x) on every probe, zeros of
+    either sign matching; a batch march mirrors its launches only then.
     A model equals only itself, so caches keyed by it never mix two up.
     """
 
@@ -105,26 +109,36 @@ class HamiltonianModel:
     chord_slope: Callable
     cutoff: float
     flat_value: float
+    odd: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        # The batch march reads the force through out, the rest its return.
-        out = np.full_like(_FORCE_PROBES, np.nan)
-        self.force(_FORCE_PROBES, out)
-        force = np.asarray(self.force(_FORCE_PROBES), dtype=float)
+        # The batch march reads the force through out, on a block of rows,
+        # and the rest its return.
+        x = np.stack([_FORCE_PROBES, -_FORCE_PROBES])
+        out = np.full_like(x, np.nan)
+        self.force(x, out)
+        force = np.asarray(self.force(x), dtype=float)
         bad = out.view(np.int64) != force.view(np.int64)
         if np.any(bad):
             raise DomainError(
                 f"model {self.name!r}: force(x, out) writes other bits than "
-                f"force(x) returns at x={float(_FORCE_PROBES[bad][0])!r}")
+                f"force(x) returns at x={float(x[bad][0])!r}")
         # Free flight moves an orbit past the cutoff in a straight line.
-        g = np.asarray(self.g(_FORCE_PROBES), dtype=float)
+        g = np.asarray(self.g(x), dtype=float)
         bad = ((np.abs(_FORCE_PROBES) > self.cutoff)
-               & ((g != self.flat_value) | (force != 0.0)))
+               & ((g[0] != self.flat_value) | (force[0] != 0.0)))
         if np.any(bad):
             raise DomainError(
                 f"model {self.name!r}: tail is not flat at "
                 f"x={float(_FORCE_PROBES[bad][0])!r}; past the cutoff g must "
                 f"be flat_value and g' zero")
+        # charsol's odd reflection takes g to be even.
+        bad = g[1] != g[0]
+        if np.any(bad):
+            raise DomainError(
+                f"model {self.name!r}: g is not even at "
+                f"x={float(_FORCE_PROBES[bad][0])!r}; g(-x) must be g(x)")
+        object.__setattr__(self, "odd", bool(np.all(force[1] == -force[0])))
 
     def g_prime(self, x):
         """The gradient g'(x), minus the force."""

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import itertools
 import math
 import os
@@ -11,16 +12,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hetclaw.errors import DomainError, EnergyDrift, HetclawError, \
     NonFinite
-from hetclaw.model import MODELS, quartic_well
+from hetclaw.model import MODELS, HamiltonianModel, quartic_well
 from hetclaw.flow import (
     DEFAULT_DT,
     ENERGY_TOL,
+    _MAX_ORBIT_STEPS,
+    _STEP_COST_ORBITS,
     Trajectory,
+    _mirror,
     _rk4_rows,
     _split,
     crossing_events,
@@ -448,6 +452,22 @@ def test_array_march_is_rk4_step_to_the_bit(name, spans):
                        for a in (qa, pa) for b in (qb, pb))
 
 
+def test_an_array_step_makes_two_force_calls(quartic):
+    """Stage 2's position needs only the state and stage 4's only stage
+    2's force, so a step reads the force at two pairs of rows."""
+    shapes = []
+
+    def force(x, out=None):
+        shapes.append(x.shape)
+        return quartic.force(x, out)
+
+    model = dataclasses.replace(quartic, name="counted", force=force)
+    shapes.clear()
+    q0, p0 = np.linspace(-1.2, 1.2, 7), np.linspace(0.9, -0.9, 7)
+    list(_rk4_rows(model, q0, p0, [(5, 1e-3), (3, -1e-3)]))
+    assert shapes == [(2, 7)] * 16
+
+
 def _kernel_rows(model, q0, p0, record):
     """The bare RK4 kernel over integrate_batch's spans, every orbit
     stepped every step."""
@@ -481,6 +501,145 @@ def test_batch_march_keeps_the_kernel_bits(quartic, record):
     np.testing.assert_array_equal(_bits(P), _bits(KP))
     assert (Q < 0.0).any()
     assert ((Q[-1] >= quartic.cutoff) & (P[-1] * record[-1] >= 0.0)).any()
+
+
+# ===== Mirrored launches =====
+
+def _widths(march):
+    """Run ``march`` and return its result and the set of batch widths
+    that integrate_batch sorted into free and moving orbits."""
+    seen = set()
+    flies_free = HamiltonianModel.flies_free
+
+    def spy(self, q, v):
+        seen.add(q.size)
+        return flies_free(self, q, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HamiltonianModel, "flies_free", spy)
+        result = march()
+    return result, seen
+
+
+def _unmirrored(model, q0, p0, record):
+    """integrate_batch with a launch at (9, 0.5) appended and its column
+    dropped: that launch has no mirror in the batch, so every orbit is
+    marched, and an orbit's bits do not depend on its batch."""
+    Q, P = integrate_batch(model, np.append(q0, 9.0), np.append(p0, 0.5),
+                           record)
+    return Q[:, :-1], P[:, :-1]
+
+
+EDGE_Q = [0.0, -0.0, 1.0, -1.0, 1.0 - 2.0**-53, 1.5, -1.5, 2.5, -2.5]
+EDGE_P = [0.0, -0.0, 0.7, -0.7, 1.3, -1.3]
+LAUNCH = st.tuples(st.one_of(st.sampled_from(EDGE_Q), st.floats(-3.0, 3.0)),
+                   st.one_of(st.sampled_from(EDGE_P), st.floats(-2.0, 2.0)))
+
+
+# Five marches of up to 500 steps at 20-60 us a step (2-core x86 host).
+@settings(deadline=5000, max_examples=30)
+@given(name=st.sampled_from(sorted(MODELS)), sign=st.sampled_from([1, -1]),
+       right=st.lists(LAUNCH, min_size=1, max_size=12),
+       centre=st.booleans(), first=st.floats(0.01, 0.2),
+       gaps=st.lists(st.floats(0.0, 0.15), max_size=2),
+       moved=st.integers(0, 24))
+@example(name="quartic", sign=-1,
+         right=[(0.0, 0.7), (1.0, 0.0), (1.5, 0.7), (1.5, -0.7), (2.5, 1.3),
+                (-1.0, -1.3), (1.0 - 2.0**-53, 0.0)],
+         centre=True, first=0.2, gaps=[0.0, 0.15], moved=3)
+@example(name="homogeneous", sign=1,
+         right=[(0.0, 0.0), (1.5, 0.7), (1.5, -0.7), (-2.5, 1.3)],
+         centre=False, first=0.1, gaps=[0.1], moved=0)
+def test_mirrored_launches_march_once_to_the_bit(name, sign, right, centre,
+                                                 first, gaps, moved):
+    """A batch of mirror pairs, the launches 0.0 - x of the right half
+    reversed before it, with the rest launch (+0, +0) between them or
+    not, marches only its right half, yet every record row is the two
+    halves' own unmirrored marches to the bit.  A -0.0 launch has no
+    mirror (0.0 - -0.0 is +0.0), so its batch takes the full march; so
+    does the batch with one launch moved by one ulp, and every retiring
+    march."""
+    model = MODELS[name]()
+    rq, rp = map(np.array, zip(*right))
+    mid = [0.0] if centre else []
+    q0 = np.concatenate([0.0 - rq[::-1], mid, rq])
+    p0 = np.concatenate([0.0 - rp[::-1], mid, rp])
+    n, m = q0.size, rq.size
+    record = sign * np.cumsum([0.0, first, *gaps])
+    (Q, P), seen = _widths(lambda: integrate_batch(model, q0, p0, record))
+    halves = [_unmirrored(model, q0[:m], p0[:m], record),
+              _unmirrored(model, q0[m:], p0[m:], record)]
+    for k, got in enumerate((Q, P)):
+        want = np.hstack([half[k] for half in halves])
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    launches = np.concatenate([rq, rp])
+    signed_zero = ((launches == 0.0) & np.signbit(launches)).any()
+    assert seen == {n if signed_zero else n - m}
+
+    q1 = q0.copy()
+    q1[moved % n] = np.nextafter(q1[moved % n], np.inf)
+    (Q1, P1), seen = _widths(lambda: integrate_batch(model, q1, p0, record))
+    assert seen == {n}
+    keep = np.arange(n) != moved % n
+    np.testing.assert_array_equal(_bits(Q1[:, keep]), _bits(Q[:, keep]))
+    np.testing.assert_array_equal(_bits(P1[:, keep]), _bits(P[:, keep]))
+
+    (RQ, RP, stale), seen = _widths(
+        lambda: integrate_batch(model, q0, p0, record, retire=True))
+    assert seen == {n}
+    np.testing.assert_array_equal(_bits(RQ[~stale]), _bits(Q[~stale]))
+    np.testing.assert_array_equal(_bits(RP[~stale]), _bits(P[~stale]))
+
+
+def test_an_uneven_force_marches_every_orbit(quartic):
+    """The quartic force scaled by 1 + 1e-12 at x > 0 keeps the energy
+    within the certificate but is not odd: a mirrored batch under it
+    marches every orbit, and its left half is no mirror of its right."""
+    def force(x, out=None):
+        return np.multiply(np.where(x > 0.0, 1.0 + 1e-12, 1.0),
+                           quartic.force(x), out=out)
+
+    model = dataclasses.replace(quartic, name="uneven", force=force)
+    assert not model.odd
+    right = np.linspace(0.05, 0.95, 10)
+    q0 = np.concatenate([0.0 - right[::-1], right])
+    p0 = np.concatenate([np.full(10, -0.4), np.full(10, 0.4)])
+    assert _mirror(quartic, q0, p0) == 10 and _mirror(model, q0, p0) == 0
+    record = [0.0, 1.0]
+    (Q, P), seen = _widths(lambda: integrate_batch(model, q0, p0, record))
+    assert seen == {20}
+    halves = [_unmirrored(model, q0[:10], p0[:10], record),
+              _unmirrored(model, q0[10:], p0[10:], record)]
+    np.testing.assert_array_equal(_bits(Q), _bits(np.hstack(
+        [half[0] for half in halves])))
+    assert (_bits(Q[-1, :10]) != _bits(0.0 - Q[-1, :9:-1])).any()
+
+
+def test_a_mirrored_batch_is_charged_for_every_orbit(quartic):
+    """333,334 steps of 2,000 orbits are just over the orbit-step ceiling,
+    though the 1,000 orbits a mirrored batch marches would fit under it.
+    The mirrored batch gets its unmirrored twin's refusal, before any
+    step."""
+    steps, orbits = 333334, 2000
+    assert (steps * (orbits // 2 + _STEP_COST_ORBITS) <= _MAX_ORBIT_STEPS
+            < steps * (orbits + _STEP_COST_ORBITS))
+    right = np.linspace(0.05, 0.95, orbits // 2)
+    q0 = np.concatenate([0.0 - right[::-1], right])
+    p0 = np.concatenate([np.full(orbits // 2, -0.4),
+                         np.full(orbits // 2, 0.4)])
+    twin = q0.copy()
+    twin[0] = np.nextafter(twin[0], np.inf)
+    assert _mirror(quartic, q0, p0) == orbits // 2
+    assert _mirror(quartic, twin, p0) == 0
+    start = time.perf_counter()
+    refusals = []
+    for q in (q0, twin):
+        with pytest.raises(DomainError, match="orbit-steps") as err:
+            integrate_batch(quartic, q, p0, [0.0, -float(steps)], dt_max=1.0)
+        refusals.append(str(err.value))
+    assert time.perf_counter() - start < 1.0
+    assert refusals[0] == refusals[1]
+    assert f"march of {orbits} orbits" in refusals[0]
 
 
 def test_rk4_step_has_one_call_site():

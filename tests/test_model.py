@@ -253,3 +253,29 @@ def test_unbounded_potential_is_flagged():
                          force=lambda x, out=None: np.negative(np.sign(x), out=out),
                          chord_slope=lambda d, d_top: np.ones(np.broadcast(d, d_top).shape),
                          cutoff=1.0, flat_value=1.0)
+
+
+def _tilted_g(x):
+    y = 1.0 - x * x
+    return np.where(y > 0.0, 1.0 - y**4 * (1.0 + 0.5 * x), 1.0)
+
+
+def _tilted_force(x, out=None):
+    y = 1.0 - x * x
+    slope = 8.0 * x * y**3 * (1.0 + 0.5 * x) - 0.5 * y**4
+    return np.negative(np.where(y > 0.0, slope, 0.0), out=out)
+
+
+def test_an_uneven_well_is_refused():
+    """The solution's odd reflections and the mirrored batch march take g
+    to be even.  A well tilted by 1 + x/2 inside the cutoff and flat past
+    it, with its own force, used to be built and solved as if it were
+    even; construction names the first probe where g(-x) != g(x)."""
+    with pytest.raises(DomainError,
+                       match="'tilted': g is not even at x=") as err:
+        HamiltonianModel(name="tilted", g=_tilted_g, force=_tilted_force,
+                         chord_slope=lambda d, d_top: np.ones(
+                             np.broadcast(d, d_top).shape),
+                         cutoff=1.0, flat_value=1.0)
+    x = float(re.search(r"at x=(\S+);", str(err.value)).group(1))
+    assert 0.9 < abs(x) < 1.0
