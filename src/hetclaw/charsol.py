@@ -135,7 +135,8 @@ def solution_grid(model: HamiltonianModel, times, xs,
     and the value is the momentum on the interpolated launch energy's
     shell at x, with the sign of the neighbouring orbits.  Between two
     orbits on opposite sides of a turning point the momentum itself is
-    interpolated.  Odd reflection negates the x < 0 columns in place.
+    interpolated.  Odd reflection negates the x < 0 columns in place; a
+    model whose force is not odd is refused there, after the march.
     No shooting is involved, so the raster is an independent check of
     the point route.
     Times and positions must be finite 1-D arrays; positions must avoid
@@ -171,6 +172,9 @@ def solution_grid(model: HamiltonianModel, times, xs,
                    f"a grid of {record.size} times x ({q0.size} orbits + "
                    f"{xs.size} positions)")
     Q, P, dead = integrate_batch(model, q0, p0, record, retire=True)
+    if not model.odd and np.any(xs < 0.0):
+        raise DomainError(f"model {model.name!r}: the force is not odd, so "
+                          f"u at x < 0 is no odd reflection of x > 0")
     if record.size != times.size:
         Q, P, dead = Q[1:], P[1:], dead[1:]
 

@@ -13,7 +13,6 @@ model, where all rays are straight lines.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,9 +29,9 @@ COLLAPSE_TOL = 1e-4
 # The crossing scan compares every pair of rays, so its time grows as the
 # square of the ray count.
 MAX_RAYS = 1000
-# Crossings one fan may report.  The list grows with the horizon as well
-# as with the square of the ray count; the CLI's largest fan, 1,000 rays
-# to t = 4, reports about 1.2 million.
+# Crossings one fan may report.  Their count grows with the horizon and
+# with the square of the ray count; the CLI's largest fan, 1,000 rays to
+# t = 4, reports about 1.2 million.
 _MAX_CROSSINGS = 2_000_000
 # offset of a tagged jump's one-sided side points from its x
 _SIDE = 1e-12
@@ -86,14 +85,23 @@ class Profile:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ws", ws)
 
+    def _merged(self, side: float):
+        """The samples and each tag's w_minus at x - side and w_plus at
+        x + side, stably sorted onto one axis (minus first where they
+        coincide), with the index of each tag's minus side.  Side 0 takes
+        the tags as they are: x + 0.0 would turn -0.0 into +0.0."""
+        x, w_minus, w_plus = np.reshape(
+            [(j.x, j.w_minus, j.w_plus) for j in self.jumps], (-1, 3)).T
+        axis = np.concatenate([self.xs, x - side, x + side] if side
+                              else [self.xs, x, x])
+        values = np.concatenate([self.ws, w_minus, w_plus])
+        order = np.argsort(axis, kind="stable")
+        rank = np.argsort(order, kind="stable")
+        return axis[order], values[order], rank[self.xs.size:][:x.size]
+
     def sample(self, x):
         """Interpolate at x, honoring jump tags via one-sided side points."""
-        xp, vp = self.xs, self.ws
-        for j in self.jumps:
-            k = np.searchsorted(xp, j.x)
-            xp = np.insert(xp, k, (j.x - _SIDE, j.x + _SIDE))
-            vp = np.insert(vp, k, (j.w_minus, j.w_plus))
-        return np.interp(np.asarray(x, dtype=float), xp, vp)
+        return np.interp(np.asarray(x, dtype=float), *self._merged(_SIDE)[:2])
 
 
 def profile_from_solution(model: HamiltonianModel, t: float, xs) -> Profile:
@@ -148,20 +156,10 @@ def footprint(model: HamiltonianModel, t: float,
     """
     if not 0.0 < t < np.inf:
         raise DomainError(f"horizon must be positive and finite, got {t}")
-    launches = [(x, v) for x, v in zip(w.xs, w.ws)]
-    for j in w.jumps:
-        launches.append((j.x, j.w_minus))
-        launches.append((j.x, j.w_plus))
-    # jump sides keep their minus-then-plus order under a stable sort
-    launches.sort(key=lambda pair: pair[0])
-    xs = np.array([x for x, _ in launches])
-    ws = np.array([v for _, v in launches])
-    pairs = []
-    for j in w.jumps:
-        i = int(np.searchsorted(xs, j.x))
-        pairs.append((i, i + 1))
+    xs, ws, minus = w._merged(0.0)
     feet, p0 = terminal_batch(model, xs, ws, -t)
-    return FootprintMap(model, t, xs, ws, feet, p0, tuple(pairs))
+    return FootprintMap(model, t, xs, ws, feet, p0,
+                        tuple((i, i + 1) for i in minus.tolist()))
 
 
 # ===== Reports =====
@@ -208,7 +206,7 @@ def monotone_test(fm: FootprintMap) -> DesignReport:
 def reconstruct_vertex(fm: FootprintMap) -> Profile:
     """Candidate initial datum: the momentum graph over the feet.
 
-    Feet clustering within ``COLLAPSE_TOL`` while the momentum sweeps a
+    Feet clustering within ``COLLAPSE_TOL`` as the momentum sweeps a
     range are collapsed into a tagged jump (the fan or shock signature);
     elsewhere the graph is kept pointwise and resampled by monotone
     interpolation at evaluation time.
@@ -218,36 +216,26 @@ def reconstruct_vertex(fm: FootprintMap) -> Profile:
         raise NonMonotoneFeet(f"{len(rep.violations)} decreasing feet "
                               f"(worst {min(d for _, d in rep.violations):.3g})")
     feet = np.maximum.accumulate(fm.feet)
-    p0 = fm.p0
+    p0 = np.asarray(fm.p0)
 
-    # maximal runs of feet closer than COLLAPSE_TOL
-    keep_x, keep_w, jumps = [], [], []
-    i = 0
-    n = feet.size
-    while i < n:
-        j = i
-        while j + 1 < n and feet[j + 1] - feet[j] <= COLLAPSE_TOL:
-            j += 1
-        if j > i and abs(p0[j] - p0[i]) > 10.0 * COLLAPSE_TOL:
-            jumps.append(Jump(float(np.mean(feet[i:j + 1])),
-                              float(p0[i]), float(p0[j])))
-        else:
-            for k in range(i, j + 1):
-                keep_x.append(feet[k])
-                keep_w.append(p0[k])
-        i = j + 1
-    if len(keep_x) < 2:
-        raise DomainError(f"{n} feet collapse into {len(jumps)} jumps, "
-                          f"leaving {len(keep_x)} samples; sample the "
+    # maximal runs of feet closer than COLLAPSE_TOL: a step that is not
+    # that close, NaN included, cuts a run, so a NaN foot stays a sample
+    cut = ~(np.diff(feet, prepend=-np.inf, append=np.inf) <= COLLAPSE_TOL)
+    first, last = np.flatnonzero(cut[:-1]), np.flatnonzero(cut[1:])
+    jumped = (last > first) & (abs(p0[last] - p0[first]) > 10 * COLLAPSE_TOL)
+    jumps = tuple(Jump(float(feet[i:j + 1].mean()), float(p0[i]), float(p0[j]))
+                  for i, j in zip(first[jumped], last[jumped]))
+    keep = ~jumped[np.cumsum(cut[:-1]) - 1]
+    xs, ws = feet[keep], p0[keep]
+    if xs.size < 2:
+        raise DomainError(f"{feet.size} feet collapse into {len(jumps)} "
+                          f"jumps, leaving {xs.size} samples; sample the "
                           f"target wider than the collapse")
-
-    xs = np.array(keep_x)
-    ws = np.array(keep_w)
     # nudge ties apart so the profile axis is strictly increasing
     for k in range(1, xs.size):
         if xs[k] <= xs[k - 1]:
             xs[k] = xs[k - 1] + 1e-12
-    return Profile(xs, ws, tuple(jumps))
+    return Profile(xs, ws, jumps)
 
 
 def round_trip(model: HamiltonianModel, t: float, w: Profile, window: tuple,
@@ -353,7 +341,7 @@ def ray_fan(model: HamiltonianModel, t: float, x0: float,
     changes of pairwise differences, refined by linear interpolation.
     A sign change only counts when both sides clear ``tol``: rays
     sharing a foot touch at solver-tolerance scale without crossing,
-    while genuine fan crossings swing far wider.  A ray exits once it
+    whereas genuine fan crossings swing far wider.  A ray exits once it
     leaves the band of the two edge rays by more than ``tol``.
     ``n_rays`` must be an integer from 2 to 1000, and a fan that crosses
     itself more than 2 million times is refused.
@@ -368,24 +356,25 @@ def ray_fan(model: HamiltonianModel, t: float, x0: float,
                                 record)[0][::-1]
     times = t + record[::-1]
 
+    # the refusal reads the running count, before any tuple is built
     rays = positions.T.copy()
-    crossings = []
+    rows, count = [], 0
     for i in range(n_rays - 1):
-        j, s = _crossings_after(rays, i, times, tol)
-        crossings.extend(zip(itertools.repeat(i), j.tolist(), s.tolist()))
-        if len(crossings) > _MAX_CROSSINGS:
+        rows.append(_crossings_after(rays, i, times, tol))
+        count += rows[-1][0].size
+        if count > _MAX_CROSSINGS:
             raise DomainError(f"the fan crosses itself more than "
                               f"{_MAX_CROSSINGS} times; use fewer rays or "
                               f"a shorter horizon")
+    del rays
+    crossings = tuple(c for i, (j, s) in enumerate(rows)
+                      for c in zip([i] * j.size, j.tolist(), s.tolist()))
 
-    lo = np.minimum(positions[:, 0], positions[:, -1]) - tol
-    hi = np.maximum(positions[:, 0], positions[:, -1]) + tol
-    exits = []
-    for k in range(1, n_rays - 1):
-        out = np.nonzero((positions[:, k] < lo) | (positions[:, k] > hi))[0]
-        out = out[(times[out] > 0.0) & (times[out] < t)]
-        if out.size:
-            exits.append((k, float(times[out[0]])))
-
-    return RayFanReport(t, momenta, times, positions,
-                        tuple(crossings), tuple(exits))
+    # each interior ray's first exit strictly inside (0, t)
+    lo = np.minimum(positions[:, :1], positions[:, -1:]) - tol
+    hi = np.maximum(positions[:, :1], positions[:, -1:]) + tol
+    out = (positions[:, 1:-1] < lo) | (positions[:, 1:-1] > hi)
+    out &= ((times > 0.0) & (times < t))[:, None]
+    k = np.flatnonzero(out.any(axis=0))
+    exits = zip((k + 1).tolist(), times[out[:, k].argmax(axis=0)].tolist())
+    return RayFanReport(t, momenta, times, positions, crossings, tuple(exits))

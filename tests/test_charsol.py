@@ -399,6 +399,23 @@ def test_raster_certifies_dead_and_moving_orbits(quartic, below_zero_only):
                       np.array([-0.5, 0.5]), n_orbits=512)
 
 
+def test_a_raster_of_an_uneven_force_refuses_negative_positions(quartic):
+    """The quartic force scaled by 1 + 1e-12 at x > 0 is not odd, so u at
+    x < 0 is no reflection of u at x > 0: a raster asking for x < 0 is
+    refused by the model's name once the march has been certified, where
+    it used to return exactly -u(t, 0.5) at x = -0.5.  Positive positions
+    alone still give the raster."""
+    def force(x, out=None):
+        return np.multiply(np.where(x > 0.0, 1.0 + 1e-12, 1.0),
+                           quartic.force(x), out=out)
+
+    model = dataclasses.replace(quartic, name="uneven", force=force)
+    with pytest.raises(DomainError, match="'uneven': the force is not odd"):
+        solution_grid(model, (0.5, 1.5), np.array([-0.5, 0.5]), n_orbits=512)
+    U = solution_grid(model, (0.5, 1.5), np.array([0.5, 1.0]), n_orbits=512)
+    assert U.shape == (2, 2) and np.all(np.isfinite(U))
+
+
 @pytest.mark.parametrize("n_orbits, times", [
     (4096, [1e5]),     # 1e8 steps in one gap
     (8, [5000.0]),     # 145 orbits over 5e6 steps, about 6 min of march

@@ -1,19 +1,24 @@
 """Inverse design: footprints, vertex reconstruction and ray fans."""
 from __future__ import annotations
 
+import itertools
 import json
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetclaw.charsol import asymptotic_profile
 from hetclaw.cli import main
 from hetclaw.design import (
+    COLLAPSE_TOL,
     FootprintMap,
     Jump,
     Profile,
+    _crossings_after,
     design_report,
     footprint,
     monotone_test,
@@ -22,7 +27,7 @@ from hetclaw.design import (
     reconstruct_vertex,
     round_trip,
 )
-from hetclaw.errors import DomainError, NonMonotoneFeet
+from hetclaw.errors import DomainError, HetclawError, NonMonotoneFeet
 from hetclaw.flow import terminal_batch
 from hetclaw.period import invert_half_period
 
@@ -408,3 +413,309 @@ def test_footprint_needs_a_positive_finite_horizon(quartic, t):
     w = Profile(np.array([0.5, 1.0]), np.array([-1.0, -0.5]))
     with pytest.raises(DomainError, match="horizon"):
         footprint(quartic, t, w)
+
+
+# ===== The bookkeeping's loop references =====
+# The loops the array bookkeeping replaced, kept as first written: the
+# library must give their every bit on drawn profiles, feet and fans.
+
+def _inserted_sample(w, x):
+    """Profile.sample by inserting each tag's side points one at a time."""
+    xp, vp = w.xs, w.ws
+    for j in w.jumps:
+        k = np.searchsorted(xp, j.x)
+        xp = np.insert(xp, k, (j.x - 1e-12, j.x + 1e-12))
+        vp = np.insert(vp, k, (j.w_minus, j.w_plus))
+    return np.interp(np.asarray(x, dtype=float), xp, vp)
+
+
+def _sorted_launches(w):
+    """footprint's launch axis: (x, w) tuples sorted by x, each tag's
+    minus side then found by searchsorted."""
+    launches = [(x, v) for x, v in zip(w.xs, w.ws)]
+    for j in w.jumps:
+        launches.append((j.x, j.w_minus))
+        launches.append((j.x, j.w_plus))
+    launches.sort(key=lambda pair: pair[0])
+    xs = np.array([x for x, _ in launches])
+    ws = np.array([v for _, v in launches])
+    pairs = []
+    for j in w.jumps:
+        i = int(np.searchsorted(xs, j.x))
+        pairs.append((i, i + 1))
+    return xs, ws, tuple(pairs)
+
+
+def _scanned_vertex(fm):
+    """reconstruct_vertex past its monotone test, runs found by a nested
+    while scan."""
+    feet = np.maximum.accumulate(fm.feet)
+    p0 = fm.p0
+    keep_x, keep_w, jumps = [], [], []
+    i = 0
+    n = feet.size
+    while i < n:
+        j = i
+        while j + 1 < n and feet[j + 1] - feet[j] <= COLLAPSE_TOL:
+            j += 1
+        if j > i and abs(p0[j] - p0[i]) > 10.0 * COLLAPSE_TOL:
+            jumps.append(Jump(float(np.mean(feet[i:j + 1])),
+                              float(p0[i]), float(p0[j])))
+        else:
+            for k in range(i, j + 1):
+                keep_x.append(feet[k])
+                keep_w.append(p0[k])
+        i = j + 1
+    if len(keep_x) < 2:
+        raise DomainError(f"{n} feet collapse into {len(jumps)} jumps, "
+                          f"leaving {len(keep_x)} samples; sample the "
+                          f"target wider than the collapse")
+    xs = np.array(keep_x)
+    ws = np.array(keep_w)
+    for k in range(1, xs.size):
+        if xs[k] <= xs[k - 1]:
+            xs[k] = xs[k - 1] + 1e-12
+    return Profile(xs, ws, tuple(jumps))
+
+
+def _listed_crossings(fan, tol=1e-6):
+    """The fan's crossings accumulated as one list of tuples."""
+    rays = fan.positions.T.copy()
+    crossings = []
+    for i in range(rays.shape[0] - 1):
+        j, s = _crossings_after(rays, i, fan.times, tol)
+        crossings.extend(zip(itertools.repeat(i), j.tolist(), s.tolist()))
+    return tuple(crossings)
+
+
+def _looped_exits(fan, tol=1e-6):
+    """The fan's exits found ray by ray."""
+    positions, times = fan.positions, fan.times
+    lo = np.minimum(positions[:, 0], positions[:, -1]) - tol
+    hi = np.maximum(positions[:, 0], positions[:, -1]) + tol
+    exits = []
+    for k in range(1, positions.shape[1] - 1):
+        out = np.nonzero((positions[:, k] < lo) | (positions[:, k] > hi))[0]
+        out = out[(times[out] > 0.0) & (times[out] < fan.horizon)]
+        if out.size:
+            exits.append((k, float(times[out[0]])))
+    return tuple(exits)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _same_profile(a, b):
+    """Two profiles equal to the bit; repr tells -0.0 from 0.0 and keeps
+    every digit of a float."""
+    np.testing.assert_array_equal(_bits(a.xs), _bits(b.xs))
+    np.testing.assert_array_equal(_bits(a.ws), _bits(b.ws))
+    assert repr(a.jumps) == repr(b.jumps)
+
+
+def _drawn_profile(rng):
+    """2 to 12 samples and 0 to 3 tags, in no order, on distinct slots of
+    a 0.1 grid over [-2, 2], scaled by 1 or by 1e5, where a tag's side
+    points x -+ 1e-12 round onto x itself.  Half the profiles with tags
+    tag the slot at 0, half of those at -0.0."""
+    n, m = int(rng.integers(2, 13)), int(rng.integers(0, 4))
+    picks = rng.permutation(41)[:n + m]
+    if m and rng.random() < 0.5:
+        picks[picks == 20] = picks[0]
+        picks[0] = 20
+    slots = np.arange(-20.0, 21.0) * 0.1 * rng.choice([1.0, 1e5])
+    tags = [Jump(-0.0 if x == 0.0 and rng.random() < 0.5 else float(x),
+                 *rng.uniform(-2.0, 2.0, 2).tolist())
+            for x in slots[picks[:m]]]
+    return Profile(np.sort(slots[picks[m:]]), rng.uniform(-2.0, 2.0, n),
+                   tuple(tags))
+
+
+@settings(deadline=5000, max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_the_merged_axis_matches_the_insert_and_sort_loops(quartic, seed):
+    """Sampling a drawn profile, at its samples, its tags, their side
+    points and uniform draws, and launching its footprint give the
+    loops' every bit: the same axis, the same jump pairs as Python ints
+    and, with a tag at -0.0 launched as -0.0, the same feet."""
+    rng = np.random.default_rng(seed)
+    w = _drawn_profile(rng)
+    tags = np.array([j.x for j in w.jumps])
+    x = np.concatenate([w.xs, tags, tags - 1e-12, tags + 1e-12,
+                        rng.uniform(w.xs[0] - 1.0, w.xs[-1] + 1.0, 50)])
+    np.testing.assert_array_equal(_bits(w.sample(x)),
+                                  _bits(_inserted_sample(w, x)))
+    t = float(rng.uniform(0.1, 1.0))
+    fm = footprint(quartic, t, w)
+    xs, ws, pairs = _sorted_launches(w)
+    np.testing.assert_array_equal(_bits(fm.xs), _bits(xs))
+    np.testing.assert_array_equal(_bits(fm.ws), _bits(ws))
+    assert repr(fm.jump_pairs) == repr(pairs)
+    feet, p0 = terminal_batch(quartic, xs, ws, -t)
+    np.testing.assert_array_equal(_bits(fm.feet), _bits(feet))
+    np.testing.assert_array_equal(_bits(fm.p0), _bits(p0))
+
+
+def test_a_tag_at_negative_zero_launches_from_negative_zero(quartic):
+    """x + 0.0 is +0.0 for a tag at -0.0: the footprint takes its tags as
+    they are, so both sides launch from -0.0."""
+    w = Profile(np.array([-1.0, 1.0]), np.array([0.5, -0.5]),
+                (Jump(-0.0, 0.4, -0.4),))
+    fm = footprint(quartic, 1.0, w)
+    assert _bits(fm.xs).tolist() == _bits([-1.0, -0.0, -0.0, 1.0]).tolist()
+    assert fm.jump_pairs == ((1, 2),)
+
+
+def _drawn_feet(rng):
+    """Feet in runs of 1 to 5, steps inside a run drawn from a tie (0), a
+    fall within the monotone tolerance, a rise up to COLLAPSE_TOL and
+    COLLAPSE_TOL itself; runs 2e-4 to 0.5 apart.  The first run starts
+    at 0 half the time, so that a first step of COLLAPSE_TOL is exact.
+    Each run's momenta sweep by 0 to 0.01, across the 1e-3 that makes a
+    run a jump."""
+    feet, p0 = [], []
+    foot = float(rng.uniform(-2.0, 2.0)) if rng.random() < 0.5 else 0.0
+    for _ in range(int(rng.integers(1, 9))):
+        size = int(rng.integers(1, 6))
+        steps = rng.choice([0.0, -1e-9, COLLAPSE_TOL, -1.0], size - 1)
+        steps[steps == -1.0] = rng.uniform(0.0, COLLAPSE_TOL,
+                                           int(np.sum(steps == -1.0)))
+        feet.extend(foot + np.concatenate([[0.0], np.cumsum(steps)]))
+        p0.extend(rng.uniform(-1.0, 1.0)
+                  + np.linspace(0.0, rng.choice([0.0, 1e-4, 0.01]), size))
+        foot = feet[-1] + float(rng.uniform(2e-4, 0.5))
+    return np.array(feet), np.array(p0)
+
+
+@settings(deadline=5000, max_examples=100)
+@given(st.integers(0, 2**32 - 1))
+def test_collapse_runs_match_the_while_scanner(quartic, seed):
+    """Drawn feet with collapse runs, ties to nudge and falls within the
+    monotone tolerance give the scanner's profile to the bit, or its
+    refusal word for word."""
+    feet, p0 = _drawn_feet(np.random.default_rng(seed))
+    fm = FootprintMap(quartic, 1.0, np.arange(feet.size, dtype=float),
+                      np.zeros(feet.size), feet, p0)
+    try:
+        expected = _scanned_vertex(fm)
+    except DomainError as refusal:
+        with pytest.raises(DomainError) as caught:
+            reconstruct_vertex(fm)
+        assert str(caught.value) == str(refusal)
+        return
+    _same_profile(reconstruct_vertex(fm), expected)
+
+
+def test_vertices_of_real_footprints_match_the_while_scanner(
+        homog, target_footprint):
+    """The t = 2 target's footprint and the homogeneous rarefaction's, each
+    collapsing one run into its jump."""
+    xs = np.linspace(-3.0, 3.0, 601)
+    rarefaction = footprint(homog, 1.5, Profile(xs, np.clip(xs / 1.5,
+                                                            -1.0, 1.0)))
+    for fm in (target_footprint, rarefaction):
+        rec = reconstruct_vertex(fm)
+        assert len(rec.jumps) == 1
+        _same_profile(rec, _scanned_vertex(fm))
+
+
+@settings(deadline=5000, max_examples=20)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_fan_bookkeeping_matches_the_loops(quartic, homog, seed, trapping):
+    """Drawn fans of either model, 2 to 40 rays from x0 in [-0.5, 0.5]
+    over t in [0.5, 4], momenta falling from [0.2, 1.4] to [-1.4, -0.2]
+    as across the standing jump, give the listed crossings and the
+    looped exits to the bit.  Most quartic fans cross and exit; no
+    homogeneous fan does."""
+    rng = np.random.default_rng(seed)
+    model = quartic if trapping else homog
+    fan = ray_fan(model, float(rng.uniform(0.5, 4.0)),
+                  float(rng.uniform(-0.5, 0.5)), rng.uniform(0.2, 1.4),
+                  -rng.uniform(0.2, 1.4), int(rng.integers(2, 41)))
+    assert repr(fan.crossings) == repr(_listed_crossings(fan))
+    assert repr(fan.exits) == repr(_looped_exits(fan))
+
+
+def test_a_crossing_fan_matches_the_loops(quartic):
+    """60 rays between the standing traces at t = 3 both cross and exit."""
+    trace = invert_half_period(quartic, 3.0)
+    fan = ray_fan(quartic, 3.0, 0.0, trace, -trace, 60)
+    assert len(fan.crossings) > 100 and len(fan.exits) > 10
+    assert repr(fan.crossings) == repr(_listed_crossings(fan))
+    assert repr(fan.exits) == repr(_looped_exits(fan))
+
+
+def test_a_refused_fan_is_refused_from_its_count(quartic):
+    """The t = 12 fan is refused from its running count of crossings, as
+    arrays, before any tuple is built: the traced peak stays under 60 MB
+    (55 MB read), against 273 MB when it counted a list of tuples.  Its
+    positions record alone is 801 x 1,000 doubles, 6.4 MB."""
+    trace = invert_half_period(quartic, 12.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="crosses itself more than"):
+            ray_fan(quartic, 12.0, 0.0, trace, -trace, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
+
+
+# t spans refusals (<= 0, not finite, past the step budget) and horizons
+# that march; the budget admits up to about t = 1e3, where one march runs
+# for tens of seconds, so the marching draws stop at 12.
+_HORIZONS = st.one_of(st.floats(-1.0, 12.0),
+                      st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan,
+                                       1e3, 1e4, 1e300]))
+_VALUES = st.floats(-10.0, 10.0)
+
+
+@settings(deadline=5000, max_examples=60)
+@given(st.booleans(), _HORIZONS,
+       st.lists(st.tuples(st.floats(-5.0, 5.0), _VALUES), min_size=2,
+                max_size=30, unique_by=lambda pair: pair[0]),
+       st.lists(st.tuples(_VALUES, _VALUES), max_size=3), st.booleans())
+def test_footprint_and_vertex_return_finite_or_refuse(
+        quartic, homog, trapping, t, samples, sides, falling):
+    """Any profile of 2 to 30 samples in [-5, 5] with up to 3 tags between
+    them, its values falling in x or in drawn order, at any horizon of
+    either model: the footprint is finite or refused, and so is its
+    vertex, with a HetclawError.  Falling values keep the homogeneous
+    feet in order, so many draws reach a vertex."""
+    samples.sort()
+    xs = np.array([x for x, _ in samples])
+    ws = np.array([v for _, v in samples])
+    mids = (xs[:-1] + xs[1:]) / 2.0
+    tags = tuple(Jump(float(x), a, b) for x, (a, b) in zip(mids, sides))
+    try:
+        w = Profile(xs, np.sort(ws)[::-1] if falling else ws, tags)
+        fm = footprint(quartic if trapping else homog, t, w)
+    except HetclawError:
+        return
+    assert np.all(np.isfinite(fm.feet)) and np.all(np.isfinite(fm.p0))
+    try:
+        rec = reconstruct_vertex(fm)
+    except HetclawError:
+        return
+    assert np.all(np.isfinite(rec.xs)) and np.all(np.isfinite(rec.ws))
+    assert all(np.isfinite([j.x, j.w_minus, j.w_plus]).all()
+               for j in rec.jumps)
+
+
+@settings(deadline=5000, max_examples=40)
+@given(st.booleans(), _HORIZONS, st.floats(-5.0, 5.0), _VALUES, _VALUES,
+       st.integers(0, 60))
+def test_ray_fan_returns_finite_or_refuses(quartic, homog, trapping, t, x0,
+                                           p_left, p_right, n_rays):
+    """Any fan of up to 60 rays from x0 in [-5, 5] with edge momenta in
+    [-10, 10], at any horizon, is finite or refused with a
+    HetclawError."""
+    try:
+        fan = ray_fan(quartic if trapping else homog, t, x0, p_left,
+                      p_right, n_rays)
+    except HetclawError:
+        return
+    assert np.all(np.isfinite(fan.positions))
+    assert np.all(np.isfinite([s for _, _, s in fan.crossings]))
+    assert np.all(np.isfinite([s for _, s in fan.exits]))

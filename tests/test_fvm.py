@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetclaw import fvm
-from hetclaw.charsol import asymptotic_profile, solution_grid
+from hetclaw.charsol import asymptotic_profile, solution_grid, solution_profile
 from hetclaw.design import footprint, profile_from_solution, reconstruct_vertex
 from hetclaw.errors import DomainError, HetclawError, NonFinite, NotFound
 from hetclaw.fvm import (
@@ -520,6 +520,26 @@ def test_a_non_finite_update_stops_the_march(quartic):
         assert np.all(np.isnan(flux[1:] - flux[:-1]))
         with pytest.raises(NonFinite):
             evolve(homogeneous(), huge, 1e-160)
+
+
+# ===== Against shooting =====
+
+@settings(deadline=3000, max_examples=20)
+@given(st.floats(0.0, 2.5, exclude_min=True), st.integers(250, 1000))
+def test_the_scheme_meets_shooting_at_drawn_times(quartic, t, half):
+    """The step datum on an even n = 500 to 2,000 cells of [-3, 3],
+    marched at the default CFL to t in (0, 2.5], stays within
+    dx (2 log2(1/dx) - 2) in L1 of the shooting profile over [-2, 2].
+    Before the shock the error grows like dx log(1/dx), the first-order
+    rate on a centred rarefaction; its largest value, near t = 1, reads
+    6.8, 8.4 and 10.0 dx at n = 500, 1,000 and 2,000, against bounds of
+    10.8, 12.8 and 14.8 dx."""
+    grid = Grid1D(-3.0, 3.0, 2 * half)
+    dx = grid.dx
+    err = l1_distance(evolve(quartic, step_datum(grid), t).final,
+                      solution_profile(quartic, t, grid.centers()),
+                      (-2.0, 2.0))
+    assert err <= dx * (2.0 * np.log2(1.0 / dx) - 2.0)
 
 
 # ===== Contraction =====
