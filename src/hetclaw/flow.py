@@ -289,7 +289,7 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
     gaps = np.diff(rt)
     # the first nonzero gap sets the direction (none: 0.0, nothing turns)
     ahead = np.sum(gaps[gaps != 0.0][:1])
-    back = np.flatnonzero(ahead * gaps < 0.0)
+    back = np.flatnonzero(np.sign(ahead) * gaps < 0.0)
     if back.size:
         raise DomainError(f"record_times must keep one direction; "
                           f"{rt[back[0] + 1]} turns back")

@@ -78,9 +78,13 @@ _R_WEIGHTS = (_R_HALF[:, None] * _GL_WEIGHTS).ravel()
 # Positions per quadrature block: each temporary stays near 160 kB, in cache.
 _BLOCK = 8
 
-# Safety cap on root-find iterations.  The bisection guard at least halves
-# every bracket each second step, so converging solves stop far earlier.
-_MAX_ITERATIONS = 200
+# Cap on residual evaluations per root.  The bracket at least halves every
+# fourth evaluation: three steps that together fail to halve it are
+# followed by a bisection.  A unit bracket around a root of normal
+# magnitude, |root| >= 2^-1022, is ulps wide (4 eps |root| >= 2^-1072)
+# after 1,072 halvings, so the cap clears that worst case; only a root
+# that double precision cannot bracket reaches it, and raises NotFound.
+_MAX_ITERATIONS = 4 * 1074
 
 
 # ===== Arrival-time quadrature =====
@@ -191,12 +195,16 @@ def _illinois(residual, lo, hi, f_lo, f_hi, force, shoot_tol):
     momentum p at the target for the entries ``idx`` at parameters z;
     f_lo <= 0 <= f_hi are the residuals at the bracket ends (infinite
     where they are unbounded).  Illinois regula falsi with a bisection
-    guard: a step that does not halve the bracket is followed by a
-    bisection, as is any step from an infinite end.  An entry stops once
-    its phase-space miss |R| * |(p, force)|, with force = -g'(x), drops to
-    0.1 shoot_tol (so the momentum is converged at turning points too) or
-    its bracket is a few ulps wide.  Returns (z, R, p, miss) at each
-    entry's best iterate.
+    guard: three steps that together do not halve the bracket are
+    followed by a bisection, as is any step from an infinite end and any
+    secant step that would leave the bracket.  A lone slow step is not:
+    the Illinois halving of the kept end's residual already pulls the
+    next secant across the root.  An entry stops once its phase-space
+    miss |R| * |(p, force)|, with force = -g'(x), drops to 0.1 shoot_tol
+    (so the momentum is converged at turning points too), its residual is
+    0, or its bracket is at most 4 ulps of its larger end wide.  Returns
+    (z, R, p, miss) at each entry's best iterate; raises NotFound if an
+    entry has not stopped after ``_MAX_ITERATIONS`` evaluations.
 
     The state of the active entries is kept compact, aligned with ``idx``,
     in one local array per quantity; an entry's best iterate is written
@@ -208,11 +216,13 @@ def _illinois(residual, lo, hi, f_lo, f_hi, force, shoot_tol):
     idx = np.arange(n)
     # per active entry: the best (z, R, p, miss) so far; the bracket, its
     # end residuals and the force; the factors, 0.5 or 1.0, that halve an
-    # end's residual where the other end moved last; whether to bisect
+    # end's residual where the other end moved last; the bracket's width
+    # before the last step and the one before it; whether to bisect
     best_z, best_f = 0.5 * (lo + hi), np.full(n, np.inf)
     best_p, best_miss = np.zeros(n), np.full(n, np.inf)
     a, b, fa, fb, frc = lo, hi, f_lo, f_hi, force
     keep_a, keep_b = np.ones(n), np.ones(n)
+    w1, w2 = np.full(n, np.inf), np.full(n, np.inf)
     bisect = np.zeros(n, dtype=bool)
     for _ in range(_MAX_ITERATIONS):
         if idx.size == 0:
@@ -235,8 +245,10 @@ def _illinois(residual, lo, hi, f_lo, f_hi, force, shoot_tol):
         fb = np.where(up, f, fb * keep_b)
         a, b = np.where(up, a, z), np.where(up, z, b)
         keep_a, keep_b = np.where(up, 0.5, 1.0), np.where(up, 1.0, 0.5)
+        # bisect where the last three steps together did not halve it
         width = b - a
-        bisect = width > 0.5 * w
+        bisect = width > 0.5 * w2
+        w1, w2 = w, w1
         done = ((miss <= 0.1 * shoot_tol) | (f == 0.0)
                 | (width <= ulps * np.maximum(np.abs(a), np.abs(b))))
         if done.any():
@@ -245,19 +257,27 @@ def _illinois(residual, lo, hi, f_lo, f_hi, force, shoot_tol):
             p_out[gone], miss_out[gone] = best_p[done], best_miss[done]
             stay = ~done
             (idx, best_z, best_f, best_p, best_miss, a, b, fa, fb, frc,
-             keep_a, keep_b, bisect) = (
+             keep_a, keep_b, w1, w2, bisect) = (
                 v[stay] for v in (idx, best_z, best_f, best_p, best_miss,
-                                  a, b, fa, fb, frc, keep_a, keep_b, bisect))
-    z_out[idx], f_out[idx] = best_z, best_f
-    p_out[idx], miss_out[idx] = best_p, best_miss
+                                  a, b, fa, fb, frc, keep_a, keep_b, w1, w2,
+                                  bisect))
+    if idx.size:
+        raise NotFound(f"{idx.size} of {n} roots still unresolved after "
+                       f"{_MAX_ITERATIONS} residual evaluations")
     return z_out, f_out, p_out, miss_out
 
 
 def _solve(residual, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     """Root of one increasing residual of z alone, to the last ulp it
-    can resolve."""
-    z = _illinois(lambda z, k: (residual(z), np.ones_like(z)),
-                  np.array([lo]), np.array([hi]), np.array([f_lo]),
+    can resolve.  Raises NotFound where the residual is not a number,
+    since its sign decides which end of the bracket moves."""
+    def checked(z, k):
+        f = residual(z)
+        if np.isnan(f[0]):
+            raise NotFound(f"the residual is not a number at z={z[0]}")
+        return f, np.ones_like(z)
+
+    z = _illinois(checked, np.array([lo]), np.array([hi]), np.array([f_lo]),
                   np.array([f_hi]), np.zeros(1), 0.0)[0]
     return float(z[0])
 
@@ -350,6 +370,9 @@ def shock_time(model: HamiltonianModel) -> float:
     return (16.0 * r1b - r1a) / 15.0
 
 
+# A turning point too close to the separatrix overflows the quadrature;
+# _solve refuses the NaN that follows.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def invert_half_period(model: HamiltonianModel, t: float) -> float:
     """Momentum p0 whose orbit first returns to q = 0 at time t.
 
@@ -358,7 +381,9 @@ def invert_half_period(model: HamiltonianModel, t: float) -> float:
     separatrix.  The bracket runs from the rest point, whose half-period
     is the infimum ``shock_time``, to the separatrix, where it diverges;
     every finite t above the infimum is attained.  Neither end is
-    evaluated: the first step bisects away from the infinite one.
+    evaluated: the first step bisects away from the infinite one.  Raises
+    NotFound where the turning point is too close to the separatrix for
+    the quadrature (on the quartic well, t past about 1e138).
     """
     t_shock = shock_time(model)
     if not (t_shock < t < math.inf):

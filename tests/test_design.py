@@ -5,6 +5,7 @@ import itertools
 import json
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -719,3 +720,17 @@ def test_ray_fan_returns_finite_or_refuses(quartic, homog, trapping, t, x0,
     assert np.all(np.isfinite(fan.positions))
     assert np.all(np.isfinite([s for _, _, s in fan.crossings]))
     assert np.all(np.isfinite([s for _, s in fan.exits]))
+
+
+@pytest.mark.parametrize("trapping", [True, False])
+def test_far_horizons_are_refused_with_warnings_as_errors(
+        quartic, homog, target_profile, trapping):
+    """A footprint or fan at t = 1e300 is refused by the step budget, with
+    no overflow warning on the way there."""
+    model = quartic if trapping else homog
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="needs more than"):
+            footprint(model, 1e300, target_profile)
+        with pytest.raises(DomainError, match="needs more than"):
+            ray_fan(model, 1e300, 0.0, 1.0, -1.0, 10)

@@ -170,6 +170,22 @@ def test_record_times_keep_one_direction(quartic, record_times, turn):
                         record_times)
 
 
+@pytest.mark.parametrize("record_times", [
+    [0.0, 1e300], [0.0, -1e300], [0.0, 0.0, 1e300, 1.7e308],
+])
+def test_far_record_times_reach_the_step_budget_without_overflow(
+        quartic, record_times):
+    """The direction check multiplies the gaps by the first gap's sign,
+    not by the gap itself: 1e300 * 1e300 used to overflow, and under
+    warnings as errors the march raised RuntimeWarning instead of the
+    step budget's refusal."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="needs more than"):
+            integrate_batch(quartic, np.array([0.1]), np.array([1.0]),
+                            record_times)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_repeated_record_times_record_one_state_twice(quartic, sign):
     q0, p0 = np.array([0.1, 0.6]), np.array([1.0, -0.3])

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetclaw.cli import main
-from hetclaw.errors import DomainError, HetclawError
+from hetclaw.errors import DomainError, HetclawError, NotFound
 from hetclaw.flow import terminal_state
 from hetclaw.model import HamiltonianModel, quartic_well
 from hetclaw.period import (
@@ -18,11 +19,13 @@ from hetclaw.period import (
     _BLOCK,
     _GL_NODES,
     _GL_WEIGHTS,
+    _MAX_ITERATIONS,
     _flight_plan,
     _flight_time,
     _half_period,
     _passage_times,
     _planned_time,
+    _solve,
     invert_half_period,
     period_by_ode,
     period_quadrature,
@@ -276,6 +279,106 @@ def test_period_routes_agree_on_drawn_momenta(quartic, p0):
     assert abs(quad - period_by_ode(quartic, p0)) <= 5e-12 * quad**3
 
 
+# ===== Root-find =====
+
+_TINY = np.finfo(float).tiny      # the smallest normal magnitude, 2^-1022
+_ULPS = 4.0 * np.finfo(float).eps
+
+
+def _logged_solve(residual, lo, hi, f_lo, f_hi):
+    """``_solve`` with every evaluation logged as (z, residual)."""
+    log = []
+
+    def logged(z):
+        f = residual(z)
+        log.append((float(z[0]), float(f[0])))
+        return f
+
+    return _solve(logged, lo, hi, f_lo, f_hi), log
+
+
+def _brackets(log, lo, hi):
+    """The bracket after each evaluation: a residual <= 0 moves its lower
+    end to the iterate, a positive one its upper end."""
+    brackets = []
+    for z, f in log:
+        lo, hi = (z, hi) if f <= 0.0 else (lo, z)
+        brackets.append((lo, hi))
+    return brackets
+
+
+# Adversarial residuals on [-1, 0], each increasing through its root r:
+# a flat cubic root; a unit jump at the root, with a slope of 1 / |r| so
+# that the iterate nearest the root keeps the smallest residual; and a
+# pole at the upper end, whose infinite residual there is all the
+# root-find gets.  The cubic stays above underflow near its root.
+_ADVERSARIES = {
+    "flat cubic": (lambda r: lambda z: (z - r) ** 3,
+                   lambda r: ((-1.0 - r) ** 3, -r ** 3)),
+    "step": (lambda r: lambda z: np.where(z < r, -1.0, 1.0) + (z - r) / -r,
+             lambda r: (-2.0 + 1.0 / r, 2.0)),
+    "infinite end": (lambda r: lambda z: r / z - 1.0,
+                     lambda r: (-r - 1.0, math.inf)),
+}
+_ROOTS = {"flat cubic": [-0.3, -1e-8, -1e-20],
+          "step": [-0.3, -1e-8, -1e-150, -_TINY],
+          "infinite end": [-0.3, -1e-8, -1e-150, -_TINY]}
+
+
+@pytest.mark.parametrize("kind,root", [(kind, root) for kind in _ROOTS
+                                       for root in _ROOTS[kind]])
+def test_adversarial_roots_converge_within_the_cap(kind, root):
+    """The bracket at least halves every fourth evaluation, so each
+    residual stops within the cap, with a bracket a few ulps wide and the
+    root a few ulps from the answer, also at the smallest normal root."""
+    make, ends = _ADVERSARIES[kind]
+    z, log = _logged_solve(make(root), -1.0, 0.0, *ends(root))
+    assert len(log) <= _MAX_ITERATIONS
+    brackets = _brackets(log, -1.0, 0.0)
+    widths = [1.0] + [hi - lo for lo, hi in brackets]
+    for before, after in zip(widths, widths[4:]):
+        assert after <= 0.5 * before
+    lo, hi = brackets[-1]
+    assert log[-1][1] == 0.0 or hi - lo <= _ULPS * max(abs(lo), abs(hi))
+    assert abs(z - root) <= 2.0 * _ULPS * abs(root)
+
+
+def test_the_cap_clears_the_halving_worst_case():
+    """Four evaluations per halving, and 1,072 halvings to take [-1, 0] to
+    4 ulps around a root of normal magnitude."""
+    halvings = -math.log2(_TINY) - math.log2(_ULPS)
+    assert halvings == 1072
+    assert 4 * halvings < _MAX_ITERATIONS
+
+
+def test_a_hugging_secant_pays_four_evaluations_per_halving():
+    """Where one end's residual dwarfs the other's, every secant step lands
+    on the small end and moves nothing: the worst case.  Three such steps
+    are followed by a bisection, so [-1, 0] reaches 4 ulps of a root at
+    -1e-150 in four evaluations per halving."""
+    root = -1e-150
+    make, ends = _ADVERSARIES["step"]
+    z, log = _logged_solve(make(root), -1.0, 0.0, *ends(root))
+    halvings = math.ceil(-math.log2(_ULPS * -root))
+    assert len(log) <= 4 * halvings
+    assert sum(z_k == 0.0 for z_k, _ in log) > 2 * halvings
+
+
+def test_an_unresolvable_root_raises_at_the_cap():
+    """A jump at a subnormal point leaves a bracket that never gets 4 ulps
+    of its ends wide: the root-find raises instead of handing back its
+    best iterate."""
+    with pytest.raises(NotFound, match=f"after {_MAX_ITERATIONS} residual"):
+        _solve(lambda z: np.where(z < -1e-320, -1.0, 1.0), -1.0, 0.0,
+               -1.0, 1.0)
+
+
+def test_a_residual_that_is_not_a_number_is_refused():
+    with pytest.raises(NotFound, match="not a number"):
+        _solve(lambda z: np.where(z > -0.5, np.nan, z + 0.25), -1.0, 0.0,
+               -0.75, 0.25)
+
+
 # ===== Inversion =====
 
 def test_half_period_inversion_round_trip(quartic):
@@ -291,6 +394,25 @@ def test_late_inversion_brackets_the_root(quartic, t):
     p = invert_half_period(quartic, t)
     assert 0.5 * period_quadrature(quartic, p - 1e-9) < t
     assert t <= 0.5 * period_quadrature(quartic, p + 1e-9)
+
+
+@pytest.mark.parametrize("t", [1e100, 1e130])
+def test_late_inversions_land_on_the_separatrix(quartic, t):
+    """The bisection from the infinite end needs about log2(t) steps; at a
+    cap of 200 evaluations, times from about 1e92 on used to return the
+    bracket's midpoint, p0 = 1.169, without a word."""
+    assert invert_half_period(quartic, t) == pytest.approx(
+        quartic.separatrix_momentum, rel=1e-15)
+
+
+@pytest.mark.parametrize("t", [1e140, 1e200, 1e300])
+def test_inversions_past_the_quadrature_are_refused(quartic, t):
+    """Past t of about 1e138 the passage quadrature overflows at the
+    turning point's depth, and its NaN is refused."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotFound, match="not a number"):
+            invert_half_period(quartic, t)
 
 
 def test_inversion_rejects_times_before_the_first_return(quartic):

@@ -2,12 +2,20 @@
 from __future__ import annotations
 
 import hashlib
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hetclaw.errors import DomainError, NotFound
+from hetclaw import shooting
+from hetclaw.charsol import eval_solution, solution_profile
+from hetclaw.errors import DomainError, HetclawError, NotFound
 from hetclaw.flow import integrate_batch, terminal_state
+from hetclaw.fvm import Grid1D
+from hetclaw.model import quartic_well
 from hetclaw.period import invert_half_period, period_quadrature, shock_time
 from hetclaw.shooting import DEFAULT_SHOOT_TOL, arc_decode, arc_encode, \
     delta, delta_batch
@@ -109,7 +117,7 @@ def test_a_shot_does_not_depend_on_its_batch(quartic, t):
 # sha256 of the engine's outputs below; a change to the shooting map, the
 # arrival-time quadratures or the root-find that moves any bit moves it
 ENGINE_DIGEST = \
-    "c03c612d849040c14d62a142ae8408868fcbd72b07ee22c6c13a7ff2269a2a36"
+    "5b1838eb8be63036fb35fe38f787d1359f05f90cd044bb787a3c364ac8a02ce0"
 
 
 def test_the_engine_keeps_its_bits(quartic):
@@ -170,3 +178,142 @@ def test_unrepresentable_shots_raise(quartic):
 def test_arc_decode_refuses_parameters_past_the_arc(s):
     with pytest.raises(DomainError, match="< 2"):
         arc_decode(s)
+
+
+# ===== Root-find traffic =====
+
+class _Logged:
+    """``shooting._illinois`` with every call's brackets, evaluations and
+    results logged, while it is patched in."""
+
+    def __init__(self):
+        self.calls = []
+        self.real = shooting._illinois
+
+    def __call__(self, residual, lo, hi, f_lo, f_hi, force, shoot_tol):
+        evals = []
+
+        def logged(z, idx):
+            f, p = residual(z, idx)
+            evals.append((z.copy(), idx.copy(), f.copy()))
+            return f, p
+
+        call = {"lo": lo.copy(), "hi": hi.copy(), "tol": shoot_tol,
+                "evals": evals}
+        self.calls.append(call)
+        call["out"] = self.real(logged, lo, hi, f_lo, f_hi, force,
+                                shoot_tol)
+        return call["out"]
+
+    def __enter__(self):
+        self.patch = mock.patch.object(shooting, "_illinois", self)
+        self.patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.patch.stop()
+
+    def entries(self):
+        """Residual evaluations, one per entry per iterate."""
+        return sum(idx.size for c in self.calls for _, idx, _ in c["evals"])
+
+    def iterates(self):
+        return sum(len(c["evals"]) for c in self.calls)
+
+
+def _point_late_round():
+    """The 20 (t, x) queries of point-late's first round at seed 1: ten
+    times in five antithetic log strata of [0.5, 30], at two positions."""
+    rng = np.random.default_rng((1, 0))
+    lo, hi, strata = math.log(0.5), math.log(30.0), 5
+    w = (hi - lo) / strata
+    k = np.arange(strata)
+    v = lo + w * (k + rng.uniform(size=strata))
+    times = np.exp(np.concatenate([v, 2.0 * lo + w * (2.0 * k + 1.0) - v]))
+    xs = rng.uniform(0.05, 2.5, 2) * rng.choice((-1.0, 1.0), 2)
+    return [(float(t), float(x)) for t in times for x in xs]
+
+
+def test_point_queries_pay_few_root_find_iterates(quartic):
+    """A lone slow secant step no longer forces a bisection: point-late's
+    round takes 193 residual evaluations (318 with a bisection after
+    every step that failed to halve the bracket)."""
+    with _Logged() as log:
+        for t, x in _point_late_round():
+            eval_solution(quartic, t, x)
+    assert log.entries() == log.iterates() <= 200
+
+
+def test_a_profile_pays_few_root_find_iterates(quartic):
+    """One 400-cell profile at t = 2.2, as design-profile shoots it: 35
+    batch iterates and 1,593 entry evaluations (82 and 3,056 with a
+    bisection after every slow step)."""
+    xs = Grid1D(-5.4, 5.4, 400).centers()
+    with _Logged() as log:
+        solution_profile(quartic, 2.2, xs)
+    assert log.iterates() <= 38
+    assert log.entries() <= 1650
+
+
+_ULPS = 4.0 * np.finfo(float).eps
+
+
+def _meets_the_stop_contract(call) -> bool:
+    """Every entry of one root-find stopped as ``_illinois`` says: its
+    phase-space miss at 0.1 shoot_tol, a zero residual, or a bracket at
+    most 4 ulps of its larger end wide.  The bracket is rebuilt from the
+    log: a residual <= 0 moves the lower end to its iterate, a positive
+    one the upper end."""
+    a, b = call["lo"].copy(), call["hi"].copy()
+    for z, idx, f in call["evals"]:
+        a[idx] = np.where(f > 0.0, a[idx], z)
+        b[idx] = np.where(f > 0.0, z, b[idx])
+    _, f_out, _, miss = call["out"]
+    return bool(np.all((miss <= 0.1 * call["tol"]) | (f_out == 0.0)
+                       | (b - a <= _ULPS * np.maximum(np.abs(a),
+                                                      np.abs(b)))))
+
+
+# t log-uniform on [1e-3, 1e4]; |x| on [1e-3, 10], either sign
+_TIMES = st.floats(math.log(1e-3), math.log(1e4)).map(math.exp)
+_POSITIONS = st.tuples(st.floats(1e-3, 10.0), st.booleans()).map(
+    lambda pair: -pair[0] if pair[1] else pair[0])
+
+
+@settings(deadline=5000, max_examples=80)
+@given(_TIMES, _POSITIONS)
+def test_a_point_value_is_finite_and_converged_or_refused(t, x):
+    """eval_solution returns a finite u, at most 2 in size, from shots
+    that each met the root-find's stop contract, or raises a
+    HetclawError."""
+    with _Logged() as log:
+        try:
+            u = eval_solution(quartic_well(), t, x).u
+        except HetclawError:
+            return
+    assert math.isfinite(u) and abs(u) <= 2.0
+    assert all(_meets_the_stop_contract(call) for call in log.calls)
+
+
+@settings(deadline=5000, max_examples=30)
+@given(_TIMES, st.lists(_POSITIONS, min_size=1, max_size=12))
+def test_a_profile_is_its_point_values_to_the_bit(t, xs):
+    """solution_profile at drawn positions either gives each entry the
+    bits of eval_solution there, from converged shots, or raises a
+    HetclawError, as then at least one point query does."""
+    model = quartic_well()
+    with _Logged() as log:
+        try:
+            u = solution_profile(model, t, xs)
+        except HetclawError:
+            u = None
+    if u is None:
+        with pytest.raises(HetclawError):
+            for x in xs:
+                eval_solution(model, t, x)
+        return
+    assert all(_meets_the_stop_contract(call) for call in log.calls)
+    for x, got in zip(xs, u):
+        want = eval_solution(model, t, x).u
+        assert np.float64(got).view(np.int64) == np.float64(want).view(
+            np.int64)
