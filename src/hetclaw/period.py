@@ -46,6 +46,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # covers everything double precision can distinguish.
 _OCTAVES = np.concatenate(([0.0], 0.5 ** np.arange(60, -1, -1)))
 
+# The edges pi/2 (1 - 2^-k) for k >= 54 round to pi/2, so panels 54-60
+# have no width.  They stay: their nodes sit on the turning point, where a
+# g' that underflows to 0 gives the NaN that refuses the orbit (without
+# them T/2 is inf, and invert_half_period returns p_sep at t = 1e140), and
+# the rounding of the (62, 16) product is pinned (with 54 panels a shot at
+# t = 1e8 misses shoot_tol by one ulp of t).
 _BASE_EDGES = 0.5 * math.pi - 0.5 * math.pi * _OCTAVES[::-1]
 
 
@@ -203,23 +209,23 @@ def _illinois(residual, lo, hi, f_lo, f_hi, force, shoot_tol):
     miss |R| * |(p, force)|, with force = -g'(x), drops to 0.1 shoot_tol
     (so the momentum is converged at turning points too), its residual is
     0, or its bracket is at most 4 ulps of its larger end wide.  Returns
-    (z, R, p, miss) at each entry's best iterate; raises NotFound if an
-    entry has not stopped after ``_MAX_ITERATIONS`` evaluations.
+    (z, R, p, miss) at the iterate where each entry stopped: no earlier
+    one met the miss test, and a stop by width is within 4 ulps of the
+    sign change, a jump's too.  Raises NotFound if an entry has not
+    stopped after ``_MAX_ITERATIONS`` evaluations.
 
     The state of the active entries is kept compact, aligned with ``idx``,
-    in one local array per quantity; an entry's best iterate is written
-    out when it retires.
+    in one local array per quantity; an entry's stopping iterate is
+    written out when it retires.
     """
     n = lo.size
     z_out, f_out, p_out, miss_out = (np.empty(n) for _ in range(4))
     ulps = 4.0 * np.finfo(float).eps
     idx = np.arange(n)
-    # per active entry: the best (z, R, p, miss) so far; the bracket, its
-    # end residuals and the force; the factors, 0.5 or 1.0, that halve an
-    # end's residual where the other end moved last; the bracket's width
-    # before the last step and the one before it; whether to bisect
-    best_z, best_f = 0.5 * (lo + hi), np.full(n, np.inf)
-    best_p, best_miss = np.zeros(n), np.full(n, np.inf)
+    # per active entry: the bracket, its end residuals and the force; the
+    # factors, 0.5 or 1.0, that halve an end's residual where the other
+    # end moved last; the bracket's width before the last step and the
+    # one before it; whether to bisect
     a, b, fa, fb, frc = lo, hi, f_lo, f_hi, force
     keep_a, keep_b = np.ones(n), np.ones(n)
     w1, w2 = np.full(n, np.inf), np.full(n, np.inf)
@@ -233,12 +239,6 @@ def _illinois(residual, lo, hi, f_lo, f_hi, force, shoot_tol):
                      0.5 * (a + b), z)
         f, p = residual(z, idx)
         miss = np.abs(f) * np.hypot(p, frc)
-        better = miss < best_miss
-        best_z = np.where(better, z, best_z)
-        best_f = np.where(better, f, best_f)
-        best_p = np.where(better, p, best_p)
-        best_miss = np.where(better, miss, best_miss)
-
         up = f > 0.0
         # Illinois: an end kept twice in a row has its residual halved
         fa = np.where(up, fa * keep_a, f)
@@ -253,14 +253,12 @@ def _illinois(residual, lo, hi, f_lo, f_hi, force, shoot_tol):
                 | (width <= ulps * np.maximum(np.abs(a), np.abs(b))))
         if done.any():
             gone = idx[done]
-            z_out[gone], f_out[gone] = best_z[done], best_f[done]
-            p_out[gone], miss_out[gone] = best_p[done], best_miss[done]
+            z_out[gone], f_out[gone] = z[done], f[done]
+            p_out[gone], miss_out[gone] = p[done], miss[done]
             stay = ~done
-            (idx, best_z, best_f, best_p, best_miss, a, b, fa, fb, frc,
-             keep_a, keep_b, w1, w2, bisect) = (
-                v[stay] for v in (idx, best_z, best_f, best_p, best_miss,
-                                  a, b, fa, fb, frc, keep_a, keep_b, w1, w2,
-                                  bisect))
+            (idx, a, b, fa, fb, frc, keep_a, keep_b, w1, w2, bisect) = (
+                v[stay] for v in (idx, a, b, fa, fb, frc, keep_a, keep_b,
+                                  w1, w2, bisect))
     if idx.size:
         raise NotFound(f"{idx.size} of {n} roots still unresolved after "
                        f"{_MAX_ITERATIONS} residual evaluations")

@@ -3,17 +3,20 @@
 Everything here is deterministic, so session scope is safe and keeps the
 slow pieces (profile shooting, entropy grids) to a single build each.
 Every hypothesis property draws the same examples on every run and keeps
-no example database, so a run neither depends on nor writes
+no example database, and hypothesis keeps its other caches in a temporary
+home removed at exit, so a run neither depends on nor writes
 ``.hypothesis/``; a test's own settings name only its deadline and
 example count.
 """
 from __future__ import annotations
 
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from hetclaw.design import FootprintMap, Profile, footprint, profile_from_solution
 from hetclaw.charsol import solution_grid
@@ -23,6 +26,8 @@ from hetclaw.model import HamiltonianModel, homogeneous, quartic_well
 
 settings.register_profile("fixed-draws", derandomize=True, database=None)
 settings.load_profile("fixed-draws")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hetclaw-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -309,7 +309,9 @@ def _brackets(log, lo, hi):
 
 # Adversarial residuals on [-1, 0], each increasing through its root r:
 # a flat cubic root; a unit jump at the root, with a slope of 1 / |r| so
-# that the iterate nearest the root keeps the smallest residual; and a
+# that the iterate nearest the root keeps the smallest residual; the same
+# jump without the slope, whose residual is 1 in size at every iterate,
+# so only the iterate that stopped the root-find is near the root; and a
 # pole at the upper end, whose infinite residual there is all the
 # root-find gets.  The cubic stays above underflow near its root.
 _ADVERSARIES = {
@@ -317,11 +319,14 @@ _ADVERSARIES = {
                    lambda r: ((-1.0 - r) ** 3, -r ** 3)),
     "step": (lambda r: lambda z: np.where(z < r, -1.0, 1.0) + (z - r) / -r,
              lambda r: (-2.0 + 1.0 / r, 2.0)),
+    "jump": (lambda r: lambda z: np.where(z < r, -1.0, 1.0),
+             lambda r: (-1.0, 1.0)),
     "infinite end": (lambda r: lambda z: r / z - 1.0,
                      lambda r: (-r - 1.0, math.inf)),
 }
 _ROOTS = {"flat cubic": [-0.3, -1e-8, -1e-20],
           "step": [-0.3, -1e-8, -1e-150, -_TINY],
+          "jump": [-0.3, -1e-8, -1e-150, -_TINY],
           "infinite end": [-0.3, -1e-8, -1e-150, -_TINY]}
 
 
@@ -367,7 +372,7 @@ def test_a_hugging_secant_pays_four_evaluations_per_halving():
 def test_an_unresolvable_root_raises_at_the_cap():
     """A jump at a subnormal point leaves a bracket that never gets 4 ulps
     of its ends wide: the root-find raises instead of handing back its
-    best iterate."""
+    last iterate."""
     with pytest.raises(NotFound, match=f"after {_MAX_ITERATIONS} residual"):
         _solve(lambda z: np.where(z < -1e-320, -1.0, 1.0), -1.0, 0.0,
                -1.0, 1.0)

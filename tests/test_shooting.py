@@ -117,7 +117,7 @@ def test_a_shot_does_not_depend_on_its_batch(quartic, t):
 # sha256 of the engine's outputs below; a change to the shooting map, the
 # arrival-time quadratures or the root-find that moves any bit moves it
 ENGINE_DIGEST = \
-    "5b1838eb8be63036fb35fe38f787d1359f05f90cd044bb787a3c364ac8a02ce0"
+    "1c871ca3fef774c4a3a6cd8896f4a552b34e3864fdb42f7e4416c5987882d6bf"
 
 
 def test_the_engine_keeps_its_bits(quartic):
@@ -261,17 +261,22 @@ _ULPS = 4.0 * np.finfo(float).eps
 def _meets_the_stop_contract(call) -> bool:
     """Every entry of one root-find stopped as ``_illinois`` says: its
     phase-space miss at 0.1 shoot_tol, a zero residual, or a bracket at
-    most 4 ulps of its larger end wide.  The bracket is rebuilt from the
-    log: a residual <= 0 moves the lower end to its iterate, a positive
-    one the upper end."""
+    most 4 ulps of its larger end wide; and it answered with the (z, R)
+    of its last evaluation, the iterate that stopped it.  The bracket is
+    rebuilt from the log: a residual <= 0 moves the lower end to its
+    iterate, a positive one the upper end."""
     a, b = call["lo"].copy(), call["hi"].copy()
+    last_z, last_f = np.full_like(a, np.nan), np.full_like(a, np.nan)
     for z, idx, f in call["evals"]:
         a[idx] = np.where(f > 0.0, a[idx], z)
         b[idx] = np.where(f > 0.0, z, b[idx])
-    _, f_out, _, miss = call["out"]
+        last_z[idx], last_f[idx] = z, f
+    z_out, f_out, _, miss = call["out"]
     return bool(np.all((miss <= 0.1 * call["tol"]) | (f_out == 0.0)
                        | (b - a <= _ULPS * np.maximum(np.abs(a),
-                                                      np.abs(b)))))
+                                                      np.abs(b))))
+                and np.array_equal(_bits(z_out), _bits(last_z))
+                and np.array_equal(_bits(f_out), _bits(last_f)))
 
 
 # t log-uniform on [1e-3, 1e4]; |x| on [1e-3, 10], either sign
