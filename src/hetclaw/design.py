@@ -215,8 +215,7 @@ def reconstruct_vertex(fm: FootprintMap) -> Profile:
     if not rep.monotone:
         raise NonMonotoneFeet(f"{len(rep.violations)} decreasing feet "
                               f"(worst {min(d for _, d in rep.violations):.3g})")
-    feet = np.maximum.accumulate(fm.feet)
-    p0 = np.asarray(fm.p0)
+    feet, p0 = np.asarray(fm.feet), np.asarray(fm.p0)
 
     # maximal runs of feet closer than COLLAPSE_TOL: a step that is not
     # that close, NaN included, cuts a run, so a NaN foot stays a sample
@@ -231,7 +230,7 @@ def reconstruct_vertex(fm: FootprintMap) -> Profile:
         raise DomainError(f"{feet.size} feet collapse into {len(jumps)} "
                           f"jumps, leaving {xs.size} samples; sample the "
                           f"target wider than the collapse")
-    # nudge ties apart so the profile axis is strictly increasing
+    # nudge ties and falls apart so the profile axis is strictly increasing
     for k in range(1, xs.size):
         if xs[k] <= xs[k - 1]:
             xs[k] = xs[k - 1] + 1e-12

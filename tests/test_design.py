@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetclaw import design
 from hetclaw.charsol import asymptotic_profile
 from hetclaw.cli import main
 from hetclaw.design import (
@@ -30,6 +31,7 @@ from hetclaw.design import (
 )
 from hetclaw.errors import DomainError, HetclawError, NonMonotoneFeet
 from hetclaw.flow import terminal_batch
+from hetclaw.fvm import DEFAULT_CFL, Grid1D, _March, evolve
 from hetclaw.period import invert_half_period
 
 
@@ -209,6 +211,34 @@ def test_full_report_pipeline(target_footprint, target_profile):
     payload = report.as_dict()
     assert payload["monotone"]
     assert payload["round_trip_l1"] < 0.08
+
+
+# (horizon, cells): design-profile's horizons on its 400 cells, and the
+# inverse experiment's default, each on the window max(3, 2 t + 1)
+@pytest.mark.parametrize("t,cells", [(1.5, 400), (2.2, 400), (3.0, 400),
+                                     (2.0, 800)])
+def test_an_odd_target_gives_an_odd_vertex(quartic, monkeypatch, t, cells):
+    """The solution's slice is odd, and its mirrored launches give feet
+    mirrored to the bit.  Taken as footprint gives them, they put the
+    vertex's jump at 0.0, so the datum round_trip samples on its mirrored
+    grid is odd to the bit and its march takes half the grid."""
+    half = max(3.0, 2.0 * t + 1.0)
+    w = profile_from_solution(quartic, t,
+                              Grid1D(-half, half, cells).centers())
+    rec = reconstruct_vertex(footprint(quartic, t, w))
+    assert rec.jumps and all(j.x == 0.0 for j in rec.jumps)
+    marched = []
+
+    def recording(model, u0, horizon, **kwargs):
+        marched.append(u0)
+        return evolve(model, u0, horizon, **kwargs)
+
+    monkeypatch.setattr(design, "evolve", recording)
+    assert round_trip(quartic, t, w, (-half, half), reconstructed=rec) < 0.08
+    [u0] = marched
+    np.testing.assert_array_equal(_bits(0.0 - u0.values[::-1]),
+                                  _bits(u0.values))
+    assert _March(quartic, u0, t, DEFAULT_CFL).half
 
 
 # ===== Attainability with and without x-dependence =====
@@ -450,7 +480,7 @@ def _sorted_launches(w):
 def _scanned_vertex(fm):
     """reconstruct_vertex past its monotone test, runs found by a nested
     while scan."""
-    feet = np.maximum.accumulate(fm.feet)
+    feet = fm.feet
     p0 = fm.p0
     keep_x, keep_w, jumps = [], [], []
     i = 0

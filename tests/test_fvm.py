@@ -361,7 +361,7 @@ REFERENCE_CASES = {
     "wide-step": (None, Grid1D(-10.0, 10.0, 2000), _odd_step, 2.5,
                   (0.5, 1.2, 2.5), True),
     "round-trip-datum": (None, ROUND_TRIP_GRID, _round_trip_datum, 1.6,
-                         (0.4, 1.6), False),
+                         (0.4, 1.6), True),
     "signed-zero-runs": (_signed_zero_tail, Grid1D(-4.0, 4.0, 800),
                          _signed_zeros, 1.5, (0.05, 0.6), False),
     "constant-homogeneous": (lambda _: homogeneous(),

@@ -1,15 +1,20 @@
 """Which library lines does the traffic never reach?
 
 Traffic is every CLI experiment at its defaults, written to a temporary
-directory, plus one round of each benchmark workload at seed 1, items and
-output gates both (``perfbench/workloads.py`` is imported, never
-written).  ``sys.settrace`` records the lines run inside ``src/hetclaw``,
-the import of the package included.  For each module the script prints
-every executable line no traffic reached, ``R`` marking the lines of a
-raise statement; a line no traffic reaches is a candidate for deletion
-unless it refuses or a test or a reference route needs it.
+directory, plus rounds 0 and 1 of each benchmark workload at seed 1, items
+and output gates both (``perfbench/workloads.py`` is imported, never
+written).  Round 1 is there for point-late's gate: round 0's positions,
+1.087 and 2.078, lie past the well's cutoff, which the separatrix orbit
+never reaches, so the gate's ``crossing_events`` refines no crossing;
+round 1's, 0.096 and 0.238, are crossed.  With round 0 alone the
+refinement in ``flow.crossing_events`` would be listed as unreached.
+``sys.settrace`` records the lines run inside ``src/hetclaw``, the import
+of the package included.  For each module the script prints every
+executable line no traffic reached, ``R`` marking the lines of a raise
+statement; a line no traffic reaches is a candidate for deletion unless
+it refuses or a test or a reference route needs it.
 
-Run from the repository root, in about 10 s:
+Run from the repository root, in about 12 s on a 2-core x86 host:
 
     python3 tools/traffic.py
 """
@@ -73,7 +78,7 @@ def _direct(_name, _layer, fn, *args, **kwargs):
 
 
 def traffic() -> None:
-    """Every CLI experiment at its defaults and one seeded round of each
+    """Every CLI experiment at its defaults and two seeded rounds of each
     workload, with the library imported under the tracer."""
     from hetclaw.cli import EXPERIMENTS, main
     sys.dont_write_bytecode = True
@@ -88,11 +93,13 @@ def traffic() -> None:
                 raise SystemExit(f"experiment {name} failed")
     model = hc.quartic_well()
     for workload in WORKLOADS.values():
-        items = workload.inputs(round_rng(1, 0))
-        outputs = [workload.item(model, item, _direct) for item in items]
-        failed = [r for r in workload.check(model, items, outputs) if r]
-        if failed:
-            raise SystemExit(f"workload {workload.name} failed: {failed}")
+        for r in (0, 1):
+            items = workload.inputs(round_rng(1, r))
+            outputs = [workload.item(model, item, _direct) for item in items]
+            failed = [f for f in workload.check(model, items, outputs) if f]
+            if failed:
+                raise SystemExit(f"workload {workload.name} failed in "
+                                 f"round {r}: {failed}")
 
 
 def main() -> int:
