@@ -245,25 +245,33 @@ def terminal_batch(model: HamiltonianModel, q0, p0, t: float,
     return Q[-1], P[-1]
 
 
+def _is_mirrored(a) -> bool:
+    """Whether 0.0 - a reversed along its last axis is a, to the bit:
+    oddness with every zero +0.0, since 0.0 - x is never -0.0."""
+    return np.array_equal((0.0 - a[..., ::-1]).view(np.int64),
+                          a.view(np.int64))
+
+
+def _unfold(a, m: int):
+    """a, with the first m entries of its last axis written as 0.0 - the
+    last m reversed: a mirrored array's left half from its right."""
+    np.subtract(0.0, a[..., :-m - 1:-1], out=a[..., :m])
+    return a
+
+
 def _mirror(model: HamiltonianModel, q, p) -> int:
     """The number of leading orbits that mirror the trailing ones:
-    q.size // 2 where the force is odd (``model.odd``) and 0.0 - q[::-1]
-    and 0.0 - p[::-1] are q and p to the bit, else 0.
+    q.size // 2 where the force is odd (``model.odd``) and q and p are
+    mirrored (:func:`_is_mirrored`), else 0.
 
     Under an odd force RK4's operations commute with negation, but for
     the sign of a zero that a sum yields.  A sum is -0.0 only where both
     terms are, and every state update adds to the state, so a state is
-    -0.0 only after a -0.0.  A mirror pair holds no -0.0 (0.0 - x never
-    is), so the left orbit of a pair marches to 0.0 - its right
-    partner, to the bit.
+    -0.0 only after a -0.0.  A mirror pair holds no -0.0, so the left
+    orbit of a pair marches to 0.0 - its right partner, to the bit.
     """
-    if not model.odd:
-        return 0
-    for a in (q, p):
-        if not np.array_equal((0.0 - a[::-1]).view(np.int64),
-                              a.view(np.int64)):
-            return 0
-    return q.size // 2
+    mirrored = model.odd and _is_mirrored(q) and _is_mirrored(p)
+    return q.size // 2 if mirrored else 0
 
 
 def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
@@ -332,9 +340,8 @@ def integrate_batch(model: HamiltonianModel, q0, p0, record_times,
         if retire:
             retired[k] = gone
     if m:
-        # the left half is 0.0 - the right one reversed, as fvm._unfold
-        np.subtract(0.0, Q[:, :-m - 1:-1], out=Q[:, :m])
-        np.subtract(0.0, P[:, :-m - 1:-1], out=P[:, :m])
+        _unfold(Q, m)
+        _unfold(P, m)
     _certify(model, Q[0], P[0], Q[-1], P[-1])
     return (Q, P, retired) if retire else (Q, P)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonFinite, NotFound, _count
-from .flow import _budget, _record_budget
+from .flow import _budget, _is_mirrored, _record_budget, _unfold
 from .model import HamiltonianModel
 
 DEFAULT_CFL = 0.45
@@ -171,13 +171,6 @@ def _run(u, inert) -> int:
     return u.size if same[k] else k
 
 
-def _unfold(right) -> np.ndarray:
-    """The whole odd field from its right half.  The left half is
-    0.0 - the mirror, so a zero comes out +0.0 on both sides, as the
-    full march's cancellations round it."""
-    return np.concatenate([0.0 - right[::-1], right])
-
-
 class _March:
     """One march of u0 toward t_final at the CFL bound, in place.
 
@@ -212,12 +205,10 @@ class _March:
         if not math.isfinite(top):
             raise NonFinite(f"datum is not finite (max |u| = {top})")
         source = model.g_prime(grid.centers())
-        h = grid.n // 2
         self.half = (grid.x_min == -grid.x_max and grid.n % 2 == 0
                      and np.array_equal(source[::-1], -source)
-                     and np.array_equal(_unfold(u0.values[h:]).view(np.int64),
-                                        u0.values.view(np.int64)))
-        self.offset = h if self.half else 0
+                     and _is_mirrored(u0.values))
+        self.offset = grid.n // 2 if self.half else 0
         # a cfl far below 1 can underflow the step to 0, or overflow the
         # step count past any integer
         dt = _stable_dt(top, grid.dx, cfl)
@@ -298,7 +289,8 @@ class _March:
     def values(self) -> np.ndarray:
         """The whole field now, as a fresh array."""
         u = self.ext[1:-1]
-        return _unfold(u) if self.half else u.copy()
+        return _unfold(np.concatenate([u, u]), u.size) if self.half \
+            else u.copy()
 
     def cell(self, i: int) -> float:
         """The value of cell i now."""

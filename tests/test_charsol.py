@@ -23,7 +23,7 @@ from hetclaw.design import Jump, profile_from_solution
 from hetclaw.errors import DomainError, EnergyDrift, HetclawError
 from hetclaw.flow import DEFAULT_DT, _rk4_rows, _split, integrate_batch
 from hetclaw.fvm import Grid1D
-from hetclaw.model import MODELS
+from hetclaw.model import MODELS, HamiltonianModel
 from hetclaw.period import invert_half_period
 from hetclaw.shooting import DEFAULT_SHOOT_TOL, arc_decode, arc_encode, delta
 
@@ -146,6 +146,60 @@ def test_exterior_value_obeys_the_exit_time_law(quartic, t):
     u = eval_solution(quartic, t, 1.5).u
     tau_exit = np.sum(w / np.sqrt(u * u + 2.0 * (d * (2.0 - d)) ** 4))
     assert u * (t - tau_exit) == pytest.approx(0.5, abs=1e-10)
+
+
+def _contact_well(m):
+    """g_m = 1 - (1 - x^2)^m on |x| <= 1, flat at 1 outside: a well whose
+    rim touches the flat level to order 2m in the depth d = 1 - |x|.
+    With y = d (2 - d), the chord slope is
+    (2 - d - d_top) sum_i y^i y_top^(m-1-i), exact as the points merge.
+    The derivation and the measured table are in docs/DECISIONS.md, "The
+    decay rate follows the well's order of contact"."""
+    def g(x):
+        y = 1.0 - x * x
+        if isinstance(x, np.ndarray):
+            return np.where(y > 0.0, 1.0 - y ** m, 1.0)
+        return 1.0 - y ** m if y > 0.0 else 1.0
+
+    def force(x, out=None):
+        y = 1.0 - x * x
+        if not isinstance(x, np.ndarray):
+            return -2.0 * m * x * y ** (m - 1) if y > 0.0 else -0.0
+        f = np.where(y > 0.0, -2.0 * m * x * y ** (m - 1), -0.0)
+        if out is not None:
+            out[...] = f
+        return f
+
+    def chord(d, d_top):
+        y, yt = d * (2.0 - d), d_top * (2.0 - d_top)
+        return (2.0 - d - d_top) * sum(y ** i * yt ** (m - 1 - i)
+                                       for i in range(m))
+
+    return HamiltonianModel(f"contact-{m}", g, force, chord, 1.0, 1.0)
+
+
+def _late_deviation(model, t, x=0.5):
+    return eval_solution(model, t, x).u - asymptotic_profile(model, x)
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_the_decay_exponent_follows_the_order_of_contact(m):
+    """The orbit turning at depth d returns after about C d^(1 - m/2), so
+    u - U ~ d^m ~ t^(-2m/(m - 2)): 6, 4 and 3 for m = 3, 4 and 6."""
+    model = _contact_well(m)
+    rate = np.log2(_late_deviation(model, 80.0)
+                   / _late_deviation(model, 160.0))
+    assert rate == pytest.approx(2.0 * m / (m - 2), abs=0.15)
+
+
+def test_a_hyperbolic_rim_decays_exponentially():
+    """At m = 2 the rim is a hyperbolic saddle, flat - g ~ 4 d^2, whose
+    exponent is sqrt(8); the deviation decays like exp(-sqrt(8) t).
+    Past t of about 20 it is 0 in double precision."""
+    model = _contact_well(2)
+    rate = np.log(_late_deviation(model, 5.0)
+                  / _late_deviation(model, 10.0)) / 5.0
+    assert rate == pytest.approx(np.sqrt(8.0), rel=0.01)
 
 
 def test_pointwise_attraction_is_monotone(quartic):

@@ -116,6 +116,18 @@ def test_reconstructed_datum_is_the_two_state_step(target_footprint):
     assert len(rec.jumps) == 1
 
 
+def test_the_vertex_is_the_step_at_every_node_off_the_jump(target_footprint):
+    """The L1 figure above is almost all one node: at x = 0 the vertex
+    samples its jump's midpoint where the step is +2.  Off a 0.01 band
+    around the jump, each of the 3,988 nodes holds the step on its own."""
+    rec = reconstruct_vertex(target_footprint)
+    xs = np.linspace(-3.0, 3.0, 4001)
+    away = np.abs(xs) >= 0.01
+    err = np.abs(rec.sample(xs[away]) - np.where(xs[away] < 0.0, -2.0, 2.0))
+    assert away.sum() == 3988
+    assert np.max(err) <= 1e-9
+
+
 def test_rarefaction_profile_reconstructs_its_step(homog):
     t = 1.5
     xs = np.linspace(-3.0, 3.0, 601)
