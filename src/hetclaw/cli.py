@@ -133,7 +133,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                                   f"UTF-8 JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise DomainError("config file must hold one JSON object")
-        unknown = sorted(set(overrides) - set(_HELP))
+        unknown = sorted(overrides.keys() - _HELP.keys())
         if unknown:
             raise DomainError(f"unknown config keys {unknown}; "
                               f"expected a subset of {sorted(_HELP)}")
@@ -160,11 +160,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _filled(config: RunConfig) -> RunConfig:
-    """The config as the runner sees it, unset settings at defaults."""
-    return replace(config, **{
+    """The runner's config: defaults filled in, times distinct and sorted."""
+    filled = replace(config, **{
         _FIELDS[key]: flag.default
         for key, flag in EXPERIMENTS[config.experiment].reads.items()
         if getattr(config, _FIELDS[key]) is None})
+    return replace(filled, times=filled.times and tuple(sorted(set(
+        filled.times))))
 
 
 # ===== Output =====
@@ -190,11 +192,13 @@ class _Writer:
         return [f"{key}={value}" for key, value in
                 {**self.stamp, "units": units}.items()]
 
-    def csv(self, name: str, units: str, columns: str, rows) -> None:
+    def csv(self, name: str, units: str, rows) -> None:
+        """The column line names the columns of ``units``, in order."""
         with open(self._path(name), "w") as fh:
             for line in self._header(units):
                 fh.write(f"# {line}\n")
-            fh.write(columns + "\n")
+            fh.write(",".join(column.partition(":")[0]
+                              for column in units.split(",")) + "\n")
             for row in rows:
                 fh.write(",".join(repr(float(v)) if isinstance(v, float)
                                   else str(v) for v in row) + "\n")
@@ -235,10 +239,10 @@ def _run_phase_portrait(model: HamiltonianModel, config: RunConfig,
         classes.append({"orbit": k, "p0": p0, "class": label,
                         "energy_drift": traj.drift})
         curves.append((traj.q, traj.p, f"p0={p0:g}"))
-        for t, q, p in zip(traj.times, traj.q, traj.p):
-            rows.append((k, label, float(p0), float(t), float(q), float(p)))
+        rows += [(k, label, p0, *tqp)
+                 for tqp in zip(traj.times, traj.q, traj.p)]
 
-    write.csv("phase_portrait.csv", units, "orbit,class,p0,t,q,p", rows)
+    write.csv("phase_portrait.csv", units, rows)
     write.json("phase_portrait.json", units,
                {"orbits": classes, "t_max": t_max})
     write.svg("phase_portrait.svg", "x:position,y:momentum", curves,
@@ -247,19 +251,14 @@ def _run_phase_portrait(model: HamiltonianModel, config: RunConfig,
 
 def _run_simulate(model: HamiltonianModel, config: RunConfig,
                   write: _Writer) -> None:
-    times = sorted(set(config.times))
+    times = config.times
     grid = Grid1D(-4.0, 4.0, config.n)
     x = grid.centers()
 
     result = evolve(model, step_datum(grid), times[-1], config.cfl, times)
     overlay = asymptotic_profile(model, x)
     units = "t:time,x:position,u:velocity,asymptote:velocity"
-    rows = []
-    curves = []
-    for t, values in result.snapshots:
-        curves.append((x, values, f"t={t:g}"))
-        for xv, uv, av in zip(x, values, overlay):
-            rows.append((float(t), float(xv), float(uv), float(av)))
+    curves = [(x, values, f"t={t:g}") for t, values in result.snapshots]
     curves.append((x, overlay, "asymptote"))
 
     try:
@@ -268,7 +267,9 @@ def _run_simulate(model: HamiltonianModel, config: RunConfig,
     except NotFound:
         t_star = None
 
-    write.csv("simulate.csv", units, "t,x,u,asymptote", rows)
+    write.csv("simulate.csv", units,
+              ((t, *xua) for t, values in result.snapshots
+               for xua in zip(x, values, overlay)))
     write.json("simulate.json", units, {
         "domain": [grid.x_min, grid.x_max],
         "n": config.n,
@@ -282,17 +283,13 @@ def _run_simulate(model: HamiltonianModel, config: RunConfig,
 
 def _run_exact(model: HamiltonianModel, config: RunConfig,
                write: _Writer) -> None:
-    times = sorted(set(config.times))
     xs = Grid1D(-4.0, 4.0, config.n).centers()
-    U = solution_grid(model, times, xs)
+    U = solution_grid(model, config.times, xs)
 
     units = "t:time,x:position,u:velocity"
-    rows = [(float(t), float(xv), float(uv))
-            for i, t in enumerate(times)
-            for xv, uv in zip(xs, U[i])]
-    curves = [(xs, U[i], f"t={t:g}") for i, t in enumerate(times)]
-
-    write.csv("exact.csv", units, "t,x,u", rows)
+    write.csv("exact.csv", units, ((t, *xu) for t, u in zip(config.times, U)
+                                   for xu in zip(xs, u)))
+    curves = [(xs, u, f"t={t:g}") for t, u in zip(config.times, U)]
     write.svg("exact.svg", units, curves, "semi-analytic profiles")
 
 
@@ -306,7 +303,7 @@ def _run_period(model: HamiltonianModel, config: RunConfig,
     periods = [period_quadrature(model, p0) for p0 in p0s]
     units = "p0:momentum,period:time,q_max:position"
 
-    write.csv("period.csv", units, "p0,period,q_max",
+    write.csv("period.csv", units,
               [(p0, period, turning_point(model, p0))
                for p0, period in zip(p0s, periods)])
     write.json("period.json", units, {
@@ -329,7 +326,7 @@ def _run_inverse(model: HamiltonianModel, config: RunConfig,
     report = design_report(fm, w, (-half, half), config.cfl)
     fm_units = "x:position,w:velocity,foot:position,p0:momentum"
 
-    write.csv("inverse_footprint.csv", fm_units, "x,w,foot,p0",
+    write.csv("inverse_footprint.csv", fm_units,
               zip(fm.xs, fm.ws, fm.feet, fm.p0))
     write.json("inverse.json", fm_units, {
         "horizon": t,
@@ -352,7 +349,7 @@ def _run_rays(model: HamiltonianModel, config: RunConfig,
                      tol=config.tol)
     units = "ray:index,t:time,q:position"
 
-    write.csv("rays.csv", units, "ray,t,q",
+    write.csv("rays.csv", units,
               ((k, s, q) for k in range(report.momenta.size)
                for s, q in zip(report.times, report.positions[:, k])))
     write.json("rays.json", units, report.as_dict())
@@ -384,8 +381,7 @@ def _run_entropy_check(model: HamiltonianModel, config: RunConfig,
 
 def _run_asymptotics(model: HamiltonianModel, config: RunConfig,
                      write: _Writer) -> None:
-    # one snapshot per distinct time, as the FVM march lands them
-    times = sorted(set(config.times))
+    times = config.times
     grid = Grid1D(-6.0, 6.0, config.n)
     x = grid.centers()
     window = np.abs(x) <= 2.5
@@ -397,21 +393,15 @@ def _run_asymptotics(model: HamiltonianModel, config: RunConfig,
     overlay = asymptotic_profile(model, xw)
     units = ("t:time,x:position,u_fvm:velocity,u_exact:velocity,"
              "asymptote:velocity")
-    rows = []
-    summary = []
-    for i, (t, values) in enumerate(result.snapshots):
-        uw = values[window]
-        for xv, uf, ue, av in zip(xw, uw, exact[i], overlay):
-            rows.append((float(t), float(xv), float(uf), float(ue),
-                         float(av)))
-        summary.append({
-            "t": float(t),
-            "fvm_vs_asymptote": float(np.max(np.abs(uw - overlay)[core])),
-            "exact_vs_asymptote": float(
-                np.max(np.abs(exact[i] - overlay)[core])),
-        })
+    paired = list(zip(result.snapshots, exact))
+    summary = [{"t": t,
+                "fvm_vs_asymptote": np.max(np.abs(u[window] - overlay)[core]),
+                "exact_vs_asymptote": np.max(np.abs(ue - overlay)[core])}
+               for (t, u), ue in paired]
 
-    write.csv("asymptotics.csv", units, "t,x,u_fvm,u_exact,asymptote", rows)
+    write.csv("asymptotics.csv", units,
+              ((t, *row) for (t, u), ue in paired
+               for row in zip(xw, u[window], ue, overlay)))
     write.json("asymptotics.json", units,
                {"deviations_core_window": summary, "core_half_width": 0.95})
     t_last, u_last = result.snapshots[-1]

@@ -35,6 +35,18 @@ def run_ok(capsys, *argv):
     return json.loads(out)
 
 
+def refused(capsys, tmp_path, *argv):
+    """The message of a run that ``main`` refuses: exit code 1, a
+    DomainError, and no output directory."""
+    out = tmp_path / "o"
+    code = main([*argv, "--out", str(out)])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert err["error"] == "DomainError"
+    assert not out.exists()
+    return err["message"]
+
+
 def read_csv_body(path):
     lines = path.read_text().splitlines()
     head = [ln for ln in lines if ln.startswith("#")]
@@ -92,26 +104,16 @@ def test_bad_config_values_fail_with_json(capsys, tmp_path, override):
     """Each value used to raise a raw TypeError, run with a silently
     substituted row count, or fail deep inside the quadrature."""
     cfg = tmp_path / "run.json"
-    doc = {"experiment": "period", "n": 4, "out": str(tmp_path / "o")}
-    doc.update(override)
-    cfg.write_text(json.dumps(doc))
-    code = main(["--config", str(cfg)])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert re.search(rf"\b{next(iter(override))}\b", err["message"])
-    assert not (tmp_path / "o").exists()
+    cfg.write_text(json.dumps({"experiment": "period", "n": 4, **override}))
+    message = refused(capsys, tmp_path, "--config", str(cfg))
+    assert re.search(rf"\b{next(iter(override))}\b", message)
 
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-3"],
                                    ["--tol", "0"], ["--tol", "nan"]])
 def test_bad_flag_values_fail_with_json(capsys, tmp_path, flags):
-    code = main(["--experiment", "period", "--out", str(tmp_path / "o"),
-                 *flags])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert re.search(rf"\b{flags[0][2:]}\b", err["message"])
+    message = refused(capsys, tmp_path, "--experiment", "period", *flags)
+    assert re.search(rf"\b{flags[0][2:]}\b", message)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -122,14 +124,9 @@ def test_unreadable_flag_values_fail_with_json(capsys, tmp_path, flag,
                                                value):
     """Each flag but --times used to print argparse's usage and exit 2,
     while the same value in a config file gave the JSON DomainError."""
-    out = tmp_path / "o"
-    code = main(["--experiment", "period", f"--{flag}", value,
-                 "--out", str(out)])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert re.search(rf"\b{flag}\b", err["message"])
-    assert not out.exists()
+    message = refused(capsys, tmp_path, "--experiment", "period",
+                      f"--{flag}", value)
+    assert re.search(rf"\b{flag}\b", message)
 
 
 def test_valid_config_values_resolve_as_before(capsys, tmp_path):
@@ -151,14 +148,9 @@ def test_valid_config_values_resolve_as_before(capsys, tmp_path):
 def test_ignored_settings_are_refused(capsys, tmp_path, experiment, flag):
     """Every experiment used to accept every flag, so a setting it never
     read changed the config hash in its headers and nothing else."""
-    out = tmp_path / "o"
-    code = main(["--experiment", experiment, f"--{flag}",
-                 OFF_DEFAULT[flag], "--out", str(out)])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert f"does not read {flag!r}" in err["message"]
-    assert not out.exists()
+    assert f"does not read {flag!r}" in refused(
+        capsys, tmp_path, "--experiment", experiment, f"--{flag}",
+        OFF_DEFAULT[flag])
 
 
 def test_default_values_of_unread_settings_are_accepted(capsys, tmp_path):
@@ -227,21 +219,14 @@ def test_runs_without_one_experiment_are_refused(capsys, tmp_path, argv,
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(doc))
         argv = [*argv, "--config", str(cfg)]
-    code = main([*argv, "--out", str(tmp_path / "o")])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert message in err["message"]
-    assert not (tmp_path / "o").exists()
+    assert message in refused(capsys, tmp_path, *argv)
 
 
 def test_unknown_config_keys_are_rejected(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"experiment": "period", "bogus": 1}))
-    code = main(["--config", str(cfg), "--out", str(tmp_path / "o")])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
+    assert "unknown config keys ['bogus']" in refused(
+        capsys, tmp_path, "--config", str(cfg))
 
 
 @pytest.mark.parametrize("content", [b"{", b"\xff"])
@@ -249,31 +234,19 @@ def test_config_files_that_are_not_utf8_json_are_refused(capsys, tmp_path,
                                                          content):
     cfg = tmp_path / "run.json"
     cfg.write_bytes(content)
-    code = main(["--config", str(cfg), "--out", str(tmp_path / "o")])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert str(cfg) in err["message"]
+    assert str(cfg) in refused(capsys, tmp_path, "--config", str(cfg))
 
 
 # ===== Machine-readable failure =====
 
 def test_domain_errors_exit_nonzero_with_json(capsys, tmp_path):
-    code = main(["--experiment", "period", "--model", "homogeneous",
-                 "--out", str(tmp_path / "o")])
-    out = capsys.readouterr().out
-    assert code == 1
-    err = json.loads(out)
-    assert err["error"] == "DomainError"
-    assert "well" in err["message"]
+    assert "well" in refused(capsys, tmp_path, "--experiment", "period",
+                             "--model", "homogeneous")
 
 
 def test_infinite_horizon_orbits_fail_with_json(capsys, tmp_path):
-    code = main(["--experiment", "phase-portrait", "--tmax", "inf",
-                 "--out", str(tmp_path / "o")])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
+    assert "--tmax must be a finite float" in refused(
+        capsys, tmp_path, "--experiment", "phase-portrait", "--tmax", "inf")
 
 
 @pytest.mark.parametrize("flags", [["--times", "inf"], ["--cfl", "0"],
@@ -300,26 +273,16 @@ def test_phase_portrait_rejects_a_nonpositive_horizon(capsys, tmp_path,
                                                       tmax):
     """A negative horizon used to write orbits integrated backward as if
     they were the forward portrait."""
-    code = main(["--experiment", "phase-portrait", "--tmax", tmax,
-                 "--out", str(tmp_path / "o")])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert not (tmp_path / "o" / "phase_portrait.csv").exists()
+    assert "needs --tmax above 0 to 1000" in refused(
+        capsys, tmp_path, "--experiment", "phase-portrait", "--tmax", tmax)
 
 
 @pytest.mark.parametrize("experiment", ["exact", "asymptotics"])
 def test_empty_time_lists_fail_before_writing(capsys, tmp_path, experiment):
     """``--times ,`` used to leave a header-only exact.csv behind with a
     bare ValueError, and to crash asymptotics with an IndexError."""
-    out = tmp_path / "o"
-    code = main(["--experiment", experiment, "--times", ",", "--n", "16",
-                 "--out", str(out)])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert "times" in err["message"]
-    assert not out.exists()
+    assert "times" in refused(capsys, tmp_path, "--experiment", experiment,
+                              "--times", ",", "--n", "16")
 
 
 @pytest.mark.parametrize("experiment, flag, value", [
@@ -338,16 +301,12 @@ def test_unusable_flag_values_are_refused_by_name(capsys, tmp_path,
     shock, --seed -1 as numpy's ValueError, simulate and entropy-check
     --n 1 to name neither the flag nor the experiment, and exact and
     inverse --n 801 to write 802 samples under a header hashing 801."""
-    out = tmp_path / "o"
-    code = main(["--experiment", experiment, flag, value, "--out", str(out)])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert flag in err["message"]
-    assert err["message"].endswith(f"got {value}")
+    message = refused(capsys, tmp_path, "--experiment", experiment, flag,
+                      value)
+    assert flag in message
+    assert message.endswith(f"got {value}")
     if flag == "--n":
-        assert repr(experiment) in err["message"]
-    assert not out.exists()
+        assert repr(experiment) in message
 
 
 def _past_each_upper_end():
@@ -368,15 +327,11 @@ def test_out_of_range_values_are_refused_at_once_by_name(
     """period --n 1e8 used to run for days, exact --n 1e7 to end in a raw
     MemoryError, inverse --tmax -1 and entropy-check --tmax 0 to be refused
     without naming the flag."""
-    out = tmp_path / "o"
     start = time.perf_counter()
-    code = main(["--experiment", experiment, flag, value, "--out", str(out)])
+    message = refused(capsys, tmp_path, "--experiment", experiment, flag,
+                      value)
     assert time.perf_counter() - start < 1.0
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert flag in err["message"]
-    assert not out.exists()
+    assert flag in message
 
 
 @pytest.mark.parametrize("cfl", ["1e-300", "1e-310", "5e-324"])
@@ -385,28 +340,20 @@ def test_step_budget_refusal_is_short_and_names_the_limit(capsys, tmp_path,
     """--cfl 1e-300 used to print the 300-digit step count; at 1e-310 the
     count overflowed a float and at 5e-324 the step underflowed to 0,
     each a raw traceback."""
-    code = main(["--experiment", "simulate", "--n", "100", "--cfl", cfl,
-                 "--out", str(tmp_path / "o")])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert "exceeds 10000000 steps" in err["message"]
-    assert len(err["message"]) < 200
+    message = refused(capsys, tmp_path, "--experiment", "simulate", "--n",
+                      "100", "--cfl", cfl)
+    assert "exceeds 10000000 steps" in message
+    assert len(message) < 200
 
 
 def test_step_budget_refusal_names_the_run(capsys, tmp_path):
     """Each value is in range, but together they ask the footprint march
     for 1.1e9 orbit-steps; the refusal used to name no flag."""
-    out = tmp_path / "o"
-    code = main(["--experiment", "inverse", "--n", "10000", "--tmax", "100",
-                 "--out", str(out)])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert err["message"].startswith(
+    message = refused(capsys, tmp_path, "--experiment", "inverse", "--n",
+                      "10000", "--tmax", "100")
+    assert message.startswith(
         "experiment 'inverse' with --n 10000 --cfl 0.45 --tmax 100.0: ")
-    assert "orbit-steps" in err["message"]
-    assert not out.exists()
+    assert "orbit-steps" in message
 
 
 def test_the_record_ceiling_admits_every_setting(quartic):
@@ -431,13 +378,10 @@ def test_parser_rejects_unknown_experiments(capsys, tmp_path):
     config entry's refusal, word for word."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"experiment": "nonsense"}))
-    refusals = []
-    for argv in (["--experiment", "nonsense"], ["--config", str(cfg)]):
-        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
-        refusals.append(json.loads(capsys.readouterr().out))
+    refusals = [refused(capsys, tmp_path, *argv) for argv in
+                (["--experiment", "nonsense"], ["--config", str(cfg)])]
     assert refusals[0] == refusals[1]
-    assert refusals[0]["error"] == "DomainError"
-    assert "unknown experiment 'nonsense'" in refusals[0]["message"]
+    assert "unknown experiment 'nonsense'" in refusals[0]
 
 
 # ===== Headers on every artifact =====
@@ -462,6 +406,32 @@ def test_every_output_is_stamped(capsys, tmp_path):
             assert "experiment=period" in text
 
 
+# Small settings of each experiment that writes a CSV.
+_SMALL = {"phase-portrait": ["--tmax", "1"], "period": ["--n", "3"],
+          "simulate": ["--n", "20", "--times", "0.5,0.2"],
+          "exact": ["--n", "8", "--times", "1,0.5"],
+          "inverse": ["--n", "20", "--tmax", "0.5"], "rays": ["--n", "3"],
+          "asymptotics": ["--n", "8", "--times", "1,0.5"]}
+
+
+def test_csv_columns_are_the_names_of_the_units_line(capsys, tmp_path):
+    """A CSV's column line is written from its units line, so the two
+    cannot disagree, and each data row has one field per column."""
+    for name, flags in _SMALL.items():
+        payload = run_ok(capsys, "--experiment", name, *flags,
+                         "--out", str(tmp_path / name))
+        paths = [p for p in payload["outputs"] if p.endswith(".csv")]
+        assert paths, name
+        for path in paths:
+            head, body = read_csv_body(tmp_path / name / os.path.basename(path))
+            units = [ln for ln in head if ln.startswith("# units=")]
+            columns = re.findall(r"([^=,:]+):[^,]+", units[0])
+            assert body[0] == ",".join(columns), path
+            assert len(body) > 1, path
+            assert all(len(row.split(",")) == len(columns)
+                       for row in body[1:]), path
+
+
 # ===== Experiment content =====
 
 def test_period_table_small_amplitude_row(capsys, tmp_path):
@@ -481,13 +451,8 @@ def test_period_table_small_amplitude_row(capsys, tmp_path):
 @pytest.mark.parametrize("n", [1, 2])
 def test_period_refuses_fewer_than_three_rows(capsys, tmp_path, n):
     """--n 1, 2 and 3 used to write the same 3-row table."""
-    out = tmp_path / "o"
-    code = main(["--experiment", "period", "--n", str(n), "--out", str(out)])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert "--n" in err["message"]
-    assert not out.exists()
+    assert "--n" in refused(capsys, tmp_path, "--experiment", "period",
+                            "--n", str(n))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -638,12 +603,8 @@ def test_rays_report_interior_collisions(capsys, tmp_path):
 def test_rays_reject_a_nonpositive_horizon(capsys, tmp_path, tmax):
     """A non-positive horizon used to write a fan that runs forward or
     does not move."""
-    code = main(["--experiment", "rays", "--tmax", tmax, "--n", "3",
-                 "--out", str(tmp_path / "o")])
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert not (tmp_path / "o" / "rays.csv").exists()
+    assert "needs --tmax above 0 to 4" in refused(
+        capsys, tmp_path, "--experiment", "rays", "--tmax", tmax, "--n", "3")
 
 
 @pytest.mark.parametrize("n", ["1001", "100000000"])
@@ -651,13 +612,9 @@ def test_rays_refuse_large_fans_at_once(capsys, tmp_path, n):
     """The crossing scan is quadratic in the ray count: 1,600 rays took
     33 s on a 2-core machine, and the step budget alone admitted 500,000."""
     start = time.perf_counter()
-    code = main(["--experiment", "rays", "--n", n,
-                 "--out", str(tmp_path / "o")])
+    message = refused(capsys, tmp_path, "--experiment", "rays", "--n", n)
     assert time.perf_counter() - start < 1.0
-    err = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert err["error"] == "DomainError"
-    assert err["message"].endswith(f"got {n}")
+    assert message.endswith(f"got {n}")
 
 
 def test_homogeneous_rays_fill_without_collisions(capsys, tmp_path):

@@ -348,17 +348,6 @@ def test_fan_needs_two_rays(quartic):
             ray_fan(quartic, 2.0, 0.0, -1.0, 1.0, n_rays)
 
 
-def test_a_fan_past_the_crossing_ceiling_is_refused(quartic):
-    """1,000 rays over t = 12 cross more than 2 million times; the call
-    refuses once its list passes the ceiling instead of growing it until
-    memory runs out (t = 50 used to run a minute into a MemoryError)."""
-    trace = invert_half_period(quartic, 12.0)
-    start = time.perf_counter()
-    with pytest.raises(DomainError, match="crosses itself more than"):
-        ray_fan(quartic, 12.0, 0.0, trace, -trace, 1000)
-    assert time.perf_counter() - start < 60.0
-
-
 def test_a_fan_holds_its_record_and_two_scan_blocks(homog):
     """1,000 rays to t = 2 record 801 x 1,000 positions, 6.4 MB.  The fan
     keeps them and a row-major copy, and the scan of one ray against the
@@ -690,11 +679,15 @@ def test_a_crossing_fan_matches_the_loops(quartic):
 
 
 def test_a_refused_fan_is_refused_from_its_count(quartic):
-    """The t = 12 fan is refused from its running count of crossings, as
-    arrays, before any tuple is built: the traced peak stays under 60 MB
-    (55 MB read), against 273 MB when it counted a list of tuples.  Its
-    positions record alone is 801 x 1,000 doubles, 6.4 MB."""
+    """1,000 rays over t = 12 cross more than 2 million times.  The fan is
+    refused from its running count of crossings, as arrays, before any
+    tuple is built, instead of growing a list until memory runs out
+    (t = 50 used to run a minute into a MemoryError): the traced peak
+    stays under 60 MB (55 MB read), against 273 MB when it counted a
+    list of tuples.  Its positions record alone is 801 x 1,000 doubles,
+    6.4 MB."""
     trace = invert_half_period(quartic, 12.0)
+    start = time.perf_counter()
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match="crosses itself more than"):
@@ -703,6 +696,7 @@ def test_a_refused_fan_is_refused_from_its_count(quartic):
     finally:
         tracemalloc.stop()
     assert peak < 60e6
+    assert time.perf_counter() - start < 60.0
 
 
 # t spans refusals (<= 0, not finite, past the step budget) and horizons
